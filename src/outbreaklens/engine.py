@@ -11,11 +11,11 @@ preserves window order either way.
 
 For timestamp-ordered feeds every emitted report is field-identical to
 the offline pipeline run on the same window. Out-of-order feeds keep
-exact vertex/edge/degree counts, but the fitting sample follows arrival
-order rather than timestamp order, and late records follow the window
-mode's policy: tumbling windows reject them with a diagnostic (their
-report is already out), cumulative windows absorb them into the next
-prefix.
+exact vertex/edge/degree counts, and fits read only the degree
+histogram, so arrival order does not reach a report; late records
+follow the window mode's policy: tumbling windows reject them with a
+diagnostic (their report is already out), cumulative windows absorb
+them into the next prefix.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .fitting import (FAMILIES, FitError, StructureClass, fit_family,
                       select_structure, RULES)
-from .graph import (ContactGraph, DegreeSample, Edge, TimeWindow, build_graph,
+from .graph import (ContactGraph, GraphCounts, TimeWindow, build_graph,
                     degree_sample)
 from .records import (CaseRecord, Diagnostic, ValidationError,
                       format_timestamp, normalize_timestamp)
@@ -128,7 +128,7 @@ def _canonical_families(families: Iterable[str]) -> tuple[str, ...]:
     return tuple(f for f in FAMILIES if f in set(requested))
 
 
-def report_for_graph(graph: ContactGraph, window: TimeWindow | None,
+def report_for_graph(graph: ContactGraph | GraphCounts, window: TimeWindow | None,
                      families: Sequence[str], rule: str,
                      include_isolated: bool) -> StructureReport:
     """Measure and classify one graph snapshot. Shared by the batch
@@ -166,33 +166,51 @@ class _GraphBuilder:
     Children that arrive before their source wait in ``pending`` and are
     linked when (if) the source shows up, which matches the batch rule
     that an edge exists only when both endpoints are in the window.
+    ``degree`` holds each vertex's degree and ``histogram`` the number
+    of vertices per degree; a new vertex adds to the degree-0 bucket and
+    a new edge moves its two endpoints up one bucket each.
     """
 
-    __slots__ = ("vertices", "edges", "pending")
+    __slots__ = ("degree", "histogram", "edges", "pending")
 
     def __init__(self):
-        self.vertices: dict[str, CaseRecord] = {}
-        self.edges: dict[tuple[str, str], Edge] = {}
-        self.pending: dict[str, list[CaseRecord]] = {}
+        self.degree: dict[str, int] = {}
+        self.histogram: dict[int, int] = {}
+        self.edges: set[tuple[str, str]] = set()
+        self.pending: dict[str, list[str]] = {}
 
     def add(self, record: CaseRecord) -> None:
-        self.vertices[record.case_id] = record
+        case = record.case_id
+        self.degree[case] = 0
+        self.histogram[0] = self.histogram.get(0, 0) + 1
         src = record.source_id
         if src is not None:
-            if src in self.vertices:
-                self._link(src, record.case_id)
+            if src in self.degree:
+                self._link(src, case)
             else:
-                self.pending.setdefault(src, []).append(record)
-        for child in self.pending.pop(record.case_id, ()):
-            self._link(record.case_id, child.case_id)
+                self.pending.setdefault(src, []).append(case)
+        for child in self.pending.pop(case, ()):
+            self._link(case, child)
 
     def _link(self, source: str, case: str) -> None:
         key = (source, case) if source < case else (case, source)
-        self.edges[key] = Edge(source=source, case=case, weight=1.0)
+        if key in self.edges:  # a mutual-source pair is one edge
+            return
+        self.edges.add(key)
+        histogram = self.histogram
+        for vertex in key:
+            d = self.degree[vertex]
+            self.degree[vertex] = d + 1
+            if histogram[d] == 1:
+                del histogram[d]
+            else:
+                histogram[d] -= 1
+            histogram[d + 1] = histogram.get(d + 1, 0) + 1
 
-    def graph(self, as_of: datetime | None) -> ContactGraph:
-        # snapshot copies: the builder keeps mutating after emission
-        return ContactGraph(dict(self.vertices), dict(self.edges), as_of)
+    def graph(self, as_of: datetime | None) -> GraphCounts:
+        # the histogram is copied: the builder keeps mutating after emission
+        return GraphCounts(len(self.degree), len(self.edges),
+                           dict(self.histogram), as_of)
 
 
 class RecognitionEngine:

@@ -14,8 +14,11 @@ data-parallel execution across windows.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from itertools import chain, repeat
+from typing import Iterable, Mapping, Union
 
 from .graph import DegreeSample
 
@@ -24,7 +27,7 @@ RULES = ("min-se", "aic", "max-loglik")
 
 ALPHA_MIN = 1.0 + 1e-9
 ALPHA_MAX = 20.0
-ALPHA_TOL = 1e-8
+ALPHA_TOL = 1e-10
 
 _LN_2PI = math.log(2.0 * math.pi)
 
@@ -43,28 +46,41 @@ _BERNOULLI_2M = (
     43867.0 / 798.0,
     -174611.0 / 330.0,
 )
+# B_{2m} / (2m)!, the Euler-Maclaurin correction coefficients
+_EM_COEFFICIENTS = tuple(b2m / math.factorial(2 * m)
+                         for m, b2m in enumerate(_BERNOULLI_2M, start=1))
 
 
 class FitError(ValueError):
     """The sample cannot support the requested fit."""
 
 
-SampleLike = Union[DegreeSample, Sequence[float], Iterable[float]]
+SampleLike = Union[DegreeSample, Iterable[float]]
 
 
-def _values(sample: SampleLike) -> tuple:
+def _histogram(sample: SampleLike) -> Mapping:
+    """The sample as {value: count}; a DegreeSample already is one."""
     if isinstance(sample, DegreeSample):
-        return sample.degrees
-    return tuple(sample)
+        return sample.counts
+    return Counter(sample)
 
 
-def _require_integers(xs: tuple, context: str) -> tuple[int, ...]:
-    out = []
-    for x in xs:
+def _integer_counts(hist: Mapping, context: str) -> dict[int, int]:
+    """The histogram keyed by int, checking each distinct value once."""
+    out = {}
+    for x, count in hist.items():
         if isinstance(x, bool) or float(x) != int(x):
             raise FitError(f"{context} requires integer values, got {x!r}")
-        out.append(int(x))
-    return tuple(out)
+        out[int(x)] = count
+    return out
+
+
+def _sum_over(hist: Mapping, term) -> float:
+    """Exactly rounded sum of term(x) over every sample value. term runs
+    once per distinct value and is repeated count times, so the result
+    is bit-identical to math.fsum over the expanded sample."""
+    return math.fsum(chain.from_iterable(
+        repeat(term(x), count) for x, count in hist.items()))
 
 
 @dataclass(frozen=True)
@@ -172,16 +188,13 @@ def _zeta_core(s: float, a: float, order: int) -> tuple[float, float, float]:
 
     p = 1.0          # prod(s+i)
     q1 = q2 = 0.0    # sum 1/(s+i), sum 1/(s+i)^2
-    fact = 1.0
     next_i = 0       # p currently covers i < next_i
-    for m, b2m in enumerate(_BERNOULLI_2M, start=1):
+    for m, c in enumerate(_EM_COEFFICIENTS, start=1):
         while next_i <= 2 * m - 2:
             p *= s + next_i
             q1 += 1.0 / (s + next_i)
             q2 += 1.0 / (s + next_i) ** 2
             next_i += 1
-        fact = math.factorial(2 * m)
-        c = b2m / fact
         e = x ** (-(s + 2 * m - 1))
         z0 += c * p * e
         if order >= 1:
@@ -210,37 +223,41 @@ def log_likelihood(family: str, params: Mapping[str, float],
     The power law is evaluated on its tail only (values >= x_min);
     support violations for the other families raise FitError.
     """
-    xs = _values(sample)
-    n = len(xs)
+    return _log_likelihood(family, params, _histogram(sample))
+
+
+def _log_likelihood(family: str, params: Mapping[str, float],
+                    hist: Mapping) -> float:
+    n = sum(hist.values())
     if n == 0:
         raise FitError("empty sample")
     if family == "exponential":
         lam = params["lambda"]
         if lam <= 0:
             raise FitError("exponential rate must be positive")
-        if any(x < 0 for x in xs):
+        if any(x < 0 for x in hist):
             raise FitError("exponential support is [0, inf)")
-        return n * math.log(lam) - lam * math.fsum(xs)
+        return n * math.log(lam) - lam * _sum_over(hist, lambda x: x)
     if family == "normal":
         mu = params["mu"]
         sigma = params["sigma"]
         if sigma <= 0:
             raise FitError("normal sigma must be positive")
-        ss = math.fsum((x - mu) ** 2 for x in xs)
+        ss = _sum_over(hist, lambda x: (x - mu) ** 2)
         return -0.5 * n * _LN_2PI - n * math.log(sigma) - ss / (2.0 * sigma * sigma)
     if family == "poisson":
         lam = params["lambda"]
         if lam < 0:
             raise FitError("poisson rate must be non-negative")
-        ints = _require_integers(xs, "poisson")
+        ints = _integer_counts(hist, "poisson")
         if any(x < 0 for x in ints):
             raise FitError("poisson support is the non-negative integers")
         if lam == 0.0:
             if any(ints):
                 raise FitError("poisson(0) puts no mass on positive values")
             return 0.0
-        return math.fsum(
-            x * math.log(lam) - lam - math.lgamma(x + 1) for x in ints)
+        return _sum_over(
+            ints, lambda x: x * math.log(lam) - lam - math.lgamma(x + 1))
     if family == "power-law":
         alpha = params["alpha"]
         x_min = int(params["x_min"])
@@ -248,13 +265,13 @@ def log_likelihood(family: str, params: Mapping[str, float],
             raise FitError("power-law exponent must exceed 1")
         if x_min < 1:
             raise FitError("x_min must be a positive integer")
-        ints = _require_integers(xs, "power-law")
-        tail = [x for x in ints if x >= x_min]
+        ints = _integer_counts(hist, "power-law")
+        tail = {x: count for x, count in ints.items() if x >= x_min}
         if not tail:
             raise FitError("no values at or above x_min")
         z = hurwitz_zeta(alpha, float(x_min))
-        return (-alpha * math.fsum(math.log(x) for x in tail)
-                - len(tail) * math.log(z))
+        return (-alpha * _sum_over(tail, math.log)
+                - sum(tail.values()) * math.log(z))
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -262,13 +279,13 @@ def log_likelihood(family: str, params: Mapping[str, float],
 
 def fit_exponential(sample: SampleLike) -> FitResult:
     """MLE rate 1/mean; SE = rate/sqrt(n); vcov = rate^2/n."""
-    xs = _values(sample)
-    n = len(xs)
+    hist = _histogram(sample)
+    n = sum(hist.values())
     if n < 2:
         raise FitError("sample smaller than 2")
-    if any(x < 0 for x in xs):
+    if any(x < 0 for x in hist):
         raise FitError("exponential support is [0, inf)")
-    mean = math.fsum(xs) / n
+    mean = _sum_over(hist, lambda x: x) / n
     if mean <= 0:
         raise FitError("all-zero sample has no exponential MLE")
     lam = 1.0 / mean
@@ -276,17 +293,17 @@ def fit_exponential(sample: SampleLike) -> FitResult:
     params = {"lambda": lam}
     return FitResult("exponential", params, {"lambda": se},
                      ((lam * lam / n,),),
-                     log_likelihood("exponential", params, xs), n)
+                     _log_likelihood("exponential", params, hist), n)
 
 
 def fit_normal(sample: SampleLike) -> FitResult:
     """MLE mean and sigma (denominator n); vcov = diag(s^2/n, s^2/2n)."""
-    xs = _values(sample)
-    n = len(xs)
+    hist = _histogram(sample)
+    n = sum(hist.values())
     if n < 2:
         raise FitError("sample smaller than 2")
-    mu = math.fsum(xs) / n
-    var = math.fsum((x - mu) ** 2 for x in xs) / n
+    mu = _sum_over(hist, lambda x: x) / n
+    var = _sum_over(hist, lambda x: (x - mu) ** 2) / n
     if var == 0.0:
         raise FitError("constant sample: singular Fisher information")
     sigma = math.sqrt(var)
@@ -294,84 +311,99 @@ def fit_normal(sample: SampleLike) -> FitResult:
     se = {"mu": sigma / math.sqrt(n), "sigma": sigma / math.sqrt(2.0 * n)}
     vcov = ((var / n, 0.0), (0.0, var / (2.0 * n)))
     return FitResult("normal", params, se, vcov,
-                     log_likelihood("normal", params, xs), n)
+                     _log_likelihood("normal", params, hist), n)
 
 
 def fit_poisson(sample: SampleLike) -> FitResult:
     """MLE rate = mean; SE = sqrt(rate/n); vcov = rate/n."""
-    xs = _values(sample)
-    n = len(xs)
+    hist = _histogram(sample)
+    n = sum(hist.values())
     if n < 1:
         raise FitError("empty sample")
-    ints = _require_integers(xs, "poisson")
+    ints = _integer_counts(hist, "poisson")
     if any(x < 0 for x in ints):
         raise FitError("poisson support is the non-negative integers")
-    lam = math.fsum(ints) / n
+    lam = _sum_over(ints, lambda x: x) / n
     params = {"lambda": lam}
     se = {"lambda": math.sqrt(lam / n)}
     return FitResult("poisson", params, se, ((lam / n,),),
-                     log_likelihood("poisson", params, ints), n)
+                     _log_likelihood("poisson", params, ints), n)
 
 
 # --- Discrete power law -----------------------------------------------------
 
-def _golden_max_alpha(neg_sum_log: float, n_tail: int, x_min: int) -> float:
-    """Maximize l(alpha) = -alpha*sum(ln x) - n*ln zeta(alpha, x_min) on
-    (1, ALPHA_MAX]. l is strictly concave (its second derivative is -n
-    times the zeta-distribution variance of ln X), so golden-section
-    search converges to the global maximum."""
-    a_lo, a_hi = ALPHA_MIN, ALPHA_MAX
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+# A gap between consecutive observed tail values wider than this many
+# integers is crossed with one zeta difference instead of a term sum.
+_KS_GAP = 64
+# Newton converges in a handful of steps and bisection needs about 40 to
+# close the bracket to ALPHA_TOL; this only bounds the loop.
+_NEWTON_MAX_STEPS = 200
 
-    def ll(alpha: float) -> float:
-        return (neg_sum_log * alpha
-                - n_tail * math.log(hurwitz_zeta(alpha, float(x_min))))
 
-    c = a_hi - inv_phi * (a_hi - a_lo)
-    d = a_lo + inv_phi * (a_hi - a_lo)
-    fc, fd = ll(c), ll(d)
-    while a_hi - a_lo > ALPHA_TOL:
-        if fc >= fd:
-            a_hi, d, fd = d, c, fc
-            c = a_hi - inv_phi * (a_hi - a_lo)
-            fc = ll(c)
+def _powerlaw_alpha(mean_log: float, x_min: int) -> float:
+    """Maximize l(alpha) = -n*alpha*mean_log - n*ln zeta(alpha, x_min)
+    on [ALPHA_MIN, ALPHA_MAX] by safeguarded Newton on the score.
+
+    The score per point is g = -mean_log - z'/z, where -z'/z is the mean
+    of ln X under the fitted law; its derivative is minus the variance
+    of ln X, so l is strictly concave and g has at most one root. Each
+    step keeps a bracket [lo, hi] with g(lo) > 0 >= g(hi) and bisects
+    when Newton would leave it; iteration stops once a step is at most
+    ALPHA_TOL. When the likelihood still rises at ALPHA_MAX the estimate
+    is clamped there.
+    """
+    lo, hi = ALPHA_MIN, ALPHA_MAX
+    # continuous approximation (Clauset, Shalizi & Newman 2009, eq. 3.7)
+    alpha = 1.0 + 1.0 / (mean_log - math.log(x_min - 0.5))
+    alpha = min(max(alpha, lo), hi)
+    capped = alpha == ALPHA_MAX  # whether g(ALPHA_MAX) has been looked at
+    for _ in range(_NEWTON_MAX_STEPS):
+        z, z1, z2 = hurwitz_zeta_derivatives(alpha, float(x_min))
+        m1 = z1 / z
+        g = -mean_log - m1
+        if g > 0.0:
+            if alpha >= ALPHA_MAX:
+                return ALPHA_MAX
+            lo = alpha
         else:
-            a_lo, c, fc = c, d, fd
-            d = a_lo + inv_phi * (a_hi - a_lo)
-            fd = ll(d)
-    return 0.5 * (a_lo + a_hi)
+            hi = alpha
+        step = g / (z2 / z - m1 * m1)
+        new = alpha + step
+        if abs(step) <= ALPHA_TOL and lo <= new <= hi:
+            return new
+        if not lo < new < hi:
+            if new >= hi == ALPHA_MAX and not capped:
+                new, capped = ALPHA_MAX, True
+            else:
+                new = 0.5 * (lo + hi)
+            if hi - lo <= ALPHA_TOL:
+                return new
+        alpha = new
+    return alpha
 
 
-def _tail_ks_distance(counts: dict[int, int], n_tail: int, alpha: float,
-                      x_min: int) -> float:
-    """Max |empirical - fitted| tail CDF over observed tail values. The
-    fitted CDF at v is 1 - zeta(alpha, v+1)/zeta(alpha, x_min)."""
-    z0 = hurwitz_zeta(alpha, float(x_min))
+def _ks_distance(tail: list[tuple[int, int]], n_tail: int, alpha: float,
+                 x_min: int) -> float:
+    """Max |empirical - fitted| tail CDF over the observed tail values
+    ``tail`` ((value, count), ascending). The fitted CDF at v is the
+    running sum of k^-alpha over x_min <= k <= v, over zeta(alpha,
+    x_min); a long gap between observed values is crossed with
+    zeta(alpha, x_min) - zeta(alpha, v + 1) instead."""
+    z = hurwitz_zeta(alpha, float(x_min))
+    head = 0.0  # sum of k^-alpha over x_min <= k < nxt
+    nxt = x_min
     cum = 0
     worst = 0.0
-    for v in sorted(counts):
-        cum += counts[v]
-        emp = cum / n_tail
-        fit = 1.0 - hurwitz_zeta(alpha, float(v + 1)) / z0
-        worst = max(worst, abs(emp - fit))
+    for v, count in tail:
+        if v - nxt < _KS_GAP:
+            for k in range(nxt, v + 1):
+                head += k ** -alpha
+        else:
+            head = z - hurwitz_zeta(alpha, float(v + 1))
+        nxt = v + 1
+        cum += count
+        worst = max(worst, abs(cum / n_tail - head / z))
     return worst
-
-
-def _fit_powerlaw_at(ints: tuple[int, ...], x_min: int):
-    tail = [x for x in ints if x >= x_min]
-    n_tail = len(tail)
-    if n_tail < 2:
-        raise FitError("tail smaller than 2 points")
-    if all(x == x_min for x in tail):
-        raise FitError("degenerate tail: all values equal x_min, "
-                       "likelihood increases without bound")
-    neg_sum_log = -math.fsum(math.log(x) for x in tail)
-    alpha = _golden_max_alpha(neg_sum_log, n_tail, x_min)
-    counts: dict[int, int] = {}
-    for x in tail:
-        counts[x] = counts.get(x, 0) + 1
-    ks = _tail_ks_distance(counts, n_tail, alpha, x_min)
-    return alpha, n_tail, ks
 
 
 def fit_powerlaw(sample: SampleLike, x_min: int | None = None) -> FitResult:
@@ -381,48 +413,64 @@ def fit_powerlaw(sample: SampleLike, x_min: int | None = None) -> FitResult:
     With ``x_min`` given, alpha alone is estimated. Otherwise every
     distinct positive sample value is tried as the tail start and the
     one minimizing the Kolmogorov-Smirnov distance between fitted and
-    empirical tail CDFs wins (ties go to the smallest).
+    empirical tail CDFs wins (ties go to the smallest). Tail sizes and
+    sums of ln x for every candidate come from suffix sums over the
+    histogram.
 
     SE(alpha) comes from the observed Fisher information
     n * (z''/z - (z'/z)^2) evaluated at the estimate; the scanned tail
     start carries no standard error.
     """
-    xs = _values(sample)
-    if not xs:
+    hist = _histogram(sample)
+    if not hist:
         raise FitError("empty sample")
-    ints = _require_integers(xs, "power-law")
+    ints = _integer_counts(hist, "power-law")
     if any(x < 0 for x in ints):
         raise FitError("negative degree in sample")
+
+    values = sorted(x for x in ints if x >= 1)
+    tail = [(v, ints[v]) for v in values]
+    # suffix sums: n_tails[i] points and sum_logs[i] = sum of ln x at or
+    # above values[i]
+    n_tails = [0] * (len(values) + 1)
+    sum_logs = [0.0] * (len(values) + 1)
+    for i in range(len(values) - 1, -1, -1):
+        v, count = tail[i]
+        n_tails[i] = n_tails[i + 1] + count
+        sum_logs[i] = sum_logs[i + 1] + count * math.log(v)
 
     if x_min is not None:
         if x_min < 1 or float(x_min) != int(x_min):
             raise FitError("x_min must be a positive integer")
         x_min = int(x_min)
-        alpha, n_tail, _ = _fit_powerlaw_at(ints, x_min)
+        i = bisect_left(values, x_min)
+        n_tail = n_tails[i]
+        if n_tail < 2:
+            raise FitError("tail smaller than 2 points")
+        if values[i:] == [x_min]:
+            raise FitError("degenerate tail: all values equal x_min, "
+                           "likelihood increases without bound")
+        alpha = _powerlaw_alpha(sum_logs[i] / n_tail, x_min)
     else:
-        distinct = sorted({x for x in ints if x >= 1})
-        best: tuple[float, int, float] | None = None  # (ks, x_min, alpha)
-        for candidate in distinct:
-            remaining = [v for v in distinct if v >= candidate]
-            if len(remaining) < 2:
-                break  # larger candidates only shrink the tail further
-            try:
-                alpha_c, _, ks_c = _fit_powerlaw_at(ints, candidate)
-            except FitError:
-                continue
+        # a candidate needs two distinct tail values, else the tail is
+        # degenerate; larger candidates only shrink the tail further
+        best: tuple[float, int, float] | None = None  # (ks, index, alpha)
+        for i in range(len(values) - 1):
+            alpha_c = _powerlaw_alpha(sum_logs[i] / n_tails[i], values[i])
+            ks_c = _ks_distance(tail[i:], n_tails[i], alpha_c, values[i])
             if best is None or ks_c < best[0]:
-                best = (ks_c, candidate, alpha_c)
+                best = (ks_c, i, alpha_c)
         if best is None:
             raise FitError("no x_min candidate leaves a fittable tail")
-        _, x_min, alpha = best
-        n_tail = sum(1 for x in ints if x >= x_min)
+        _, i, alpha = best
+        x_min, n_tail = values[i], n_tails[i]
 
     z, z1, z2 = hurwitz_zeta_derivatives(alpha, float(x_min))
     info = z2 / z - (z1 / z) ** 2  # variance of ln X under the fitted law
     se = 1.0 / math.sqrt(n_tail * info)
     params = {"x_min": x_min, "alpha": alpha}
     return FitResult("power-law", params, {"alpha": se}, ((se * se,),),
-                     log_likelihood("power-law", params, ints), n_tail)
+                     _log_likelihood("power-law", params, ints), n_tail)
 
 
 # --- Selection --------------------------------------------------------------

@@ -9,6 +9,7 @@ be processed in parallel.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Mapping, Union
@@ -89,6 +90,10 @@ class ContactGraph:
             out[b] += 1
         return out
 
+    def degree_counts(self) -> dict[int, int]:
+        """Number of vertices per degree, isolated vertices included."""
+        return dict(Counter(self.degrees().values()))
+
     def n_components(self) -> int:
         """Connected components (isolated vertices count singly)."""
         parent = {v: v for v in self.vertices}
@@ -107,25 +112,38 @@ class ContactGraph:
 
 
 @dataclass(frozen=True)
+class GraphCounts:
+    """What a structure report reads from a graph: its vertex and edge
+    counts and ``histogram``, the number of vertices per degree
+    (isolated vertices included). The streaming engine keeps these
+    current as records arrive, so a snapshot of one window costs
+    O(distinct degrees) rather than O(vertices)."""
+
+    n_vertices: int
+    n_edges: int
+    histogram: Mapping[int, int]
+    as_of: datetime | None = None
+
+    def degree_counts(self) -> Mapping[int, int]:
+        return self.histogram
+
+
+@dataclass(frozen=True)
 class DegreeSample:
-    """Multiset of vertex degrees used as a fitting sample.
+    """Degree histogram used as a fitting sample: ``counts`` maps each
+    degree to the number of vertices that have it. Every fit is a
+    function of this histogram alone.
 
     ``include_isolated`` records whether zero-degree vertices were kept,
     so a report can say what its sample actually was.
     """
 
-    degrees: tuple[int, ...]
+    counts: Mapping[int, int]
     include_isolated: bool = False
 
     @property
     def n(self) -> int:
-        return len(self.degrees)
-
-    def __iter__(self):
-        return iter(self.degrees)
-
-    def __len__(self) -> int:
-        return len(self.degrees)
+        return sum(self.counts.values())
 
 
 StreamLike = Union[ValidatedStream, Iterable[CaseRecord]]
@@ -176,26 +194,21 @@ def subnetwork(stream: StreamLike, window: TimeWindow) -> ContactGraph:
     return build_graph(stream, window)
 
 
-def degree_sample(graph: ContactGraph, include_isolated: bool = False) -> DegreeSample:
-    """Degrees of all vertices, in vertex order. Zero-degree vertices are
-    dropped unless ``include_isolated`` is set."""
-    values = graph.degrees().values()
-    if include_isolated:
-        degrees = tuple(values)
-    else:
-        degrees = tuple(d for d in values if d > 0)
-    return DegreeSample(degrees, include_isolated)
+def degree_sample(graph: ContactGraph | GraphCounts,
+                  include_isolated: bool = False) -> DegreeSample:
+    """The graph's degree histogram in ascending degree order.
+    Zero-degree vertices are dropped unless ``include_isolated`` is set."""
+    counts = graph.degree_counts()
+    return DegreeSample({d: counts[d] for d in sorted(counts)
+                         if d > 0 or include_isolated}, include_isolated)
 
 
 def degree_distribution(sample: DegreeSample) -> dict[int, float]:
     """Empirical PMF over observed degrees, keyed in ascending order."""
-    if sample.n == 0:
-        raise ValueError("empty degree sample")
-    counts: dict[int, int] = {}
-    for d in sample.degrees:
-        counts[d] = counts.get(d, 0) + 1
     n = sample.n
-    return {d: counts[d] / n for d in sorted(counts)}
+    if n == 0:
+        raise ValueError("empty degree sample")
+    return {d: sample.counts[d] / n for d in sorted(sample.counts)}
 
 
 def geo_distance(a: GeoPoint, b: GeoPoint) -> float:

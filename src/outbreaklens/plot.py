@@ -86,7 +86,9 @@ def render_degree_plot(pmf: Mapping[int, float], fits: Sequence[FitLike], *,
     """Scatter of the empirical degree PMF with one overlaid curve per
     fitted family. Linear axes by default; ``log_scale`` plots log10 of
     both axes (zero-degree and zero-probability points are dropped
-    there). Raises ValueError on an empty distribution."""
+    there, and curve values below half the smallest empirical
+    probability are drawn at that floor). Raises ValueError on an empty
+    distribution."""
     points = sorted((int(d), float(p)) for d, p in pmf.items())
     if log_scale:
         points = [(d, p) for d, p in points if d > 0 and p > 0]
@@ -98,12 +100,16 @@ def render_degree_plot(pmf: Mapping[int, float], fits: Sequence[FitLike], *,
     x_lo = 1.0 if log_scale else 0.0
     x_hi = float(max_deg + 1)
 
+    # On log axes the y floor sits below the smallest empirical
+    # probability, and curve values under it are drawn on it: a far tail
+    # can underflow to a subnormal whose logarithm would set the scale.
+    y_floor = 0.5 * min(p for _, p in points)
     curves = []
     for family, params in parsed:
         xs = _curve_xs(family, params, x_lo, x_hi)
         pts = [(x, family_density(family, params, x)) for x in xs]
         if log_scale:
-            pts = [(x, y) for x, y in pts if x > 0 and y > 0]
+            pts = [(x, max(y, y_floor)) for x, y in pts if x > 0 and y > 0]
         curves.append((family, params, pts))
 
     y_values = [p for _, p in points]
@@ -111,10 +117,8 @@ def render_degree_plot(pmf: Mapping[int, float], fits: Sequence[FitLike], *,
         y_values.extend(y for _, y in pts)
     y_max = max(y_values) * 1.08
     if log_scale:
-        positive = [y for y in y_values if y > 0] or [1e-6]
-        y_lo_lin = min(min(positive), min(p for _, p in points)) * 0.5
         x0, x1 = math.log10(x_lo), math.log10(x_hi)
-        y0, y1 = math.log10(y_lo_lin), math.log10(y_max)
+        y0, y1 = math.log10(y_floor), math.log10(y_max)
     else:
         x0, x1 = x_lo, x_hi
         y0, y1 = 0.0, y_max

@@ -1,6 +1,7 @@
 """Command-line behavior: flags, formats, exit codes, output shapes."""
 
 import json
+import math
 from datetime import timedelta
 
 import pytest
@@ -267,6 +268,24 @@ def test_plot_from_analyze_report(cli, tmp_path):
     code, out, _ = cli("plot", "--input", str(report_path))
     assert code == EXIT_OK
     assert out.startswith("<svg ")
+
+
+def test_plot_log_log_survives_an_underflowing_fit_tail(cli, tmp_path):
+    # the normal curve's far tail underflows to subnormals; halving the
+    # smallest of them once gave a zero y floor and "math domain error"
+    report = {
+        "n_vertices": 40, "n_edges": 39,
+        "degree_pmf": [[1, 0.5], [2, 0.3], [3, 0.1], [136, 0.1]],
+        "classification": {"chosen": "normal", "rule": "min-se", "fits": [
+            {"family": "normal", "params": {"mu": 2.0, "sigma": 3.4}}]},
+    }
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    code, out, err = cli("plot", "--input", str(path), "--log-log")
+    assert code == EXIT_OK, err
+    assert out.count("<circle data-degree=") == 4
+    # the y floor is half the smallest empirical probability
+    assert f'data-y0="{math.log10(0.05)!r}"' in out
 
 
 def test_plot_report_without_pmf_is_input_error(cli, tmp_path):

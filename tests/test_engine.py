@@ -1,11 +1,14 @@
 """Windowed streaming engine against the batch pipeline."""
 
+from collections import Counter
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outbreaklens import engine as engine_module
 from outbreaklens.engine import (
     RecognitionEngine,
     StructureReport,
@@ -15,7 +18,7 @@ from outbreaklens.engine import (
     run,
     schedule_windows,
 )
-from outbreaklens.graph import TimeWindow
+from outbreaklens.graph import TimeWindow, build_graph
 from outbreaklens.records import CaseRecord, GeoPoint, ValidationError, validate_stream
 
 UTC = timezone.utc
@@ -206,6 +209,76 @@ def test_every_emitted_report_equals_batch(data):
     spec = WindowSpec(mode, timedelta(minutes=45), T0)
     for report in run(vs.records, spec):
         assert report.to_json_dict() == batch_report(vs, report.window).to_json_dict()
+
+
+def _check_snapshots(arrivals, spec):
+    """Drive the engine and compare every window's snapshot (sizes and
+    degree histogram) with the batch graph of the records it had seen."""
+    snapshots = []
+    take_snapshot = engine_module._GraphBuilder.graph
+
+    def capture(builder, as_of):
+        snapshot = take_snapshot(builder, as_of)
+        snapshots.append(snapshot)
+        return snapshot
+
+    engine = RecognitionEngine(spec)
+    seen = []
+    checked = 0
+
+    def check_new():
+        nonlocal checked
+        for snapshot in snapshots[checked:]:
+            graph = build_graph(seen, spec.window(checked))
+            assert snapshot.n_vertices == graph.n_vertices
+            assert snapshot.n_edges == graph.n_edges
+            assert dict(snapshot.degree_counts()) == dict(
+                Counter(graph.degrees().values()))
+            checked += 1
+
+    with mock.patch.object(engine_module._GraphBuilder, "graph", capture):
+        for record in arrivals:
+            seen.append(record)
+            engine.ingest(record)
+            check_new()
+        engine.flush()
+        check_new()
+    return engine, checked
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_engine_histogram_equals_batch_graph_histogram(data):
+    n = data.draw(st.integers(min_value=1, max_value=30))
+    minutes = sorted(data.draw(st.lists(st.integers(0, 2000), min_size=n,
+                                        max_size=n)))
+    parents = data.draw(st.lists(st.integers(0, 100), min_size=n, max_size=n))
+    records = []
+    for i, (m, p) in enumerate(zip(minutes, parents)):
+        # sources are earlier (or simultaneous) records, so no link is one
+        # the batch validator drops
+        src = f"C{p % i}" if i and p % 3 else None
+        records.append(rec(f"C{i}", src, m))
+    if data.draw(st.booleans()):
+        records = data.draw(st.permutations(records))
+    mode = data.draw(st.sampled_from(["tumbling", "cumulative"]))
+    _check_snapshots(records, WindowSpec(mode, timedelta(minutes=45), T0))
+
+
+@pytest.mark.parametrize("mode", ["tumbling", "cumulative"])
+def test_engine_histogram_late_and_mutual_records(mode):
+    records = [
+        rec("A", "B", 10), rec("B", "A", 10),   # mutual pair, same instant
+        rec("P", "Q", 20), rec("Q", "P", 30),   # mutual pair, Q after P
+        rec("C", "A", 50),
+        rec("D", "C", 24 * 60 + 5),             # closes window 0
+        rec("LATE", "A", 40),                   # late: window 0 is out
+        rec("E", "LATE", 24 * 60 + 10),
+        rec("F", "D", 2 * 24 * 60),
+    ]
+    engine, windows = _check_snapshots(records, WindowSpec(mode, DAY, T0))
+    assert windows == 3
+    assert [d.kind for d in engine.diagnostics] == ["late-record"]
 
 
 def test_cumulative_sample_sizes_never_shrink(outbreak_stream):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,14 +13,19 @@ from scipy import stats
 from scipy.special import zeta as scipy_zeta
 
 from outbreaklens.fitting import (
+    ALPHA_MAX,
+    ALPHA_MIN,
     FAMILIES,
     FitError,
     FitResult,
+    _ks_distance,
     fit_exponential,
     fit_family,
     fit_normal,
     fit_poisson,
     fit_powerlaw,
+    hurwitz_zeta,
+    hurwitz_zeta_derivatives,
     log_likelihood,
     select_structure,
 )
@@ -65,7 +71,7 @@ def test_fit_family_dispatch():
 
 
 def test_degree_sample_input_equals_tuple_input():
-    ds = DegreeSample(SAMPLE)
+    ds = DegreeSample({1: 1, 2: 1, 3: 1, 10: 1})
     assert fit_exponential(ds) == fit_exponential(SAMPLE)
 
 
@@ -284,6 +290,135 @@ def test_selection_errors():
         select_structure([])
     with pytest.raises(ValueError):
         select_structure([stub("exponential", {"lambda": 0.1})], rule="bic")
+
+
+# --- histogram fits against the expanded sample ----------------------------
+
+
+def _expanded_closed_forms(xs):
+    """The closed-form fits computed per vertex, by math.fsum over the
+    expanded sample: the histogram fits must equal these bit for bit."""
+    n = len(xs)
+    out = {}
+    mean = math.fsum(xs) / n
+    if n >= 2 and mean > 0:
+        lam = 1.0 / mean
+        ll = n * math.log(lam) - lam * math.fsum(xs)
+        out["exponential"] = FitResult("exponential", {"lambda": lam},
+                                       {"lambda": lam / math.sqrt(n)},
+                                       ((lam * lam / n,),), ll, n)
+    if n >= 2:
+        var = math.fsum((x - mean) ** 2 for x in xs) / n
+        if var > 0.0:
+            sigma = math.sqrt(var)
+            ss = math.fsum((x - mean) ** 2 for x in xs)
+            ll = (-0.5 * n * math.log(2.0 * math.pi) - n * math.log(sigma)
+                  - ss / (2.0 * sigma * sigma))
+            out["normal"] = FitResult(
+                "normal", {"mu": mean, "sigma": sigma},
+                {"mu": sigma / math.sqrt(n), "sigma": sigma / math.sqrt(2.0 * n)},
+                ((var / n, 0.0), (0.0, var / (2.0 * n))), ll, n)
+    ll = 0.0 if mean == 0.0 else math.fsum(
+        x * math.log(mean) - mean - math.lgamma(x + 1) for x in xs)
+    out["poisson"] = FitResult("poisson", {"lambda": mean},
+                               {"lambda": math.sqrt(mean / n)},
+                               ((mean / n,),), ll, n)
+    return out
+
+
+def _brute_force_alpha(tail):
+    """MLE alpha for a tail given as a list of values, by bisection on
+    the score over the fitter's (ALPHA_MIN, ALPHA_MAX) bracket."""
+    n = len(tail)
+    x_min = min(tail)
+    mean_log = math.fsum(math.log(x) for x in tail) / n
+
+    def score(alpha):
+        z, z1, _ = hurwitz_zeta_derivatives(alpha, float(x_min))
+        return -mean_log - z1 / z
+
+    lo, hi = ALPHA_MIN, ALPHA_MAX
+    if score(hi) > 0:
+        return hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if score(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _brute_force_ks(tail, alpha):
+    """KS distance of a tail (list of values) from the power law at
+    alpha, with one hurwitz_zeta call per tail value for the fitted CDF."""
+    x_min = min(tail)
+    z0 = hurwitz_zeta(alpha, float(x_min))
+    ks = 0.0
+    for v in sorted(set(tail)):
+        emp = sum(1 for x in tail if x <= v) / len(tail)
+        ks = max(ks, abs(emp - (1.0 - hurwitz_zeta(alpha, float(v + 1)) / z0)))
+    return ks
+
+
+def _brute_force_scan(xs):
+    """(x_min, alpha) by the Kolmogorov-Smirnov scan."""
+    distinct = sorted({x for x in xs if x >= 1})
+    best = None
+    for x_min in distinct[:-1]:
+        tail = sorted(x for x in xs if x >= x_min)
+        alpha = _brute_force_alpha(tail)
+        ks = _brute_force_ks(tail, alpha)
+        if best is None or ks < best[0]:
+            best = (ks, x_min, alpha)
+    return best[1], best[2]
+
+
+DEGREES = st.lists(st.one_of(st.integers(0, 12), st.integers(13, 40),
+                             st.integers(41, 3000)),
+                   min_size=1, max_size=60)
+HISTOGRAMS = st.dictionaries(st.one_of(st.integers(0, 40), st.integers(41, 3000)),
+                             st.integers(1, 400), min_size=1, max_size=30)
+
+
+@settings(max_examples=120, deadline=None)
+@given(HISTOGRAMS)
+def test_histogram_closed_forms_equal_expanded_fsum(counts):
+    sample = DegreeSample(counts)
+    xs = [x for x, count in counts.items() for _ in range(count)]
+    expected = _expanded_closed_forms(xs)
+    for family in ("exponential", "normal", "poisson"):
+        if family in expected:
+            assert fit_family(family, sample) == expected[family]
+        else:
+            with pytest.raises(FitError):
+                fit_family(family, sample)
+
+
+@settings(max_examples=120, deadline=None)
+@given(DEGREES)
+def test_powerlaw_scan_equals_brute_force_scan(xs):
+    sample = DegreeSample(dict(Counter(xs)))
+    if len({x for x in xs if x >= 1}) < 2:
+        with pytest.raises(FitError):
+            fit_powerlaw(sample)
+        return
+    fit = fit_powerlaw(sample)
+    x_min, alpha = _brute_force_scan(xs)
+    assert fit.params["x_min"] == x_min
+    assert fit.params["alpha"] == pytest.approx(alpha, abs=1e-9)
+    assert fit.n == sum(1 for x in xs if x >= x_min)
+
+
+@settings(max_examples=120, deadline=None)
+@given(HISTOGRAMS.filter(lambda counts: len([x for x in counts if x >= 1]) >= 2),
+       st.floats(1.05, 6.0))
+def test_ks_distance_equals_per_value_zeta_cdf(counts, alpha):
+    # long gaps between observed values take the zeta-difference path
+    tail = sorted((x, count) for x, count in counts.items() if x >= 1)
+    values = [x for x, count in tail for _ in range(count)]
+    got = _ks_distance(tail, len(values), alpha, tail[0][0])
+    assert got == pytest.approx(_brute_force_ks(values, alpha), abs=1e-12)
 
 
 # --- order independence -----------------------------------------------------

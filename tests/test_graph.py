@@ -127,14 +127,14 @@ def test_graph_invariants_enforced():
 def test_degree_sample_drops_isolated_by_default():
     g = build_graph(CHAIN)
     s = degree_sample(g)
-    assert s.degrees == (1, 3, 1, 1)
+    assert s.counts == {1: 3, 3: 1}
     assert s.n == 4 and not s.include_isolated
 
 
 def test_degree_sample_can_keep_isolated():
     g = build_graph(CHAIN)
     s = degree_sample(g, include_isolated=True)
-    assert s.degrees == (1, 3, 1, 1, 0)
+    assert s.counts == {0: 1, 1: 3, 3: 1}
     assert s.include_isolated
 
 
