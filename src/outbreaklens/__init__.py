@@ -33,7 +33,6 @@ from .graph import (
     degree_distribution,
     degree_sample,
     geo_distance,
-    subnetwork,
 )
 from .fitting import (
     FAMILIES,
@@ -78,7 +77,7 @@ __all__ = [
     "serialize_record", "validate_stream", "write_stream",
     # graph
     "ContactGraph", "DegreeSample", "TimeWindow", "build_graph",
-    "degree_distribution", "degree_sample", "geo_distance", "subnetwork",
+    "degree_distribution", "degree_sample", "geo_distance",
     # fitting
     "FAMILIES", "FitError", "FitResult", "RULES", "StructureClass",
     "fit_exponential", "fit_family", "fit_normal", "fit_poisson",

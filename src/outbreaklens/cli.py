@@ -16,16 +16,16 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .engine import (RecognitionEngine, StructureReport, WindowSpec,
-                     batch_report, classify_trend, report_for_graph)
-from .fitting import FAMILIES, FitError, RULES, fit_family
+                     canonical_families, classify_trend, report_for_graph)
+from .fitting import FitError, RULES, fit_family
 from .graph import build_graph, degree_distribution, degree_sample
-from .records import (Diagnostic, ParseError, ValidationError, parse_timestamp,
-                      read_stream, validate_stream, write_stream,
-                      format_timestamp)
+from .records import (CaseRecord, Diagnostic, ParseError, format_timestamp,
+                      parse_timestamp, read_stream, validate_stream,
+                      write_stream)
 from .plot import render_degree_plot
 from .sim import SimConfig, generate_network, simulate_outbreak
 
@@ -62,8 +62,9 @@ class _Parser(argparse.ArgumentParser):
 def parse_duration(text: str) -> timedelta:
     """Durations like 15m, 1h, 1d (also seconds: 90s)."""
     match = _DURATION_RE.match(text.strip())
-    if not match:
-        raise ValueError(f"bad duration {text!r}; use forms like 15m, 1h, 1d")
+    if not match or not int(match.group(1)):
+        raise ValueError(f"bad duration {text!r}; use positive forms like "
+                         f"15m, 1h, 1d")
     value, unit = match.groups()
     return timedelta(**{_DURATION_UNITS[unit]: int(value)})
 
@@ -82,31 +83,13 @@ def parse_window_flag(text: str) -> tuple[str, timedelta] | None:
 
 
 def parse_families(text: str) -> tuple[str, ...]:
+    """Comma- or space-separated family names or their aliases."""
     names = [t for t in re.split(r"[,\s]+", text.strip()) if t]
-    out = []
-    for name in names:
-        family = FAMILY_ALIASES.get(name, name)
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {name!r}; "
-                             f"choose from {sorted(FAMILY_ALIASES)}")
-        if family not in out:
-            out.append(family)
-    if not out:
-        raise ValueError("at least one family is required")
-    return tuple(f for f in FAMILIES if f in out)
+    return canonical_families(FAMILY_ALIASES.get(name, name) for name in names)
 
 
 def _floor_day(instant: datetime) -> datetime:
     return instant.replace(hour=0, minute=0, second=0)
-
-
-def _open_input(path: str | None) -> TextIO:
-    if path in (None, "-"):
-        return sys.stdin
-    try:
-        return open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise _CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from None
 
 
 def _read_text(path: str | None) -> str:
@@ -132,17 +115,12 @@ def _stderr_diag(diag: Diagnostic) -> None:
     print(f"warning: {diag.message}", file=sys.stderr)
 
 
-def _read_records(args) -> list:
-    source = _open_input(args.input)
-    own = source is not sys.stdin
-    try:
-        return list(read_stream(source, args.format, strict=args.strict,
-                                on_error=_stderr_diag))
-    except ParseError as exc:
-        raise _CliError(EXIT_INPUT, str(exc)) from None
-    finally:
-        if own:
-            source.close()
+def _records_of(args) -> Iterator[CaseRecord]:
+    """The input's records, read lazily. A file is opened on the first
+    read, so an unreadable one raises OSError there."""
+    source = sys.stdin if args.input in (None, "-") else args.input
+    return read_stream(source, args.format, strict=args.strict,
+                       on_error=_stderr_diag)
 
 
 def _run_config(args, command: str, origin: datetime | None,
@@ -161,60 +139,71 @@ def _run_config(args, command: str, origin: datetime | None,
     }
 
 
-def _empty_summary() -> dict:
-    return {"windows": 0, "runs": [], "transitions": []}
+def _write_windowed(args, command: str, records: Iterable[CaseRecord],
+                    window: tuple[str, timedelta], origin: datetime | None,
+                    families: Sequence[str], out: TextIO) -> int:
+    """Drive records through the engine, writing each report as its
+    window closes, then the engine's diagnostics and the summary line.
+    The origin defaults to midnight UTC of the first record's day."""
+    mode, period = window
+    reports: list[StructureReport] = []
+    engine: RecognitionEngine | None = None
+    try:
+        for record in records:
+            if engine is None:
+                if origin is None:
+                    origin = _floor_day(record.timestamp)
+                engine = RecognitionEngine(
+                    WindowSpec(mode, period, origin), families, args.rule,
+                    args.include_isolated, _on_bad_link(args))
+            for report in engine.ingest(record):
+                reports.append(report)
+                out.write(_dump_line(report.to_json_dict()))
+        if engine is not None:
+            for report in engine.flush():
+                reports.append(report)
+                out.write(_dump_line(report.to_json_dict()))
+    except (OSError, ValueError) as exc:  # unreadable or invalid input
+        # partial results stay flushed; the error is the exit status
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    if engine is not None:
+        for diag in engine.diagnostics:
+            _stderr_diag(diag)
+    summary = (classify_trend(reports) if reports
+               else {"windows": 0, "runs": [], "transitions": []})
+    out.write(_dump_line({
+        "config": _run_config(args, command, origin, families),
+        "summary": summary}))
+    return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
     families = _families_of(args)
     window = _window_of(args)
-    records = _read_records(args)
+    origin = _origin_of(args)
     try:
-        validated = validate_stream(
-            records, on_bad_link="reject" if args.strict else "warn")
-    except (ValidationError, ValueError) as exc:
+        validated = validate_stream(_records_of(args),
+                                    on_bad_link=_on_bad_link(args))
+    except (OSError, ValueError) as exc:  # unreadable or invalid input
         raise _CliError(EXIT_INPUT, str(exc)) from None
     for diag in validated.diagnostics:
         _stderr_diag(diag)
 
     out, own = _open_output(args.output)
     try:
-        if window is None:
-            graph = build_graph(validated)
-            report = report_for_graph(graph, None, families, args.rule,
-                                      args.include_isolated)
-            obj = report.to_json_dict()
-            sample = degree_sample(graph, args.include_isolated)
-            pmf = degree_distribution(sample) if sample.n else {}
-            obj["degree_pmf"] = [[d, p] for d, p in pmf.items()]
-            obj["config"] = _run_config(args, "analyze", None, families)
-            out.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-            return EXIT_OK
-
-        mode, period = window
-        origin = _origin_of(args, validated.records)
-        if origin is None:  # empty stream, nothing to schedule
-            out.write(_dump_line({
-                "config": _run_config(args, "analyze", None, families),
-                "summary": _empty_summary()}))
-            return EXIT_OK
-        spec = WindowSpec(mode, period, origin)
-        engine = RecognitionEngine(spec, families, args.rule,
-                                   args.include_isolated)
-        reports: list[StructureReport] = []
-        for record in validated.records:
-            for report in engine.ingest(record):
-                reports.append(report)
-                out.write(_dump_line(report.to_json_dict()))
-        for report in engine.flush():
-            reports.append(report)
-            out.write(_dump_line(report.to_json_dict()))
-        for diag in engine.diagnostics:
-            _stderr_diag(diag)
-        summary = classify_trend(reports) if reports else _empty_summary()
-        out.write(_dump_line({
-            "config": _run_config(args, "analyze", origin, families),
-            "summary": summary}))
+        if window is not None:
+            return _write_windowed(args, "analyze", validated.records, window,
+                                   origin, families, out)
+        graph = build_graph(validated)
+        report = report_for_graph(graph, None, families, args.rule,
+                                  args.include_isolated)
+        obj = report.to_json_dict()
+        sample = degree_sample(graph, args.include_isolated)
+        pmf = degree_distribution(sample) if sample.n else {}
+        obj["degree_pmf"] = [[d, p] for d, p in pmf.items()]
+        obj["config"] = _run_config(args, "analyze", None, families)
+        out.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
         return EXIT_OK
     finally:
         if own:
@@ -228,46 +217,13 @@ def cmd_stream(args) -> int:
         raise _CliError(EXIT_USAGE,
                         "stream needs a windowed --window "
                         "(tumbling:<dur> or cumulative:<dur>)")
-    mode, period = window
-
-    source = _open_input(args.input)
-    own_in = source is not sys.stdin
-    out, own_out = _open_output(args.output)
-    reports: list[StructureReport] = []
-    engine: RecognitionEngine | None = None
-    origin: datetime | None = None
+    origin = _origin_of(args)
+    out, own = _open_output(args.output)
     try:
-        try:
-            for record in read_stream(source, args.format, strict=args.strict,
-                                      on_error=_stderr_diag):
-                if engine is None:
-                    origin = (parse_timestamp(args.origin) if args.origin
-                              else _floor_day(record.timestamp))
-                    engine = RecognitionEngine(WindowSpec(mode, period, origin),
-                                               families, args.rule,
-                                               args.include_isolated)
-                for report in engine.ingest(record):
-                    reports.append(report)
-                    out.write(_dump_line(report.to_json_dict()))
-        except (ParseError, ValidationError) as exc:
-            # partial results stay flushed; the error is the exit status
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        if engine is not None:
-            for report in engine.flush():
-                reports.append(report)
-                out.write(_dump_line(report.to_json_dict()))
-            for diag in engine.diagnostics:
-                _stderr_diag(diag)
-        summary = classify_trend(reports) if reports else _empty_summary()
-        out.write(_dump_line({
-            "config": _run_config(args, "stream", origin, families),
-            "summary": summary}))
-        return EXIT_OK
+        return _write_windowed(args, "stream", _records_of(args), window,
+                               origin, families, out)
     finally:
-        if own_in:
-            source.close()
-        if own_out:
+        if own:
             out.close()
 
 
@@ -371,15 +327,18 @@ def _window_of(args):
         raise _CliError(EXIT_USAGE, str(exc)) from None
 
 
-def _origin_of(args, records) -> datetime | None:
-    if args.origin:
-        try:
-            return parse_timestamp(args.origin)
-        except ValueError as exc:
-            raise _CliError(EXIT_USAGE, str(exc)) from None
-    if not records:
+def _origin_of(args) -> datetime | None:
+    """The parsed --origin, or None to take the first record's day."""
+    if not args.origin:
         return None
-    return _floor_day(records[0].timestamp)
+    try:
+        return parse_timestamp(args.origin)
+    except ValueError as exc:
+        raise _CliError(EXIT_USAGE, str(exc)) from None
+
+
+def _on_bad_link(args) -> str:
+    return "reject" if args.strict else "warn"
 
 
 def _add_io_flags(sub) -> None:

@@ -9,19 +9,29 @@ Ingestion is single-threaded and ordered. Closed windows could be
 fitted in parallel (fitting is pure over immutable samples); emission
 preserves window order either way.
 
-For timestamp-ordered feeds every emitted report is field-identical to
-the offline pipeline run on the same window. Out-of-order feeds keep
-exact vertex/edge/degree counts, and fits read only the degree
-histogram, so arrival order does not reach a report; late records
-follow the window mode's policy: tumbling windows reject them with a
-diagnostic (their report is already out), cumulative windows absorb
-them into the next prefix.
+Every record's source link is checked on arrival with the rule
+``validate_stream`` applies to a whole stream: a link stands only when
+its source is a record reported no later than the case. A source
+already seen with a later timestamp gives ``source-after-case`` and the
+link is stripped. A case whose source has not arrived waits; if the
+source turns up later in time than the case, the case gets
+``source-after-case`` and the two are never linked, and a case still
+waiting at flush() gets ``dangling-source``. With ``on_bad_link=
+"reject"`` each of these raises ValidationError instead.
+
+For timestamp-ordered feeds every emitted report equals the offline
+pipeline's over the same window, and the link diagnostics equal
+``validate_stream``'s up to order. Out-of-order feeds keep exact
+vertex/edge/degree counts, and fits read only the degree histogram, so
+arrival order does not reach a report; late records follow the window
+mode's policy: tumbling windows reject them with a diagnostic (their
+report is already out), cumulative windows absorb them into the next
+prefix.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from typing import Iterable, Iterator, Sequence
 
@@ -29,8 +39,9 @@ from .fitting import (FAMILIES, FitError, StructureClass, fit_family,
                       select_structure, RULES)
 from .graph import (ContactGraph, GraphCounts, TimeWindow, build_graph,
                     degree_sample)
-from .records import (CaseRecord, Diagnostic, ValidationError,
-                      format_timestamp, normalize_timestamp)
+from .records import (BAD_LINK_POLICIES, CaseRecord, Diagnostic,
+                      ValidationError, bad_link, format_timestamp,
+                      normalize_timestamp)
 
 WINDOW_MODES = ("tumbling", "cumulative")
 
@@ -117,11 +128,13 @@ class StructureReport:
         }
 
 
-def _canonical_families(families: Iterable[str]) -> tuple[str, ...]:
+def canonical_families(families: Iterable[str]) -> tuple[str, ...]:
+    """The requested families, deduplicated, in FAMILIES order."""
     requested = list(families)
     unknown = [f for f in requested if f not in FAMILIES]
     if unknown:
-        raise ValueError(f"unknown families: {unknown}")
+        raise ValueError(f"unknown families {unknown}; "
+                         f"choose from {list(FAMILIES)}")
     if not requested:
         raise ValueError("at least one family is required")
     # canonical order keeps reports stable however the list was written
@@ -153,7 +166,7 @@ def batch_report(stream, window: TimeWindow | None = None,
                  include_isolated: bool = False) -> StructureReport:
     """The offline pipeline: build the window's graph, fit every family,
     select. The engine's per-window contract is to match this."""
-    fams = _canonical_families(families)
+    fams = canonical_families(families)
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
     graph = build_graph(stream, window)
@@ -163,9 +176,11 @@ def batch_report(stream, window: TimeWindow | None = None,
 class _GraphBuilder:
     """Incremental vertex/edge state for one window's graph.
 
-    Children that arrive before their source wait in ``pending`` and are
-    linked when (if) the source shows up, which matches the batch rule
-    that an edge exists only when both endpoints are in the window.
+    Children that arrive before their source wait in ``pending`` with
+    their timestamps and are linked when (if) the source shows up no
+    later than they do, which matches the batch rules that an edge
+    exists only when both endpoints are in the window and that a source
+    reported after its case is no link.
     ``degree`` holds each vertex's degree and ``histogram`` the number
     of vertices per degree; a new vertex adds to the degree-0 bucket and
     a new edge moves its two endpoints up one bucket each.
@@ -177,7 +192,7 @@ class _GraphBuilder:
         self.degree: dict[str, int] = {}
         self.histogram: dict[int, int] = {}
         self.edges: set[tuple[str, str]] = set()
-        self.pending: dict[str, list[str]] = {}
+        self.pending: dict[str, list[tuple[str, datetime]]] = {}
 
     def add(self, record: CaseRecord) -> None:
         case = record.case_id
@@ -188,9 +203,10 @@ class _GraphBuilder:
             if src in self.degree:
                 self._link(src, case)
             else:
-                self.pending.setdefault(src, []).append(case)
-        for child in self.pending.pop(case, ()):
-            self._link(case, child)
+                self.pending.setdefault(src, []).append((case, record.timestamp))
+        for child, ts in self.pending.pop(case, ()):
+            if record.timestamp <= ts:
+                self._link(case, child)
 
     def _link(self, source: str, case: str) -> None:
         key = (source, case) if source < case else (case, source)
@@ -224,16 +240,21 @@ class RecognitionEngine:
     """
 
     def __init__(self, spec: WindowSpec, families: Iterable[str] = FAMILIES,
-                 rule: str = "min-se", include_isolated: bool = False):
+                 rule: str = "min-se", include_isolated: bool = False,
+                 on_bad_link: str = "warn"):
         if rule not in RULES:
             raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
+        if on_bad_link not in BAD_LINK_POLICIES:
+            raise ValueError(f"on_bad_link must be 'warn' or 'reject', "
+                             f"got {on_bad_link!r}")
         self.spec = spec
-        self.families = _canonical_families(families)
+        self.families = canonical_families(families)
         self.rule = rule
         self.include_isolated = include_isolated
+        self.on_bad_link = on_bad_link
         self.diagnostics: list[Diagnostic] = []
-        self._seen_ids: set[str] = set()
-        self._arrived: list[CaseRecord] = []
+        self._seen_ids: dict[str, datetime] = {}  # case_id -> timestamp
+        self._orphans: dict[str, list[CaseRecord]] = {}  # by missing source
         self._watermark: datetime | None = None
         self._next = 0  # next window index to emit
         self._ended = False
@@ -252,40 +273,49 @@ class RecognitionEngine:
         """Absorb one record; return any newly closed windows' reports."""
         if self._ended:
             raise ValidationError("stream already flushed")
-        if record.case_id in self._seen_ids:
-            raise ValidationError(f"duplicate case_id {record.case_id!r}")
-        self._seen_ids.add(record.case_id)
+        case, src, ts = record.case_id, record.source_id, record.timestamp
+        if case in self._seen_ids:
+            raise ValidationError(f"duplicate case_id {case!r}")
+        if src is not None:
+            if src not in self._seen_ids:
+                self._orphans.setdefault(src, []).append(record)
+            elif self._seen_ids[src] > ts:
+                self.diagnostics.append(
+                    bad_link("source-after-case", record, self.on_bad_link))
+                record = replace(record, source_id=None)
+        for child in self._orphans.pop(case, ()):
+            if child.timestamp < ts:
+                self.diagnostics.append(
+                    bad_link("source-after-case", child, self.on_bad_link))
+        self._seen_ids[case] = ts
 
-        ts = record.timestamp
         if ts < self.spec.origin:
             self.diagnostics.append(Diagnostic(
-                kind="before-origin", case_id=record.case_id,
-                message=f"case {record.case_id!r} predates the window origin; dropped"))
+                kind="before-origin", case_id=case,
+                message=f"case {case!r} predates the window origin; dropped"))
         else:
             index = self._index_of(ts)
             if self.spec.count is not None and index >= self.spec.count:
                 self.diagnostics.append(Diagnostic(
-                    kind="beyond-schedule", case_id=record.case_id,
-                    message=f"case {record.case_id!r} falls after the last "
+                    kind="beyond-schedule", case_id=case,
+                    message=f"case {case!r} falls after the last "
                             f"scheduled window; dropped"))
             elif self.spec.mode == "tumbling":
                 if index < self._next:
                     self.diagnostics.append(Diagnostic(
-                        kind="late-record", case_id=record.case_id,
-                        message=f"case {record.case_id!r} arrived after its "
+                        kind="late-record", case_id=case,
+                        message=f"case {case!r} arrived after its "
                                 f"window closed; rejected"))
                 else:
                     self._builders.setdefault(index, _GraphBuilder()).add(record)
-                    self._arrived.append(record)
             else:
                 if index < self._next:
                     self.diagnostics.append(Diagnostic(
-                        kind="late-record", case_id=record.case_id,
-                        message=f"case {record.case_id!r} arrived after its "
+                        kind="late-record", case_id=case,
+                        message=f"case {case!r} arrived after its "
                                 f"window closed; absorbed into the next one"))
                     index = self._next
                 self._pending.setdefault(index, []).append(record)
-                self._arrived.append(record)
 
         if self._watermark is None or ts > self._watermark:
             self._watermark = ts
@@ -316,35 +346,21 @@ class RecognitionEngine:
                                 self.include_isolated)
 
     def flush(self) -> list[StructureReport]:
-        """End of stream: emit every scheduled window up to the one
-        containing the watermark, empty windows included."""
+        """End of stream: report every case still waiting for its source
+        as ``dangling-source``, then emit every scheduled window up to
+        the one containing the watermark, empty windows included."""
         if self._ended:
             return []
         self._ended = True
+        for children in self._orphans.values():
+            for child in children:
+                self.diagnostics.append(
+                    bad_link("dangling-source", child, self.on_bad_link))
         if self._watermark is None:
             return []
-        span = self._watermark + _ONE_SECOND - self.spec.origin
-        if span <= timedelta(0):
-            return []
-        k = -((-span) // self.spec.period)
-        if self.spec.count is not None:
-            k = min(k, self.spec.count)
-        out: list[StructureReport] = []
-        while self._next < k:
-            out.append(self._emit(self.spec.window(self._next)))
-        return out
-
-    def process_window(self, window: TimeWindow) -> StructureReport:
-        """Report over the records absorbed so far that fall in the
-        window. Pure query; emission state is untouched. Meaningful once
-        every record before window.end has been ingested."""
-        builder = _GraphBuilder()
-        for record in self._arrived:
-            if window.contains(record.timestamp):
-                builder.add(record)
-        graph = builder.graph(as_of=window.end)
-        return report_for_graph(graph, window, self.families, self.rule,
-                                self.include_isolated)
+        last = TimeWindow(self._watermark, self._watermark + _ONE_SECOND)
+        return [self._emit(window)
+                for window in schedule_windows(self.spec, last)[self._next:]]
 
 
 def run(stream: Iterable[CaseRecord], spec: WindowSpec,

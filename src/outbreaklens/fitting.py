@@ -118,15 +118,6 @@ class FitResult:
             "n": self.n,
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "FitResult":
-        dim = obj["vcov"]["dim"]
-        data = obj["vcov"]["data"]
-        rows = tuple(
-            tuple(data[i * dim[1]:(i + 1) * dim[1]]) for i in range(dim[0]))
-        return cls(obj["family"], dict(obj["params"]), dict(obj["se"]),
-                   rows, obj["loglik"], obj["n"])
-
 
 @dataclass(frozen=True)
 class StructureClass:

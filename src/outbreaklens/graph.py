@@ -12,12 +12,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable, Mapping, Union
+from typing import AbstractSet, Iterable, Mapping, Union
 
-from .records import CaseRecord, GeoPoint, ValidatedStream, format_timestamp, validate_stream
+from .records import CaseRecord, GeoPoint, ValidatedStream, validate_stream
 
 EARTH_RADIUS_KM = 6371.0
-DEFAULT_DECAY_KM = 50.0
 
 
 @dataclass(frozen=True)
@@ -40,39 +39,27 @@ class TimeWindow:
 
 
 @dataclass(frozen=True)
-class Edge:
-    """Undirected contact edge. ``source``/``case`` keep the reported
-    transmission direction as metadata; degree analysis ignores it."""
-
-    source: str
-    case: str
-    weight: float
-
-
-@dataclass(frozen=True)
 class ContactGraph:
     """Immutable snapshot of the contact network.
 
     ``vertices`` maps case ids to their records in stream order; the
     iteration order of every derived measurement follows it, which keeps
-    replays byte-for-byte reproducible. ``edges`` is keyed by the sorted
-    id pair, so parallel edges cannot be represented. Treat both
-    mappings as frozen; they are not defensively copied.
+    replays byte-for-byte reproducible. ``edges`` holds each undirected
+    edge as its sorted id pair, so parallel edges cannot be represented.
+    Treat both as frozen; they are not defensively copied.
     """
 
     vertices: Mapping[str, CaseRecord]
-    edges: Mapping[tuple[str, str], Edge]
+    edges: AbstractSet[tuple[str, str]]
     as_of: datetime | None = None
 
     def __post_init__(self):
-        for key, edge in self.edges.items():
-            a, b = key
+        for a, b in self.edges:
             if a == b:
                 raise ValueError(f"self-loop on {a!r}")
             if a not in self.vertices or b not in self.vertices:
-                raise ValueError(f"edge {key!r} has an endpoint outside the vertex set")
-            if not 0.0 <= edge.weight <= 1.0:
-                raise ValueError(f"edge weight out of [0, 1]: {edge.weight!r}")
+                raise ValueError(f"edge {(a, b)!r} has an endpoint outside "
+                                 f"the vertex set")
 
     @property
     def n_vertices(self) -> int:
@@ -149,49 +136,29 @@ class DegreeSample:
 StreamLike = Union[ValidatedStream, Iterable[CaseRecord]]
 
 
-def build_graph(stream: StreamLike, window: TimeWindow | None = None, *,
-                decay_km: float | None = None) -> ContactGraph:
+def build_graph(stream: StreamLike, window: TimeWindow | None = None) -> ContactGraph:
     """Build the contact graph for a window (or the whole stream).
 
     A record contributes a vertex when its timestamp lies in the window;
     an edge {source, case} appears only when BOTH endpoint records lie in
-    the window, so every snapshot is a self-contained graph. Weights
-    default to 1.0 (a recorded link is a realized transmission); pass
-    ``decay_km`` to use exp(-distance/decay_km) instead. Weights never
-    affect degree statistics.
+    the window, so every snapshot is a self-contained graph.
     """
-    if decay_km is not None and decay_km <= 0:
-        raise ValueError("decay_km must be positive")
     validated = validate_stream(stream)
     vertices: dict[str, CaseRecord] = {}
     for rec in validated.records:
         if window is None or window.contains(rec.timestamp):
             vertices[rec.case_id] = rec
-    edges: dict[tuple[str, str], Edge] = {}
+    edges: set[tuple[str, str]] = set()
     for rec in vertices.values():
         src = rec.source_id
-        if src is None or src not in vertices:
-            continue
-        if decay_km is None:
-            weight = 1.0
-        else:
-            dist = geo_distance(vertices[src].location, rec.location)
-            weight = math.exp(-dist / decay_km)
-        key = (src, rec.case_id) if src < rec.case_id else (rec.case_id, src)
-        edges[key] = Edge(source=src, case=rec.case_id, weight=weight)
+        if src is not None and src in vertices:
+            edges.add((src, rec.case_id) if src < rec.case_id
+                      else (rec.case_id, src))
     if window is not None:
         as_of = window.end
     else:
         as_of = max((r.timestamp for r in vertices.values()), default=None)
     return ContactGraph(vertices, edges, as_of)
-
-
-def subnetwork(stream: StreamLike, window: TimeWindow) -> ContactGraph:
-    """The contact graph restricted to a window. Composable: the
-    subnetwork of a stream equals the graph of the sub-stream."""
-    if window is None:
-        raise ValueError("subnetwork requires a window")
-    return build_graph(stream, window)
 
 
 def degree_sample(graph: ContactGraph | GraphCounts,
@@ -220,19 +187,3 @@ def geo_distance(a: GeoPoint, b: GeoPoint) -> float:
     h = (math.sin((lat2 - lat1) / 2.0) ** 2
          + math.cos(lat1) * math.cos(lat2) * math.sin((lon2 - lon1) / 2.0) ** 2)
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
-
-
-def edge_list_text(graph: ContactGraph) -> str:
-    """Tab-separated edge list ``id1<TAB>id2<TAB>weight``, one per line."""
-    lines = [f"{a}\t{b}\t{edge.weight!r}" for (a, b), edge in graph.edges.items()]
-    return "".join(line + "\n" for line in lines)
-
-
-def vertex_table_text(graph: ContactGraph) -> str:
-    """Tab-separated vertex table ``id<TAB>lon<TAB>lat<TAB>timestamp``."""
-    lines = [
-        f"{rec.case_id}\t{rec.location.longitude!r}\t{rec.location.latitude!r}"
-        f"\t{format_timestamp(rec.timestamp)}"
-        for rec in graph.vertices.values()
-    ]
-    return "".join(line + "\n" for line in lines)

@@ -228,6 +228,25 @@ class ValidatedStream:
         return self.records[0].timestamp, self.records[-1].timestamp
 
 
+BAD_LINK_POLICIES = ("warn", "reject")
+
+
+def bad_link(kind: str, record: CaseRecord, on_bad_link: str) -> Diagnostic:
+    """The diagnostic for a link that cannot stand: ``dangling-source``
+    (the source matches no record) or ``source-after-case`` (the source
+    is reported after the case). In "reject" mode raise instead."""
+    if kind == "dangling-source":
+        problem = (f"source {record.source_id!r} of case {record.case_id!r} "
+                   f"matches no record")
+    else:
+        problem = (f"source {record.source_id!r} is reported after case "
+                   f"{record.case_id!r}")
+    if on_bad_link == "reject":
+        raise ValidationError(problem)
+    return Diagnostic(kind=kind, message=problem + "; link dropped",
+                      case_id=record.case_id)
+
+
 def validate_stream(records: Union[ValidatedStream, Iterable[CaseRecord]],
                     on_bad_link: str = "warn") -> ValidatedStream:
     """Order the stream and enforce cross-record invariants.
@@ -239,7 +258,7 @@ def validate_stream(records: Union[ValidatedStream, Iterable[CaseRecord]],
     """
     if isinstance(records, ValidatedStream):
         return records
-    if on_bad_link not in ("warn", "reject"):
+    if on_bad_link not in BAD_LINK_POLICIES:
         raise ValueError(f"on_bad_link must be 'warn' or 'reject', got {on_bad_link!r}")
 
     items = list(records)
@@ -259,19 +278,12 @@ def validate_stream(records: Union[ValidatedStream, Iterable[CaseRecord]],
         source = by_id.get(rec.source_id)
         if source is None:
             kind = "dangling-source"
-            problem = (f"source {rec.source_id!r} of case {rec.case_id!r} "
-                       f"matches no record")
         elif source.timestamp > rec.timestamp:
             kind = "source-after-case"
-            problem = (f"source {rec.source_id!r} is reported after case "
-                       f"{rec.case_id!r}")
         else:
             out.append(rec)
             continue
-        if on_bad_link == "reject":
-            raise ValidationError(problem)
-        diags.append(Diagnostic(kind=kind, message=problem + "; link dropped",
-                                case_id=rec.case_id))
+        diags.append(bad_link(kind, rec, on_bad_link))
         out.append(replace(rec, source_id=None))
     return ValidatedStream(tuple(out), tuple(diags))
 

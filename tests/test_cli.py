@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,25 @@ D,B,2014-03-04,1.5,1.5
 
 DANGLING = TINY + "E,GHOST,2014-03-05,2,2\n"
 
+# C names B, which is reported an hour later; F names a source that
+# never arrives. Both links are dropped with a warning.
+BAD_LINKS = """case_id,source_id,date,longitude,latitude
+A,,2014-03-01T00:00:00Z,0,0
+C,B,2014-03-01T01:00:00Z,0,0
+B,A,2014-03-01T02:00:00Z,0,0
+D,B,2014-03-01T03:00:00Z,0,0
+E,B,2014-03-01T04:00:00Z,0,0
+F,Z,2014-03-01T05:00:00Z,0,0
+"""
+
+USAGE_ERRORS = [
+    ("--window", "rolling:1d"),
+    ("--window", "tumbling:5w"),
+    ("--families", "weibull"),
+    ("--origin", "notadate", "--window", "tumbling:1d"),
+    ("--window", "cumulative:0m"),
+]
+
 
 # --- flag parsing helpers ---------------------------------------------------
 
@@ -40,7 +63,7 @@ def test_parse_duration(text, expected):
     assert parse_duration(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "5", "m5", "5w", "1.5h", "h"])
+@pytest.mark.parametrize("text", ["", "5", "m5", "5w", "1.5h", "h", "0d"])
 def test_parse_duration_rejects(text):
     with pytest.raises(ValueError):
         parse_duration(text)
@@ -121,12 +144,7 @@ def test_analyze_missing_file(cli):
     assert "error" in err
 
 
-@pytest.mark.parametrize("flags", [
-    ("--window", "rolling:1d"),
-    ("--window", "tumbling:5w"),
-    ("--families", "weibull"),
-    ("--origin", "notadate", "--window", "tumbling:1d"),
-])
+@pytest.mark.parametrize("flags", USAGE_ERRORS)
 def test_analyze_usage_errors(cli, tmp_path, flags):
     src = tmp_path / "cases.csv"
     src.write_text(TINY, encoding="utf-8")
@@ -170,6 +188,54 @@ def test_stream_matches_analyze_report_lines(cli, tmp_path):
                            "--window", "cumulative:1d")
     # identical reports; only the trailing config line names the command
     assert via_analyze.splitlines()[:-1] == via_stream.splitlines()[:-1]
+
+
+@pytest.mark.parametrize("flags", USAGE_ERRORS)
+def test_stream_usage_errors(cli, tmp_path, flags):
+    src = tmp_path / "cases.csv"
+    src.write_text(BAD_LINKS, encoding="utf-8")
+    code, out, err = cli("stream", "--input", str(src), *flags)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "warning" not in err  # rejected before any input is read
+
+
+@pytest.mark.parametrize("window", ["tumbling:1d", "cumulative:1d"])
+def test_stream_and_analyze_apply_the_same_link_rules(cli, tmp_path, window):
+    src = tmp_path / "cases.csv"
+    src.write_text(BAD_LINKS, encoding="utf-8")
+    _, via_analyze, analyze_err = cli("analyze", "--input", str(src),
+                                      "--window", window)
+    _, via_stream, stream_err = cli("stream", "--input", str(src),
+                                    "--window", window)
+    assert via_analyze.splitlines()[:-1] == via_stream.splitlines()[:-1]
+    (report,) = [json.loads(line) for line in via_stream.splitlines()[:-1]]
+    assert (report["n_edges"], report["fitting_n"]) == (3, 4)
+    assert analyze_err == stream_err
+    warnings = stream_err.splitlines()
+    assert len(warnings) == 2
+    assert "'B' is reported after case 'C'" in warnings[0]
+    assert "'Z' of case 'F' matches no record" in warnings[1]
+
+
+def test_stream_strict_rejects_dangling_at_end_of_stream(cli):
+    code, out, err = cli("stream", "--window", "tumbling:1d", "--strict",
+                         stdin=DANGLING)
+    assert code == EXIT_INPUT
+    assert "GHOST" in err
+    # E's arrival closed days 0-3; those reports stay, no summary follows
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == 4
+    assert all("n_vertices" in line for line in lines)
+
+
+@pytest.mark.parametrize("command", ["analyze", "stream"])
+def test_undecodable_input_is_an_input_error(cli, tmp_path, command):
+    src = tmp_path / "cases.csv"
+    src.write_bytes(TINY.encode("utf-8") + b"E,D,2014-03-05,\xff,0\n")
+    code, _, err = cli(command, "--input", str(src), "--window", "tumbling:1d")
+    assert code == EXIT_INPUT
+    assert "utf-8" in err
 
 
 def test_stream_requires_a_windowed_mode(cli):
@@ -333,3 +399,17 @@ def test_real_entry_point_runs(outbreak_csv):
         "analyze", "--input", str(outbreak_csv), "--window", "all")
     assert code == 0
     assert json.loads(out)["n_vertices"] == 1000
+
+
+def test_benchmark_trace_hooks_all_resolve():
+    # the benchmark's tracer wraps names inside the package; a refactor
+    # that moves one makes every traced command fail
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    script = ("import traced; tracer = traced.Tracer(); "
+              "traced.install(tracer, 0); print(tracer.missing)")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

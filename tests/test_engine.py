@@ -173,22 +173,47 @@ def test_late_record_absorbed_in_cumulative_mode():
 
 
 def test_child_arriving_before_source_still_links():
-    # same window, reversed arrival: the edge must appear regardless
-    reports = list(run([rec("B", "A", 10), rec("A", None, 20)],
+    # same window, reversed arrival, source earlier in time: the edge
+    # must appear regardless of arrival order
+    reports = list(run([rec("B", "A", 20), rec("A", None, 10)],
                        WindowSpec("tumbling", DAY, T0)))
     assert reports[0].n_edges == 1
 
 
-def test_process_window_is_a_pure_query(outbreak_stream):
+def _drive(records, spec):
+    engine = RecognitionEngine(spec)
+    reports = []
+    for record in records:
+        reports.extend(engine.ingest(record))
+    reports.extend(engine.flush())
+    return reports, engine
+
+
+def _diagnostic_multiset(diagnostics):
+    return Counter((d.kind, d.case_id, d.message) for d in diagnostics)
+
+
+def test_dangling_source_reported_at_flush():
     engine = RecognitionEngine(WindowSpec("tumbling", DAY, T0))
-    for record in outbreak_stream.records[:200]:
-        engine.ingest(record)
-    w = TimeWindow(T0, T0 + 7 * DAY)
-    before = engine.watermark
-    report = engine.process_window(w)
-    assert engine.watermark == before
-    assert report.to_json_dict() == batch_report(
-        validate_stream(outbreak_stream.records[:200]), w).to_json_dict()
+    engine.ingest(rec("A", "GHOST", 0))
+    assert engine.diagnostics == []  # the source may still arrive
+    engine.flush()
+    assert engine.diagnostics == list(
+        validate_stream([rec("A", "GHOST", 0)]).diagnostics)
+
+
+def test_reject_mode_raises_on_bad_links():
+    spec = WindowSpec("tumbling", DAY, T0)
+    engine = RecognitionEngine(spec, on_bad_link="reject")
+    engine.ingest(rec("C", "B", 60))
+    with pytest.raises(ValidationError, match="reported after case 'C'"):
+        engine.ingest(rec("B", None, 120))
+    engine = RecognitionEngine(spec, on_bad_link="reject")
+    engine.ingest(rec("A", "GHOST", 0))
+    with pytest.raises(ValidationError, match="matches no record"):
+        engine.flush()
+    with pytest.raises(ValueError):
+        RecognitionEngine(spec, on_bad_link="ignore")
 
 
 # --- equality with the batch pipeline ---------------------------------------
@@ -278,7 +303,75 @@ def test_engine_histogram_late_and_mutual_records(mode):
     ]
     engine, windows = _check_snapshots(records, WindowSpec(mode, DAY, T0))
     assert windows == 3
-    assert [d.kind for d in engine.diagnostics] == ["late-record"]
+    # P's source Q is reported after P, so that link is dropped
+    assert [(d.kind, d.case_id) for d in engine.diagnostics] == [
+        ("source-after-case", "P"), ("late-record", "LATE")]
+
+
+def _linked_records(data):
+    """Records C0..Cn-1 in timestamp order (ties arrive in id order).
+    Each source is none, any other case (earlier, simultaneous or later
+    in time) or a ghost that matches no record."""
+    n = data.draw(st.integers(min_value=1, max_value=30))
+    minutes = sorted(data.draw(st.lists(st.integers(0, 600), min_size=n,
+                                        max_size=n)))
+    records = []
+    for i, m in enumerate(minutes):
+        link = data.draw(st.sampled_from(["none", "case", "ghost"]))
+        src = None
+        if link == "ghost":
+            src = f"G{data.draw(st.integers(0, 2))}"
+        elif link == "case" and n > 1:
+            j = data.draw(st.integers(0, n - 2))
+            src = f"C{j if j < i else j + 1}"
+        records.append(rec(f"C{i}", src, m))
+    return records
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ordered_stream_equals_validated_stream(data):
+    # for a timestamp-ordered feed, applying the link rules on arrival is
+    # the same as applying them to the whole stream first: same reports,
+    # same link diagnostics
+    records = _linked_records(data)
+    mode = data.draw(st.sampled_from(["tumbling", "cumulative"]))
+    spec = WindowSpec(mode, timedelta(minutes=45), T0)
+    validated = validate_stream(records)
+    reports, engine = _drive(records, spec)
+    expected = list(run(validated.records, spec))
+    assert [r.to_json_dict() for r in reports] == [
+        r.to_json_dict() for r in expected]
+    assert _diagnostic_multiset(engine.diagnostics) == _diagnostic_multiset(
+        validated.diagnostics)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_shuffled_cumulative_ends_where_analyze_does(data):
+    records = data.draw(st.permutations(_linked_records(data)))
+    spec = WindowSpec("cumulative", timedelta(minutes=45), T0)
+    reports, engine = _drive(records, spec)
+    analyzed = list(run(validate_stream(records).records, spec))
+    assert [r.window for r in reports] == [r.window for r in analyzed]
+    assert reports[-1].to_json_dict() == analyzed[-1].to_json_dict()
+    # link diagnostics do not depend on arrival order
+    links = [d for d in engine.diagnostics if d.kind != "late-record"]
+    assert _diagnostic_multiset(links) == _diagnostic_multiset(
+        validate_stream(records).diagnostics)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_shuffled_tumbling_equals_batch_without_late_records(data):
+    records = data.draw(st.permutations(_linked_records(data)))
+    spec = WindowSpec("tumbling", timedelta(minutes=45), T0)
+    reports, engine = _drive(records, spec)
+    late = {d.case_id for d in engine.diagnostics if d.kind == "late-record"}
+    kept = validate_stream([r for r in records if r.case_id not in late])
+    for report in reports:
+        assert report.to_json_dict() == batch_report(
+            kept, report.window).to_json_dict()
 
 
 def test_cumulative_sample_sizes_never_shrink(outbreak_stream):

@@ -9,17 +9,12 @@ from hypothesis import strategies as st
 
 from outbreaklens.graph import (
     ContactGraph,
-    DEFAULT_DECAY_KM,
     EARTH_RADIUS_KM,
-    Edge,
     TimeWindow,
     build_graph,
     degree_distribution,
     degree_sample,
-    edge_list_text,
     geo_distance,
-    subnetwork,
-    vertex_table_text,
 )
 from outbreaklens.records import CaseRecord, GeoPoint, validate_stream
 
@@ -83,42 +78,17 @@ def test_empty_window_graph():
     assert g.n_vertices == 0 and g.n_edges == 0
 
 
-def test_subnetwork_matches_restricted_build():
-    w = TimeWindow(T0, T0 + timedelta(days=2))
-    assert subnetwork(CHAIN, w).degrees() == build_graph(CHAIN, w).degrees()
-    with pytest.raises(ValueError):
-        subnetwork(CHAIN, None)
-
-
 def test_vertices_keep_stream_order():
     g = build_graph([rec("Z", None, 1), rec("A", None, 0)])
     assert list(g.vertices) == ["A", "Z"]  # sorted by time, not by id
 
 
-def test_default_weight_is_one():
-    g = build_graph(CHAIN)
-    assert all(e.weight == 1.0 for e in g.edges.values())
-
-
-def test_decay_weights_follow_distance():
-    a = rec("A", None, 0, lon=0.0, lat=0.0)
-    b = rec("B", "A", 1, lon=1.0, lat=0.0)
-    g = build_graph([a, b], decay_km=DEFAULT_DECAY_KM)
-    d = geo_distance(a.location, b.location)
-    (edge,) = g.edges.values()
-    assert edge.weight == pytest.approx(math.exp(-d / DEFAULT_DECAY_KM), rel=1e-12)
-    with pytest.raises(ValueError):
-        build_graph([a, b], decay_km=0.0)
-
-
 def test_graph_invariants_enforced():
     v = {"A": rec("A", None, 0), "B": rec("B", None, 1)}
     with pytest.raises(ValueError):
-        ContactGraph(v, {("A", "A"): Edge("A", "A", 1.0)})
+        ContactGraph(v, {("A", "A")})
     with pytest.raises(ValueError):
-        ContactGraph(v, {("A", "X"): Edge("A", "X", 1.0)})
-    with pytest.raises(ValueError):
-        ContactGraph(v, {("A", "B"): Edge("A", "B", 1.5)})
+        ContactGraph(v, {("A", "X")})
 
 
 # --- degree samples ------------------------------------------------------
@@ -195,17 +165,7 @@ def test_distance_symmetric_and_bounded(lon1, lat1, lon2, lat2):
     assert 0.0 <= d <= math.pi * EARTH_RADIUS_KM + 1e-9
 
 
-# --- text exports --------------------------------------------------------
-
-
-def test_edge_list_text():
-    g = build_graph([rec("A", None, 0), rec("B", "A", 1)])
-    assert edge_list_text(g) == "A\tB\t1.0\n"
-
-
-def test_vertex_table_text():
-    g = build_graph([rec("A", None, 0, lon=-1.5, lat=2.25)])
-    assert vertex_table_text(g) == "A\t-1.5\t2.25\t2014-03-01T00:00:00Z\n"
+# --- validated input -----------------------------------------------------
 
 
 def test_exports_accept_validated_stream():
