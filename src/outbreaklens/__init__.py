@@ -32,7 +32,6 @@ from .graph import (
     build_graph,
     degree_distribution,
     degree_sample,
-    geo_distance,
 )
 from .fitting import (
     FAMILIES,
@@ -77,7 +76,7 @@ __all__ = [
     "serialize_record", "validate_stream", "write_stream",
     # graph
     "ContactGraph", "DegreeSample", "TimeWindow", "build_graph",
-    "degree_distribution", "degree_sample", "geo_distance",
+    "degree_distribution", "degree_sample",
     # fitting
     "FAMILIES", "FitError", "FitResult", "RULES", "StructureClass",
     "fit_exponential", "fit_family", "fit_normal", "fit_poisson",

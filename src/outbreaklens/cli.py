@@ -13,6 +13,7 @@ import io
 import json
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -21,11 +22,12 @@ from typing import Iterable, Iterator, Sequence, TextIO
 from . import __version__
 from .engine import (RecognitionEngine, StructureReport, WindowSpec,
                      canonical_families, classify_trend, report_for_graph)
-from .fitting import FitError, RULES, fit_family
+from .fitting import RULES
+from .fitting import fit_family  # noqa: F401  wrapped by perfbench/traced.py
 from .graph import build_graph, degree_distribution, degree_sample
-from .records import (CaseRecord, Diagnostic, ParseError, format_timestamp,
-                      parse_timestamp, read_stream, validate_stream,
-                      write_stream)
+from .records import (CaseRecord, Diagnostic, ValidatedStream,
+                      format_timestamp, parse_timestamp, read_stream,
+                      validate_stream, write_stream)
 from .plot import render_degree_plot
 from .sim import SimConfig, generate_network, simulate_outbreak
 
@@ -93,18 +95,23 @@ def _floor_day(instant: datetime) -> datetime:
 
 
 def _read_text(path: str | None) -> str:
-    if path in (None, "-"):
-        return sys.stdin.read()
+    """The whole input as text; unreadable or undecodable input is exit 2."""
     try:
+        if path in (None, "-"):
+            return sys.stdin.read()
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliError(EXIT_INPUT,
+                        f"cannot read {path or 'stdin'}: {exc}") from None
 
 
-def _open_output(path: str | None):
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as out:
+            yield out
 
 
 def _dump_line(obj: dict) -> str:
@@ -115,12 +122,40 @@ def _stderr_diag(diag: Diagnostic) -> None:
     print(f"warning: {diag.message}", file=sys.stderr)
 
 
-def _records_of(args) -> Iterator[CaseRecord]:
-    """The input's records, read lazily. A file is opened on the first
-    read, so an unreadable one raises OSError there."""
-    source = sys.stdin if args.input in (None, "-") else args.input
+def _records_of(args, source: TextIO | None = None) -> Iterator[CaseRecord]:
+    """The records of ``source`` (default: the input), read lazily. A
+    file is opened on the first read, so an unreadable one raises
+    OSError there."""
+    if source is None:
+        source = sys.stdin if args.input in (None, "-") else args.input
     return read_stream(source, args.format, strict=args.strict,
                        on_error=_stderr_diag)
+
+
+def _validated(args, records: Iterable[CaseRecord]) -> ValidatedStream:
+    """The records validated under --strict's link policy, with their
+    link warnings printed; unreadable or invalid input is exit 2."""
+    try:
+        validated = validate_stream(records, on_bad_link=_on_bad_link(args))
+    except (OSError, ValueError) as exc:  # unreadable or invalid input
+        raise _CliError(EXIT_INPUT, str(exc)) from None
+    for diag in validated.diagnostics:
+        _stderr_diag(diag)
+    return validated
+
+
+def _whole_stream_report(args, records: Iterable[CaseRecord],
+                         families: Sequence[str]) -> dict:
+    """The whole-stream report that analyze --window all writes and plot
+    renders: the structure report plus the empirical ``degree_pmf``,
+    both read from one degree sample."""
+    graph = build_graph(_validated(args, records))
+    sample = degree_sample(graph, args.include_isolated)
+    report = report_for_graph(graph, sample, None, families,
+                              args.rule).to_json_dict()
+    pmf = degree_distribution(sample) if sample.n else {}
+    report["degree_pmf"] = [[d, p] for d, p in pmf.items()]
+    return report
 
 
 def _run_config(args, command: str, origin: datetime | None,
@@ -141,40 +176,41 @@ def _run_config(args, command: str, origin: datetime | None,
 
 def _write_windowed(args, command: str, records: Iterable[CaseRecord],
                     window: tuple[str, timedelta], origin: datetime | None,
-                    families: Sequence[str], out: TextIO) -> int:
-    """Drive records through the engine, writing each report as its
-    window closes, then the engine's diagnostics and the summary line.
-    The origin defaults to midnight UTC of the first record's day."""
+                    families: Sequence[str]) -> int:
+    """Drive records through the engine, writing each report to the
+    output as its window closes, then the engine's diagnostics and the
+    summary line. The origin defaults to midnight UTC of the first
+    record's day."""
     mode, period = window
     reports: list[StructureReport] = []
     engine: RecognitionEngine | None = None
-    try:
-        for record in records:
-            if engine is None:
-                if origin is None:
-                    origin = _floor_day(record.timestamp)
-                engine = RecognitionEngine(
-                    WindowSpec(mode, period, origin), families, args.rule,
-                    args.include_isolated, _on_bad_link(args))
-            for report in engine.ingest(record):
-                reports.append(report)
-                out.write(_dump_line(report.to_json_dict()))
-        if engine is not None:
-            for report in engine.flush():
-                reports.append(report)
-                out.write(_dump_line(report.to_json_dict()))
-    except (OSError, ValueError) as exc:  # unreadable or invalid input
-        # partial results stay flushed; the error is the exit status
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if engine is not None:
-        for diag in engine.diagnostics:
-            _stderr_diag(diag)
-    summary = (classify_trend(reports) if reports
-               else {"windows": 0, "runs": [], "transitions": []})
-    out.write(_dump_line({
-        "config": _run_config(args, command, origin, families),
-        "summary": summary}))
+    with _output(args.output) as out:
+        try:
+            for record in records:
+                if engine is None:
+                    if origin is None:
+                        origin = _floor_day(record.timestamp)
+                    engine = RecognitionEngine(
+                        WindowSpec(mode, period, origin), families, args.rule,
+                        args.include_isolated, _on_bad_link(args))
+                for report in engine.ingest(record):
+                    reports.append(report)
+                    out.write(_dump_line(report.to_json_dict()))
+            if engine is not None:
+                for report in engine.flush():
+                    reports.append(report)
+                    out.write(_dump_line(report.to_json_dict()))
+                for diag in engine.diagnostics:
+                    _stderr_diag(diag)
+            summary = (classify_trend(reports) if reports
+                       else {"windows": 0, "runs": [], "transitions": []})
+            out.write(_dump_line({
+                "config": _run_config(args, command, origin, families),
+                "summary": summary}))
+        except (OSError, ValueError) as exc:  # bad input or a closed output
+            # partial results stay flushed; the error is the exit status
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     return EXIT_OK
 
 
@@ -182,32 +218,15 @@ def cmd_analyze(args) -> int:
     families = _families_of(args)
     window = _window_of(args)
     origin = _origin_of(args)
-    try:
-        validated = validate_stream(_records_of(args),
-                                    on_bad_link=_on_bad_link(args))
-    except (OSError, ValueError) as exc:  # unreadable or invalid input
-        raise _CliError(EXIT_INPUT, str(exc)) from None
-    for diag in validated.diagnostics:
-        _stderr_diag(diag)
-
-    out, own = _open_output(args.output)
-    try:
-        if window is not None:
-            return _write_windowed(args, "analyze", validated.records, window,
-                                   origin, families, out)
-        graph = build_graph(validated)
-        report = report_for_graph(graph, None, families, args.rule,
-                                  args.include_isolated)
-        obj = report.to_json_dict()
-        sample = degree_sample(graph, args.include_isolated)
-        pmf = degree_distribution(sample) if sample.n else {}
-        obj["degree_pmf"] = [[d, p] for d, p in pmf.items()]
-        obj["config"] = _run_config(args, "analyze", None, families)
-        out.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-        return EXIT_OK
-    finally:
-        if own:
-            out.close()
+    if window is not None:
+        validated = _validated(args, _records_of(args))
+        return _write_windowed(args, "analyze", validated.records, window,
+                               origin, families)
+    report = _whole_stream_report(args, _records_of(args), families)
+    report["config"] = _run_config(args, "analyze", None, families)
+    with _output(args.output) as out:
+        out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    return EXIT_OK
 
 
 def cmd_stream(args) -> int:
@@ -218,13 +237,8 @@ def cmd_stream(args) -> int:
                         "stream needs a windowed --window "
                         "(tumbling:<dur> or cumulative:<dur>)")
     origin = _origin_of(args)
-    out, own = _open_output(args.output)
-    try:
-        return _write_windowed(args, "stream", _records_of(args), window,
-                               origin, families, out)
-    finally:
-        if own:
-            out.close()
+    return _write_windowed(args, "stream", _records_of(args), window, origin,
+                           families)
 
 
 def cmd_simulate(args) -> int:
@@ -244,12 +258,8 @@ def cmd_simulate(args) -> int:
 
     network = generate_network(config)
     records = simulate_outbreak(network, config)
-    out, own = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         write_stream(records, out, args.format)
-    finally:
-        if own:
-            out.close()
     return EXIT_OK
 
 
@@ -267,49 +277,28 @@ def _looks_like_report(text: str) -> dict | None:
 
 
 def cmd_plot(args) -> int:
+    """Render a whole-stream report; a record file is first turned into
+    the report analyze --window all would write for it."""
     families = _families_of(args)
     text = _read_text(args.input)
     report = _looks_like_report(text)
-    if report is not None:
-        pairs = report.get("degree_pmf")
-        if pairs is None:
-            raise _CliError(EXIT_INPUT,
-                            "report carries no degree_pmf; generate it with "
-                            "analyze --window all")
-        pmf = {int(d): float(p) for d, p in pairs}
-        classification = report.get("classification")
-        fits = classification["fits"] if classification else []
-    else:
-        try:
-            records = list(read_stream(io.StringIO(text), args.format,
-                                       strict=args.strict,
-                                       on_error=_stderr_diag))
-        except ParseError as exc:
-            raise _CliError(EXIT_INPUT, str(exc)) from None
-        validated = validate_stream(records)
-        graph = build_graph(validated)
-        sample = degree_sample(graph, args.include_isolated)
-        if sample.n == 0:
-            raise _CliError(EXIT_EMPTY, "empty distribution")
-        pmf = degree_distribution(sample)
-        fits = []
-        for family in families:
-            try:
-                fits.append(fit_family(family, sample))
-            except FitError:
-                continue
-    if not pmf:
-        raise _CliError(EXIT_EMPTY, "empty distribution")
+    if report is None:
+        report = _whole_stream_report(
+            args, _records_of(args, io.StringIO(text)), families)
+    pairs = report.get("degree_pmf")
+    if pairs is None:
+        raise _CliError(EXIT_INPUT,
+                        "report carries no degree_pmf; generate it with "
+                        "analyze --window all")
+    pmf = {int(d): float(p) for d, p in pairs}
+    classification = report.get("classification")
+    fits = classification["fits"] if classification else []
     try:
         svg = render_degree_plot(pmf, fits, log_scale=args.log_log)
     except ValueError as exc:
         raise _CliError(EXIT_EMPTY, str(exc)) from None
-    out, own = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         out.write(svg)
-    finally:
-        if own:
-            out.close()
     return EXIT_OK
 
 

@@ -37,8 +37,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .fitting import (FAMILIES, FitError, StructureClass, fit_family,
                       select_structure, RULES)
-from .graph import (ContactGraph, GraphCounts, TimeWindow, build_graph,
-                    degree_sample)
+from .graph import (ContactGraph, DegreeSample, GraphCounts, TimeWindow,
+                    build_graph, degree_sample)
 from .records import (BAD_LINK_POLICIES, CaseRecord, Diagnostic,
                       ValidationError, bad_link, format_timestamp,
                       normalize_timestamp)
@@ -51,21 +51,17 @@ _ONE_SECOND = timedelta(seconds=1)
 @dataclass(frozen=True)
 class WindowSpec:
     """How to slice the stream: disjoint fixed slices from an origin
-    (tumbling) or growing prefixes of it (cumulative). ``count`` caps
-    the schedule."""
+    (tumbling) or growing prefixes of it (cumulative)."""
 
     mode: str
     period: timedelta
     origin: datetime
-    count: int | None = None
 
     def __post_init__(self):
         if self.mode not in WINDOW_MODES:
             raise ValueError(f"unknown window mode {self.mode!r}")
         if self.period <= timedelta(0):
             raise ValueError("window period must be positive")
-        if self.count is not None and self.count < 1:
-            raise ValueError("window count must be at least 1")
         object.__setattr__(self, "origin", normalize_timestamp(self.origin))
 
     def window(self, index: int) -> TimeWindow:
@@ -79,13 +75,11 @@ class WindowSpec:
 
 def schedule_windows(spec: WindowSpec, extent: TimeWindow) -> tuple[TimeWindow, ...]:
     """The ordered windows a WindowSpec produces over the extent: enough
-    periods to cover [origin, extent.end), capped by spec.count."""
+    periods to cover [origin, extent.end)."""
     span = extent.end - spec.origin
     if span <= timedelta(0):
         return ()
     k = -((-span) // spec.period)  # ceil division for timedeltas
-    if spec.count is not None:
-        k = min(k, spec.count)
     return tuple(spec.window(i) for i in range(k))
 
 
@@ -141,12 +135,12 @@ def canonical_families(families: Iterable[str]) -> tuple[str, ...]:
     return tuple(f for f in FAMILIES if f in set(requested))
 
 
-def report_for_graph(graph: ContactGraph | GraphCounts, window: TimeWindow | None,
-                     families: Sequence[str], rule: str,
-                     include_isolated: bool) -> StructureReport:
-    """Measure and classify one graph snapshot. Shared by the batch
+def report_for_graph(graph: ContactGraph | GraphCounts, sample: DegreeSample,
+                     window: TimeWindow | None, families: Sequence[str],
+                     rule: str) -> StructureReport:
+    """Measure and classify one graph snapshot from its degree sample,
+    which the caller builds (and may reuse). Shared by the batch
     pipeline and the engine so the two can never diverge."""
-    sample = degree_sample(graph, include_isolated)
     fits = []
     skipped = []
     for family in families:
@@ -170,7 +164,8 @@ def batch_report(stream, window: TimeWindow | None = None,
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
     graph = build_graph(stream, window)
-    return report_for_graph(graph, window, fams, rule, include_isolated)
+    return report_for_graph(graph, degree_sample(graph, include_isolated),
+                            window, fams, rule)
 
 
 class _GraphBuilder:
@@ -295,12 +290,7 @@ class RecognitionEngine:
                 message=f"case {case!r} predates the window origin; dropped"))
         else:
             index = self._index_of(ts)
-            if self.spec.count is not None and index >= self.spec.count:
-                self.diagnostics.append(Diagnostic(
-                    kind="beyond-schedule", case_id=case,
-                    message=f"case {case!r} falls after the last "
-                            f"scheduled window; dropped"))
-            elif self.spec.mode == "tumbling":
+            if self.spec.mode == "tumbling":
                 if index < self._next:
                     self.diagnostics.append(Diagnostic(
                         kind="late-record", case_id=case,
@@ -325,10 +315,7 @@ class RecognitionEngine:
         out: list[StructureReport] = []
         if self._watermark is None:
             return out
-        while self.spec.count is None or self._next < self.spec.count:
-            window = self.spec.window(self._next)
-            if window.end > self._watermark:
-                break
+        while (window := self.spec.window(self._next)).end <= self._watermark:
             out.append(self._emit(window))
         return out
 
@@ -342,8 +329,8 @@ class RecognitionEngine:
             builder = self._cumulative
         graph = builder.graph(as_of=window.end)
         self._next += 1
-        return report_for_graph(graph, window, self.families, self.rule,
-                                self.include_isolated)
+        sample = degree_sample(graph, self.include_isolated)
+        return report_for_graph(graph, sample, window, self.families, self.rule)
 
     def flush(self) -> list[StructureReport]:
         """End of stream: report every case still waiting for its source

@@ -8,15 +8,12 @@ be processed in parallel.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import AbstractSet, Iterable, Mapping, Union
 
-from .records import CaseRecord, GeoPoint, ValidatedStream, validate_stream
-
-EARTH_RADIUS_KM = 6371.0
+from .records import CaseRecord, ValidatedStream, validate_stream
 
 
 @dataclass(frozen=True)
@@ -177,13 +174,3 @@ def degree_distribution(sample: DegreeSample) -> dict[int, float]:
         raise ValueError("empty degree sample")
     return {d: sample.counts[d] / n for d in sorted(sample.counts)}
 
-
-def geo_distance(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in kilometres (haversine, sphere radius
-    6371.0 km). Symmetric, non-negative, zero only for identical
-    coordinates."""
-    lon1, lat1, lon2, lat2 = map(
-        math.radians, (a.longitude, a.latitude, b.longitude, b.latitude))
-    h = (math.sin((lat2 - lat1) / 2.0) ** 2
-         + math.cos(lat1) * math.cos(lat2) * math.sin((lon2 - lon1) / 2.0) ** 2)
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))

@@ -10,9 +10,10 @@ every series carries its family name.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence, Union
+from functools import lru_cache
+from typing import Mapping, Sequence
 
-from .fitting import FitResult, hurwitz_zeta
+from .fitting import hurwitz_zeta
 
 WIDTH = 800
 HEIGHT = 520
@@ -30,13 +31,8 @@ SERIES_COLORS = {
 }
 POINT_COLOR = "#202020"
 
-FitLike = Union[FitResult, Mapping]
-
-
-def _fit_fields(fit: FitLike) -> tuple[str, dict]:
-    if isinstance(fit, FitResult):
-        return fit.family, dict(fit.params)
-    return fit["family"], dict(fit["params"])
+# a power-law curve's normalizer is the same at every plotted degree
+_zeta = lru_cache(maxsize=16)(hurwitz_zeta)
 
 
 def family_density(family: str, params: Mapping[str, float], x: float) -> float:
@@ -59,7 +55,7 @@ def family_density(family: str, params: Mapping[str, float], x: float) -> float:
         alpha, x_min = params["alpha"], int(params["x_min"])
         if x < x_min or x != int(x):
             return 0.0
-        return x ** (-alpha) / hurwitz_zeta(alpha, float(x_min))
+        return x ** (-alpha) / _zeta(alpha, float(x_min))
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -81,21 +77,23 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def render_degree_plot(pmf: Mapping[int, float], fits: Sequence[FitLike], *,
+def render_degree_plot(pmf: Mapping[int, float], fits: Sequence[Mapping], *,
                        log_scale: bool = False) -> str:
     """Scatter of the empirical degree PMF with one overlaid curve per
-    fitted family. Linear axes by default; ``log_scale`` plots log10 of
-    both axes (zero-degree and zero-probability points are dropped
-    there, and curve values below half the smallest empirical
-    probability are drawn at that floor). Raises ValueError on an empty
-    distribution."""
+    fit, each a report's fit dict (``family`` and ``params``; the legend
+    lists the parameters in name order). Linear axes by default;
+    ``log_scale`` plots log10 of both axes (zero-degree and
+    zero-probability points are dropped there, and curve values below
+    half the smallest empirical probability are drawn at that floor).
+    Raises ValueError on an empty distribution."""
     points = sorted((int(d), float(p)) for d, p in pmf.items())
     if log_scale:
         points = [(d, p) for d, p in points if d > 0 and p > 0]
     if not points:
         raise ValueError("empty distribution")
 
-    parsed = [_fit_fields(fit) for fit in fits]
+    parsed = [(fit["family"], dict(sorted(fit["params"].items())))
+              for fit in fits]
     max_deg = max(d for d, _ in points)
     x_lo = 1.0 if log_scale else 0.0
     x_hi = float(max_deg + 1)

@@ -20,12 +20,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import EARTH_RADIUS_KM
 from .records import CaseRecord, GeoPoint, normalize_timestamp, parse_timestamp
 
 TOPOLOGIES = ("preferential-attachment", "uniform-attachment")
 
 STEP = timedelta(days=1)
+EARTH_RADIUS_KM = 6371.0
 _KM_PER_DEG_LAT = math.pi * EARTH_RADIUS_KM / 180.0
 
 # Substream tags; distinct draws must never share a stream.

@@ -1,5 +1,6 @@
 """Command-line behavior: flags, formats, exit codes, output shapes."""
 
+import io
 import json
 import math
 import os
@@ -229,13 +230,35 @@ def test_stream_strict_rejects_dangling_at_end_of_stream(cli):
     assert all("n_vertices" in line for line in lines)
 
 
-@pytest.mark.parametrize("command", ["analyze", "stream"])
+@pytest.mark.parametrize("command", ["analyze", "stream", "plot", "simulate"])
 def test_undecodable_input_is_an_input_error(cli, tmp_path, command):
     src = tmp_path / "cases.csv"
     src.write_bytes(TINY.encode("utf-8") + b"E,D,2014-03-05,\xff,0\n")
+    windowed = (("--window", "tumbling:1d") if command in ("analyze", "stream")
+                else ())
+    code, _, err = cli(command, "--input", str(src), *windowed)
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ") and "utf-8" in err
+
+
+class _ClosedBeforeSummary(io.StringIO):
+    """A stdout whose reader has gone by the time the summary line comes."""
+
+    def write(self, text):
+        if '"summary"' in text:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("command", ["analyze", "stream"])
+def test_stdout_closed_before_the_summary_is_an_error_exit(
+        cli, tmp_path, monkeypatch, command):
+    src = tmp_path / "cases.csv"
+    src.write_text(TINY, encoding="utf-8")
+    monkeypatch.setattr("sys.stdout", _ClosedBeforeSummary())
     code, _, err = cli(command, "--input", str(src), "--window", "tumbling:1d")
     assert code == EXIT_INPUT
-    assert "utf-8" in err
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_stream_requires_a_windowed_mode(cli):
@@ -361,6 +384,51 @@ def test_plot_report_without_pmf_is_input_error(cli, tmp_path):
     code, _, err = cli("plot", "--input", str(path))
     assert code == EXIT_INPUT
     assert "degree_pmf" in err
+
+
+@pytest.mark.parametrize("scale", [(), ("--log-log",)])
+def test_plot_of_records_is_plot_of_their_report(cli, tmp_path, outbreak_csv,
+                                                 sim_config_path, scale):
+    simulated = tmp_path / "simulated.csv"
+    assert cli("simulate", "--input", str(sim_config_path), "--seed", "7",
+               "--output", str(simulated))[0] == EXIT_OK
+    for records in (outbreak_csv, simulated):
+        report = tmp_path / "report.json"
+        cli("analyze", "--input", str(records), "--window", "all",
+            "--output", str(report))
+        code, from_records, _ = cli("plot", "--input", str(records), *scale)
+        assert code == EXIT_OK
+        assert cli("plot", "--input", str(report), *scale) == (
+            EXIT_OK, from_records, "")
+
+
+def test_plot_of_records_rejects_duplicate_ids(cli, tmp_path):
+    src = tmp_path / "cases.csv"
+    src.write_text(TINY + "A,,2014-03-05,0,0\n", encoding="utf-8")
+    code, out, err = cli("plot", "--input", str(src))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: duplicate case_id")
+
+
+def test_plot_strict_rejects_dangling(cli, tmp_path):
+    src = tmp_path / "cases.csv"
+    src.write_text(DANGLING, encoding="utf-8")
+    code, out, err = cli("plot", "--input", str(src), "--strict")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "GHOST" in err
+
+
+def test_plot_warns_on_bad_links_as_analyze_does(cli, tmp_path):
+    src = tmp_path / "cases.csv"
+    src.write_text(DANGLING, encoding="utf-8")
+    _, _, analyze_err = cli("analyze", "--input", str(src), "--window", "all")
+    code, out, err = cli("plot", "--input", str(src))
+    assert code == EXIT_OK
+    assert out.startswith("<svg ")
+    assert err == analyze_err
+    assert err.startswith("warning: ") and "GHOST" in err
 
 
 def test_plot_empty_stream_is_exit_65(cli, tmp_path):

@@ -41,8 +41,6 @@ def test_window_spec_validation():
         WindowSpec("tumbling", timedelta(0), T0)
     with pytest.raises(ValueError):
         WindowSpec("tumbling", -DAY, T0)
-    with pytest.raises(ValueError):
-        WindowSpec("tumbling", DAY, T0, count=0)
 
 
 def test_tumbling_windows_are_disjoint_and_contiguous():
@@ -79,13 +77,6 @@ def test_schedule_rounds_up_partial_windows():
     spec = WindowSpec("tumbling", DAY, T0)
     windows = schedule_windows(spec, TimeWindow(T0, T0 + DAY + timedelta(hours=1)))
     assert len(windows) == 2
-
-
-def test_schedule_respects_count_cap():
-    spec = WindowSpec("cumulative", DAY, T0, count=3)
-    windows = schedule_windows(spec, TimeWindow(T0, T0 + 10 * DAY))
-    assert len(windows) == 3
-    assert all(w.start == T0 for w in windows)
 
 
 def test_schedule_empty_before_origin():
@@ -137,13 +128,6 @@ def test_before_origin_record_dropped_with_diagnostic():
     engine = RecognitionEngine(WindowSpec("tumbling", DAY, T0 + DAY))
     engine.ingest(rec("OLD", None, 0))
     assert [d.kind for d in engine.diagnostics] == ["before-origin"]
-
-
-def test_beyond_schedule_record_dropped_with_diagnostic():
-    engine = RecognitionEngine(WindowSpec("tumbling", DAY, T0, count=1))
-    engine.ingest(rec("A", None, 0))
-    engine.ingest(rec("LATER", None, 5 * 24 * 60))
-    assert [d.kind for d in engine.diagnostics] == ["beyond-schedule"]
 
 
 def test_late_record_rejected_in_tumbling_mode():

@@ -1,4 +1,4 @@
-"""Contact-graph construction, windowing, degrees, and distances."""
+"""Contact-graph construction, windowing, and degrees."""
 
 import math
 from datetime import datetime, timedelta, timezone
@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from outbreaklens.graph import (
     ContactGraph,
-    EARTH_RADIUS_KM,
     TimeWindow,
     build_graph,
     degree_distribution,
     degree_sample,
-    geo_distance,
 )
 from outbreaklens.records import CaseRecord, GeoPoint, validate_stream
 
@@ -130,39 +128,6 @@ def test_degree_sum_is_twice_edge_count(parents):
     degs = g.degrees()
     assert sum(degs.values()) == 2 * g.n_edges
     assert g.n_components() == g.n_vertices - g.n_edges  # forest, no cycles
-
-
-# --- distances -----------------------------------------------------------
-
-
-def test_distance_zero_for_identical_points():
-    p = GeoPoint(-10.1333, 8.5667)
-    assert geo_distance(p, p) == 0.0
-
-
-def test_distance_one_degree_longitude_at_equator():
-    d = geo_distance(GeoPoint(0.0, 0.0), GeoPoint(1.0, 0.0))
-    assert d == pytest.approx(math.pi * EARTH_RADIUS_KM / 180.0, rel=1e-12)
-
-
-def test_distance_pole_to_pole():
-    d = geo_distance(GeoPoint(0.0, 90.0), GeoPoint(0.0, -90.0))
-    assert d == pytest.approx(math.pi * EARTH_RADIUS_KM, rel=1e-12)
-
-
-def test_distance_antimeridian_is_small():
-    d = geo_distance(GeoPoint(179.9, 0.0), GeoPoint(-179.9, 0.0))
-    assert d == pytest.approx(0.2 * math.pi * EARTH_RADIUS_KM / 180.0, rel=1e-9)
-
-
-@settings(max_examples=100)
-@given(lon1=st.floats(-180, 180), lat1=st.floats(-90, 90),
-       lon2=st.floats(-180, 180), lat2=st.floats(-90, 90))
-def test_distance_symmetric_and_bounded(lon1, lat1, lon2, lat2):
-    a, b = GeoPoint(lon1, lat1), GeoPoint(lon2, lat2)
-    d = geo_distance(a, b)
-    assert d == geo_distance(b, a)
-    assert 0.0 <= d <= math.pi * EARTH_RADIUS_KM + 1e-9
 
 
 # --- validated input -----------------------------------------------------

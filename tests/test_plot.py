@@ -20,7 +20,7 @@ SAMPLE = [1] * 55 + [2] * 20 + [3] * 10 + [4] * 6 + [9] * 4 + [0] * 5
 
 def fits_for(sample, families=("exponential", "normal", "poisson", "power-law")):
     return [fit_family(f, [x for x in sample if x > 0] if f == "power-law"
-                       else sample) for f in families]
+                       else sample).to_json_dict() for f in families]
 
 
 def parse(svg: str):
@@ -98,7 +98,7 @@ def test_one_tagged_polyline_per_fitted_family():
 
 
 def test_continuous_curves_sample_quarter_steps():
-    svg = render_degree_plot(PMF, [fit_exponential(SAMPLE)])
+    svg = render_degree_plot(PMF, [fit_exponential(SAMPLE).to_json_dict()])
     _, area = parse(svg)
     (line,) = [p for p in area.iter(NS + "polyline")
                if p.get("data-family") == "exponential"]
@@ -109,7 +109,7 @@ def test_continuous_curves_sample_quarter_steps():
 
 def test_discrete_curves_sit_on_integers():
     fit = fit_powerlaw([x for x in SAMPLE if x > 0], x_min=1)
-    svg = render_degree_plot(PMF, [fit])
+    svg = render_degree_plot(PMF, [fit.to_json_dict()])
     _, area = parse(svg)
     tx, ty = mapping(area)
     (line,) = [p for p in area.iter(NS + "polyline")
@@ -136,6 +136,12 @@ def test_report_style_fit_mappings_accepted():
     fits = [{"family": "exponential", "params": {"lambda": 0.5}}]
     svg = render_degree_plot(PMF, fits)
     assert 'data-family="exponential"' in svg
+
+
+def test_legend_lists_parameters_in_name_order():
+    fits = [{"family": "power-law", "params": {"x_min": 2, "alpha": 2.5}}]
+    svg = render_degree_plot(PMF, fits)
+    assert "power-law (alpha=2.5, x_min=2)" in svg
 
 
 def test_legend_names_every_series():
