@@ -1,9 +1,9 @@
 """Command-line surface: analyze, stream, simulate, plot.
 
-Exit codes are stable: 0 success, 2 unreadable or invalid input data,
-64 bad flags or simulation config, 65 empty distribution where a plot
-was requested. Identical inputs and flags produce byte-identical
-outputs (reports and SVG alike).
+Exit codes are stable: 0 success, 2 unreadable or invalid input data
+or an output that cannot be written, 64 bad flags or simulation config,
+65 empty distribution where a plot was requested. Identical inputs and
+flags produce byte-identical outputs (reports and SVG alike).
 """
 
 from __future__ import annotations
@@ -21,13 +21,15 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .engine import (RecognitionEngine, StructureReport, WindowSpec,
-                     canonical_families, classify_trend, report_for_graph)
+                     canonical_families, classify_trend)
+from .engine import report_for_graph  # noqa: F401  wrapped by perfbench/traced.py
 from .fitting import RULES
 from .fitting import fit_family  # noqa: F401  wrapped by perfbench/traced.py
-from .graph import build_graph, degree_distribution, degree_sample
-from .records import (CaseRecord, Diagnostic, ValidatedStream,
-                      format_timestamp, parse_timestamp, read_stream,
-                      validate_stream, write_stream)
+from .graph import degree_distribution
+from .graph import build_graph, degree_sample  # noqa: F401  wrapped by perfbench/traced.py
+from .records import (CaseRecord, Diagnostic, format_timestamp,
+                      parse_timestamp, read_stream, write_stream)
+from .records import validate_stream  # noqa: F401  wrapped by perfbench/traced.py
 from .plot import render_degree_plot
 from .sim import SimConfig, generate_network, simulate_outbreak
 
@@ -90,10 +92,6 @@ def parse_families(text: str) -> tuple[str, ...]:
     return canonical_families(FAMILY_ALIASES.get(name, name) for name in names)
 
 
-def _floor_day(instant: datetime) -> datetime:
-    return instant.replace(hour=0, minute=0, second=0)
-
-
 def _read_text(path: str | None) -> str:
     """The whole input as text; unreadable or undecodable input is exit 2."""
     try:
@@ -107,11 +105,21 @@ def _read_text(path: str | None) -> str:
 
 @contextmanager
 def _output(path: str | None) -> Iterator[TextIO]:
-    if path in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as out:
-            yield out
+    """stdout for None or "-", else the file, truncated. An output that
+    cannot be opened or written (a reader that has gone) is exit 2."""
+    try:
+        out = (sys.stdout if path in (None, "-")
+               else open(path, "w", encoding="utf-8", newline=""))
+    except OSError as exc:
+        raise _CliError(EXIT_INPUT, f"cannot write {path}: {exc}") from None
+    try:
+        yield out
+        out.flush()
+    except OSError as exc:
+        raise _CliError(EXIT_INPUT, str(exc)) from None
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def _dump_line(obj: dict) -> str:
@@ -132,16 +140,40 @@ def _records_of(args, source: TextIO | None = None) -> Iterator[CaseRecord]:
                        on_error=_stderr_diag)
 
 
-def _validated(args, records: Iterable[CaseRecord]) -> ValidatedStream:
-    """The records validated under --strict's link policy, with their
-    link warnings printed; unreadable or invalid input is exit 2."""
+def _reports(args, records: Iterable[CaseRecord],
+             window: tuple[str, timedelta] | None, origin: datetime | None,
+             families: Sequence[str]) -> Iterator[StructureReport]:
+    """The one engine loop of every command that reads records: reports
+    as windows close (with no window, one at end of input), diagnostics
+    on stderr as the engine raises them. The origin defaults to midnight
+    UTC of the first record's day. Unreadable or invalid input is exit 2."""
+
+    def engine_at(start: datetime | None) -> RecognitionEngine:
+        spec = None if window is None else WindowSpec(*window, start)
+        return RecognitionEngine(spec, families, args.rule,
+                                 args.include_isolated,
+                                 "reject" if args.strict else "warn")
+
+    def warn(engine: RecognitionEngine) -> None:
+        for diag in engine.diagnostics:
+            _stderr_diag(diag)
+        engine.diagnostics.clear()
+
+    engine = engine_at(None) if window is None else None
     try:
-        validated = validate_stream(records, on_bad_link=_on_bad_link(args))
+        for record in records:
+            if engine is None:
+                engine = engine_at(origin or record.timestamp.replace(
+                    hour=0, minute=0, second=0))
+            reports = engine.ingest(record)
+            warn(engine)
+            yield from reports
+        if engine is not None:
+            reports = engine.flush()
+            warn(engine)
+            yield from reports
     except (OSError, ValueError) as exc:  # unreadable or invalid input
         raise _CliError(EXIT_INPUT, str(exc)) from None
-    for diag in validated.diagnostics:
-        _stderr_diag(diag)
-    return validated
 
 
 def _whole_stream_report(args, records: Iterable[CaseRecord],
@@ -149,13 +181,11 @@ def _whole_stream_report(args, records: Iterable[CaseRecord],
     """The whole-stream report that analyze --window all writes and plot
     renders: the structure report plus the empirical ``degree_pmf``,
     both read from one degree sample."""
-    graph = build_graph(_validated(args, records))
-    sample = degree_sample(graph, args.include_isolated)
-    report = report_for_graph(graph, sample, None, families,
-                              args.rule).to_json_dict()
-    pmf = degree_distribution(sample) if sample.n else {}
-    report["degree_pmf"] = [[d, p] for d, p in pmf.items()]
-    return report
+    (report,) = _reports(args, records, None, None, families)
+    pmf = degree_distribution(report.sample) if report.sample.n else {}
+    out = report.to_json_dict()
+    out["degree_pmf"] = [[d, p] for d, p in pmf.items()]
+    return out
 
 
 def _run_config(args, command: str, origin: datetime | None,
@@ -177,51 +207,36 @@ def _run_config(args, command: str, origin: datetime | None,
 def _write_windowed(args, command: str, records: Iterable[CaseRecord],
                     window: tuple[str, timedelta], origin: datetime | None,
                     families: Sequence[str]) -> int:
-    """Drive records through the engine, writing each report to the
-    output as its window closes, then the engine's diagnostics and the
-    summary line. The origin defaults to midnight UTC of the first
-    record's day."""
-    mode, period = window
+    """Write each report to the output as its window closes, then the
+    summary line. Reports written before an input error stay."""
     reports: list[StructureReport] = []
-    engine: RecognitionEngine | None = None
     with _output(args.output) as out:
-        try:
-            for record in records:
-                if engine is None:
-                    if origin is None:
-                        origin = _floor_day(record.timestamp)
-                    engine = RecognitionEngine(
-                        WindowSpec(mode, period, origin), families, args.rule,
-                        args.include_isolated, _on_bad_link(args))
-                for report in engine.ingest(record):
-                    reports.append(report)
-                    out.write(_dump_line(report.to_json_dict()))
-            if engine is not None:
-                for report in engine.flush():
-                    reports.append(report)
-                    out.write(_dump_line(report.to_json_dict()))
-                for diag in engine.diagnostics:
-                    _stderr_diag(diag)
-            summary = (classify_trend(reports) if reports
-                       else {"windows": 0, "runs": [], "transitions": []})
-            out.write(_dump_line({
-                "config": _run_config(args, command, origin, families),
-                "summary": summary}))
-        except (OSError, ValueError) as exc:  # bad input or a closed output
-            # partial results stay flushed; the error is the exit status
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        for report in _reports(args, records, window, origin, families):
+            reports.append(report)
+            out.write(_dump_line(report.to_json_dict()))
+        if reports:  # the first window starts at the origin the engine used
+            origin = reports[0].window.start
+        summary = (classify_trend(reports) if reports
+                   else {"windows": 0, "runs": [], "transitions": []})
+        out.write(_dump_line({
+            "config": _run_config(args, command, origin, families),
+            "summary": summary}))
     return EXIT_OK
 
 
+def _by_time(records: Iterable[CaseRecord]) -> Iterator[CaseRecord]:
+    """The records in a stable sort by timestamp, read on the first
+    request for one."""
+    yield from sorted(records, key=lambda record: record.timestamp)
+
+
 def cmd_analyze(args) -> int:
-    families = _families_of(args)
-    window = _window_of(args)
-    origin = _origin_of(args)
+    families = _flag(parse_families, args.families)
+    window = _flag(parse_window_flag, args.window)
+    origin = _flag(parse_timestamp, args.origin or None)
     if window is not None:
-        validated = _validated(args, _records_of(args))
-        return _write_windowed(args, "analyze", validated.records, window,
-                               origin, families)
+        return _write_windowed(args, "analyze", _by_time(_records_of(args)),
+                               window, origin, families)
     report = _whole_stream_report(args, _records_of(args), families)
     report["config"] = _run_config(args, "analyze", None, families)
     with _output(args.output) as out:
@@ -230,13 +245,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    families = _families_of(args)
-    window = _window_of(args)
+    families = _flag(parse_families, args.families)
+    window = _flag(parse_window_flag, args.window)
     if window is None:
         raise _CliError(EXIT_USAGE,
                         "stream needs a windowed --window "
                         "(tumbling:<dur> or cumulative:<dur>)")
-    origin = _origin_of(args)
+    origin = _flag(parse_timestamp, args.origin or None)
     return _write_windowed(args, "stream", _records_of(args), window, origin,
                            families)
 
@@ -279,7 +294,7 @@ def _looks_like_report(text: str) -> dict | None:
 def cmd_plot(args) -> int:
     """Render a whole-stream report; a record file is first turned into
     the report analyze --window all would write for it."""
-    families = _families_of(args)
+    families = _flag(parse_families, args.families)
     text = _read_text(args.input)
     report = _looks_like_report(text)
     if report is None:
@@ -302,32 +317,13 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
-def _families_of(args) -> tuple[str, ...]:
+def _flag(parse, text: str | None):
+    """``parse(text)``, or None for an absent flag; a bad value is a
+    usage error."""
     try:
-        return parse_families(args.families)
+        return None if text is None else parse(text)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from None
-
-
-def _window_of(args):
-    try:
-        return parse_window_flag(args.window)
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, str(exc)) from None
-
-
-def _origin_of(args) -> datetime | None:
-    """The parsed --origin, or None to take the first record's day."""
-    if not args.origin:
-        return None
-    try:
-        return parse_timestamp(args.origin)
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, str(exc)) from None
-
-
-def _on_bad_link(args) -> str:
-    return "reject" if args.strict else "warn"
 
 
 def _add_io_flags(sub) -> None:

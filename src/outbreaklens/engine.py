@@ -4,6 +4,8 @@ Feeds the record stream through a window schedule, maintains the graph
 incrementally, and emits one structure report per closed window. A
 window closes when the watermark (largest event timestamp seen) passes
 its end; flushing the stream closes every remaining scheduled window.
+With no schedule (``spec=None``) the whole stream is one graph, reported
+at flush().
 
 Ingestion is single-threaded and ordered. Closed windows could be
 fitted in parallel (fitting is pure over immutable samples); emission
@@ -26,7 +28,7 @@ vertex/edge/degree counts, and fits read only the degree histogram, so
 arrival order does not reach a report; late records follow the window
 mode's policy: tumbling windows reject them with a diagnostic (their
 report is already out), cumulative windows absorb them into the next
-prefix.
+prefix. No record is late to the whole-stream report.
 """
 
 from __future__ import annotations
@@ -85,13 +87,14 @@ def schedule_windows(spec: WindowSpec, extent: TimeWindow) -> tuple[TimeWindow, 
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Per-window measurement: counts, the fitting sample size, and the
-    classification with every family's fit (or its skip reason)."""
+    """Per-window measurement: counts, the degree sample every family was
+    fitted to, and the classification with every family's fit (or its
+    skip reason). ``window`` is None for the whole stream."""
 
     window: TimeWindow | None
     n_vertices: int
     n_edges: int
-    fitting_n: int
+    sample: DegreeSample
     mean_degree: float
     classification: StructureClass | None
     skipped: tuple[tuple[str, str], ...] = ()
@@ -115,7 +118,7 @@ class StructureReport:
             "window": window,
             "n_vertices": self.n_vertices,
             "n_edges": self.n_edges,
-            "fitting_n": self.fitting_n,
+            "fitting_n": self.sample.n,
             "mean_degree": self.mean_degree,
             "classification": classification,
             "skipped": {family: reason for family, reason in self.skipped},
@@ -135,12 +138,13 @@ def canonical_families(families: Iterable[str]) -> tuple[str, ...]:
     return tuple(f for f in FAMILIES if f in set(requested))
 
 
-def report_for_graph(graph: ContactGraph | GraphCounts, sample: DegreeSample,
+def report_for_graph(graph: ContactGraph | GraphCounts,
                      window: TimeWindow | None, families: Sequence[str],
-                     rule: str) -> StructureReport:
+                     rule: str, include_isolated: bool) -> StructureReport:
     """Measure and classify one graph snapshot from its degree sample,
-    which the caller builds (and may reuse). Shared by the batch
-    pipeline and the engine so the two can never diverge."""
+    which the report keeps. Shared by the batch pipeline and the engine
+    so the two can never diverge."""
+    sample = degree_sample(graph, include_isolated)
     fits = []
     skipped = []
     for family in families:
@@ -151,21 +155,22 @@ def report_for_graph(graph: ContactGraph | GraphCounts, sample: DegreeSample,
     classification = select_structure(fits, rule) if fits else None
     n_vertices = graph.n_vertices
     mean_degree = (2.0 * graph.n_edges / n_vertices) if n_vertices else 0.0
-    return StructureReport(window, n_vertices, graph.n_edges, sample.n,
+    return StructureReport(window, n_vertices, graph.n_edges, sample,
                            mean_degree, classification, tuple(skipped))
 
 
 def batch_report(stream, window: TimeWindow | None = None,
                  families: Iterable[str] = FAMILIES, rule: str = "min-se",
                  include_isolated: bool = False) -> StructureReport:
-    """The offline pipeline: build the window's graph, fit every family,
-    select. The engine's per-window contract is to match this."""
+    """The offline pipeline: validate the whole stream, build the
+    window's graph, fit every family, select. Nothing in the CLI runs
+    it; it is the independent reference that the engine's reports, for
+    every window and for the whole stream, are tested against."""
     fams = canonical_families(families)
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
-    graph = build_graph(stream, window)
-    return report_for_graph(graph, degree_sample(graph, include_isolated),
-                            window, fams, rule)
+    return report_for_graph(build_graph(stream, window), window, fams, rule,
+                            include_isolated)
 
 
 class _GraphBuilder:
@@ -181,12 +186,12 @@ class _GraphBuilder:
     a new edge moves its two endpoints up one bucket each.
     """
 
-    __slots__ = ("degree", "histogram", "edges", "pending")
+    __slots__ = ("degree", "histogram", "n_edges", "pending")
 
     def __init__(self):
         self.degree: dict[str, int] = {}
         self.histogram: dict[int, int] = {}
-        self.edges: set[tuple[str, str]] = set()
+        self.n_edges = 0
         self.pending: dict[str, list[tuple[str, datetime]]] = {}
 
     def add(self, record: CaseRecord) -> None:
@@ -200,16 +205,14 @@ class _GraphBuilder:
             else:
                 self.pending.setdefault(src, []).append((case, record.timestamp))
         for child, ts in self.pending.pop(case, ()):
-            if record.timestamp <= ts:
+            # a mutual-source pair is one edge, made above (ids are unique)
+            if child != src and record.timestamp <= ts:
                 self._link(case, child)
 
     def _link(self, source: str, case: str) -> None:
-        key = (source, case) if source < case else (case, source)
-        if key in self.edges:  # a mutual-source pair is one edge
-            return
-        self.edges.add(key)
+        self.n_edges += 1
         histogram = self.histogram
-        for vertex in key:
+        for vertex in (source, case):
             d = self.degree[vertex]
             self.degree[vertex] = d + 1
             if histogram[d] == 1:
@@ -220,7 +223,7 @@ class _GraphBuilder:
 
     def graph(self, as_of: datetime | None) -> GraphCounts:
         # the histogram is copied: the builder keeps mutating after emission
-        return GraphCounts(len(self.degree), len(self.edges),
+        return GraphCounts(len(self.degree), self.n_edges,
                            dict(self.histogram), as_of)
 
 
@@ -229,14 +232,15 @@ class RecognitionEngine:
 
     ingest() returns the reports whose windows the new watermark closed;
     flush() ends the stream and closes the rest of the schedule, empty
-    windows included. Cumulative graph maintenance is amortized O(new
-    records); fitting is recomputed per window (tail scans do not
-    incrementalize).
+    windows included. With ``spec=None`` every record goes into one
+    graph, and flush() returns its one report, even for an empty stream.
+    Cumulative graph maintenance is amortized O(new records); fitting is
+    recomputed per window (tail scans do not incrementalize).
     """
 
-    def __init__(self, spec: WindowSpec, families: Iterable[str] = FAMILIES,
-                 rule: str = "min-se", include_isolated: bool = False,
-                 on_bad_link: str = "warn"):
+    def __init__(self, spec: WindowSpec | None,
+                 families: Iterable[str] = FAMILIES, rule: str = "min-se",
+                 include_isolated: bool = False, on_bad_link: str = "warn"):
         if rule not in RULES:
             raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
         if on_bad_link not in BAD_LINK_POLICIES:
@@ -254,15 +258,12 @@ class RecognitionEngine:
         self._next = 0  # next window index to emit
         self._ended = False
         self._builders: dict[int, _GraphBuilder] = {}   # tumbling
-        self._cumulative = _GraphBuilder()              # cumulative
+        self._cumulative = _GraphBuilder()              # cumulative, whole
         self._pending: dict[int, list[CaseRecord]] = {}  # cumulative, by index
 
     @property
     def watermark(self) -> datetime | None:
         return self._watermark
-
-    def _index_of(self, instant: datetime) -> int:
-        return (instant - self.spec.origin) // self.spec.period
 
     def ingest(self, record: CaseRecord) -> list[StructureReport]:
         """Absorb one record; return any newly closed windows' reports."""
@@ -283,13 +284,18 @@ class RecognitionEngine:
                 self.diagnostics.append(
                     bad_link("source-after-case", child, self.on_bad_link))
         self._seen_ids[case] = ts
+        if self._watermark is None or ts > self._watermark:
+            self._watermark = ts
 
+        if self.spec is None:
+            self._cumulative.add(record)
+            return []
         if ts < self.spec.origin:
             self.diagnostics.append(Diagnostic(
                 kind="before-origin", case_id=case,
                 message=f"case {case!r} predates the window origin; dropped"))
         else:
-            index = self._index_of(ts)
+            index = (ts - self.spec.origin) // self.spec.period
             if self.spec.mode == "tumbling":
                 if index < self._next:
                     self.diagnostics.append(Diagnostic(
@@ -306,18 +312,10 @@ class RecognitionEngine:
                                 f"window closed; absorbed into the next one"))
                     index = self._next
                 self._pending.setdefault(index, []).append(record)
-
-        if self._watermark is None or ts > self._watermark:
-            self._watermark = ts
-        return self._drain()
-
-    def _drain(self) -> list[StructureReport]:
-        out: list[StructureReport] = []
-        if self._watermark is None:
-            return out
+        closed = []
         while (window := self.spec.window(self._next)).end <= self._watermark:
-            out.append(self._emit(window))
-        return out
+            closed.append(self._emit(window))
+        return closed
 
     def _emit(self, window: TimeWindow) -> StructureReport:
         index = self._next
@@ -327,15 +325,15 @@ class RecognitionEngine:
             for record in self._pending.pop(index, ()):
                 self._cumulative.add(record)
             builder = self._cumulative
-        graph = builder.graph(as_of=window.end)
         self._next += 1
-        sample = degree_sample(graph, self.include_isolated)
-        return report_for_graph(graph, sample, window, self.families, self.rule)
+        return report_for_graph(builder.graph(as_of=window.end), window,
+                                self.families, self.rule, self.include_isolated)
 
     def flush(self) -> list[StructureReport]:
         """End of stream: report every case still waiting for its source
         as ``dangling-source``, then emit every scheduled window up to
-        the one containing the watermark, empty windows included."""
+        the one containing the watermark, empty windows included, or
+        with no schedule the whole stream's report."""
         if self._ended:
             return []
         self._ended = True
@@ -343,6 +341,10 @@ class RecognitionEngine:
             for child in children:
                 self.diagnostics.append(
                     bad_link("dangling-source", child, self.on_bad_link))
+        if self.spec is None:
+            return [report_for_graph(self._cumulative.graph(self._watermark),
+                                     None, self.families, self.rule,
+                                     self.include_isolated)]
         if self._watermark is None:
             return []
         last = TimeWindow(self._watermark, self._watermark + _ONE_SECOND)

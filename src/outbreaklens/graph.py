@@ -3,7 +3,9 @@
 A validated record stream turns into an undirected graph: one vertex per
 case, one edge per resolved source link. Graph snapshots are immutable
 value objects; every measurement here is a pure function, so windows can
-be processed in parallel.
+be processed in parallel. ``ContactGraph`` and ``build_graph`` are the
+offline reference the streaming engine is tested against; the engine
+itself keeps only ``GraphCounts``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ class TimeWindow:
 
 @dataclass(frozen=True)
 class ContactGraph:
-    """Immutable snapshot of the contact network.
+    """Immutable snapshot of the contact network, every record kept: the
+    tests' reference for the engine's counts.
 
     ``vertices`` maps case ids to their records in stream order; the
     iteration order of every derived measurement follows it, which keeps
@@ -130,11 +133,11 @@ class DegreeSample:
         return sum(self.counts.values())
 
 
-StreamLike = Union[ValidatedStream, Iterable[CaseRecord]]
-
-
-def build_graph(stream: StreamLike, window: TimeWindow | None = None) -> ContactGraph:
-    """Build the contact graph for a window (or the whole stream).
+def build_graph(stream: Union[ValidatedStream, Iterable[CaseRecord]],
+                window: TimeWindow | None = None) -> ContactGraph:
+    """Build the contact graph for a window (or the whole stream), from
+    the stream ``validate_stream`` orders and checks as a whole. No
+    command runs it; it is the independent reference for the engine.
 
     A record contributes a vertex when its timestamp lies in the window;
     an edge {source, case} appears only when BOTH endpoint records lie in

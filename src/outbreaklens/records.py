@@ -67,7 +67,8 @@ def parse_timestamp(text: str) -> datetime:
 
     Accepts full timestamps with a trailing ``Z`` or numeric offset, and
     bare dates, which are read as midnight UTC. Naive timestamps are
-    taken as UTC. Sub-second precision is truncated.
+    taken as UTC. Sub-second precision is truncated. An offset that
+    moves the instant outside years 1-9999 in UTC is a ValueError.
     """
     raw = text.strip()
     if not raw:
@@ -75,10 +76,9 @@ def parse_timestamp(text: str) -> datetime:
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     try:
-        parsed = datetime.fromisoformat(raw)
-    except ValueError:
+        return normalize_timestamp(datetime.fromisoformat(raw))
+    except (ValueError, OverflowError):
         raise ValueError(f"unparseable date: {text!r}") from None
-    return normalize_timestamp(parsed)
 
 
 def format_timestamp(value: datetime) -> str:
@@ -164,7 +164,7 @@ def parse_record(line: str, format: str = "csv", *,
     for key in ("longitude", "latitude"):
         try:
             coords[key] = float(raw[key])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # an int past float range
             raise ParseError(f"not a number: {raw[key]!r}",
                              line_no=line_no, field=key) from None
     try:
@@ -214,9 +214,6 @@ class ValidatedStream:
     records: tuple[CaseRecord, ...]
     diagnostics: tuple[Diagnostic, ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def __iter__(self) -> Iterator[CaseRecord]:
         return iter(self.records)
 
@@ -249,8 +246,9 @@ def bad_link(kind: str, record: CaseRecord, on_bad_link: str) -> Diagnostic:
 
 def validate_stream(records: Union[ValidatedStream, Iterable[CaseRecord]],
                     on_bad_link: str = "warn") -> ValidatedStream:
-    """Order the stream and enforce cross-record invariants.
-
+    """Order the stream and enforce cross-record invariants, holding
+    every record: no command runs it; it is the independent reference
+    for the engine, which applies the same rules as records arrive.
     Duplicate case_ids are always a hard error. A source_id that matches
     no record, or whose record is reported after its child, is handled
     per ``on_bad_link``: "warn" keeps the case as an index vertex and

@@ -241,24 +241,81 @@ def test_undecodable_input_is_an_input_error(cli, tmp_path, command):
     assert err.startswith("error: ") and "utf-8" in err
 
 
-class _ClosedBeforeSummary(io.StringIO):
-    """A stdout whose reader has gone by the time the summary line comes."""
+@pytest.mark.parametrize("command", ["analyze", "stream", "plot", "simulate"])
+def test_unwritable_output_is_an_input_error(cli, tmp_path, command):
+    src = tmp_path / "cases.csv"
+    src.write_text(TINY, encoding="utf-8")
+    target = tmp_path / "missing" / "x.out"
+    argv = {"analyze": ("--input", str(src)),
+            "stream": ("--input", str(src), "--window", "tumbling:1d"),
+            "plot": ("--input", str(src)),
+            "simulate": ()}[command]
+    code, out, err = cli(command, *argv, "--output", str(target))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
+class _ClosedAt(io.StringIO):
+    """A stdout whose reader has gone by the time ``text`` is written."""
+
+    def __init__(self, text):
+        super().__init__()
+        self.text = text
 
     def write(self, text):
-        if '"summary"' in text:
+        if self.text in text:
             raise BrokenPipeError(32, "Broken pipe")
         return super().write(text)
 
 
-@pytest.mark.parametrize("command", ["analyze", "stream"])
+@pytest.mark.parametrize("command,argv,closed_at", [
+    pytest.param("analyze", ("--window", "tumbling:1d"), '"summary"',
+                 id="analyze"),
+    pytest.param("stream", ("--window", "tumbling:1d"), '"summary"',
+                 id="stream"),
+    pytest.param("analyze", ("--window", "all"), '"config"',
+                 id="analyze-all"),
+    pytest.param("plot", (), "</svg>", id="plot"),
+    pytest.param("simulate", (), "2014-", id="simulate"),
+])
 def test_stdout_closed_before_the_summary_is_an_error_exit(
-        cli, tmp_path, monkeypatch, command):
+        cli, tmp_path, monkeypatch, command, argv, closed_at):
     src = tmp_path / "cases.csv"
     src.write_text(TINY, encoding="utf-8")
-    monkeypatch.setattr("sys.stdout", _ClosedBeforeSummary())
-    code, _, err = cli(command, "--input", str(src), "--window", "tumbling:1d")
+    monkeypatch.setattr("sys.stdout", _ClosedAt(closed_at))
+    source = () if command == "simulate" else ("--input", str(src))
+    code, _, err = cli(command, *source, *argv)
     assert code == EXIT_INPUT
     assert err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_warnings_come_out_as_the_engine_raises_them(cli, monkeypatch):
+    lines = ["A,,2014-03-01,0,0", "B,,2014-03-03,0,0",
+             "C,,2014-03-02,0,0",  # B closed C's window: late
+             "D,,2014-03-04,0,0"]
+    stderr = io.StringIO()
+    read_after = []  # what stderr held as each line was read
+
+    def feed():
+        for line in lines:
+            read_after.append(stderr.getvalue())
+            yield line + "\n"
+
+    monkeypatch.setattr("sys.stdin", feed())
+    monkeypatch.setattr("sys.stderr", stderr)
+    code, _, _ = cli("stream", "--window", "tumbling:1d")
+    assert code == EXIT_OK
+    late = "case 'C' arrived after its window closed"
+    assert late not in read_after[2]
+    assert late in read_after[3]
+
+
+def test_whole_stream_computes_no_window_end(cli):
+    code, out, err = cli("analyze", "--window", "all",
+                         stdin=TINY + "E,D,9999-12-31T23:59:59Z,0,0\n")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["n_edges"] == 4
 
 
 def test_stream_requires_a_windowed_mode(cli):
@@ -270,12 +327,13 @@ def test_stream_flushes_partial_results_on_bad_input(cli):
     bad = ("A,,2014-03-01,0,0\n"
            "B,,2014-03-03,0,0\n"
            "A,,2014-03-03T12:00:00Z,0,0\n")  # duplicate id
-    code, out, err = cli("stream", "--window", "tumbling:1d", stdin=bad)
-    assert code == EXIT_INPUT
-    assert "duplicate" in err
-    flushed = [json.loads(line) for line in out.splitlines()]
-    assert len(flushed) == 2  # windows closed before the error still came out
-    assert all("n_vertices" in r for r in flushed)
+    for command in ("stream", "analyze"):
+        code, out, err = cli(command, "--window", "tumbling:1d", stdin=bad)
+        assert code == EXIT_INPUT
+        assert "duplicate" in err
+        flushed = [json.loads(line) for line in out.splitlines()]
+        assert len(flushed) == 2  # windows closed before the error came out
+        assert all("n_vertices" in r for r in flushed)
 
 
 def test_stream_strict_stops_on_parse_error(cli):

@@ -18,7 +18,7 @@ from outbreaklens.engine import (
     run,
     schedule_windows,
 )
-from outbreaklens.graph import TimeWindow, build_graph
+from outbreaklens.graph import DegreeSample, TimeWindow, build_graph
 from outbreaklens.records import CaseRecord, GeoPoint, ValidationError, validate_stream
 
 UTC = timezone.utc
@@ -343,6 +343,14 @@ def test_shuffled_cumulative_ends_where_analyze_does(data):
     links = [d for d in engine.diagnostics if d.kind != "late-record"]
     assert _diagnostic_multiset(links) == _diagnostic_multiset(
         validate_stream(records).diagnostics)
+    # with no schedule the one report is the whole stream's, as analyze
+    # --window all writes it, and no record is late
+    (whole,), engine = _drive(records, None)
+    batch = batch_report(validate_stream(records))
+    assert whole.to_json_dict() == batch.to_json_dict()
+    assert whole.sample == batch.sample
+    assert _diagnostic_multiset(engine.diagnostics) == _diagnostic_multiset(
+        validate_stream(records).diagnostics)
 
 
 @settings(max_examples=80, deadline=None)
@@ -360,7 +368,7 @@ def test_shuffled_tumbling_equals_batch_without_late_records(data):
 
 def test_cumulative_sample_sizes_never_shrink(outbreak_stream):
     spec = WindowSpec("cumulative", 7 * DAY, T0)
-    sizes = [r.fitting_n for r in run(outbreak_stream.records, spec)]
+    sizes = [r.sample.n for r in run(outbreak_stream.records, spec)]
     assert sizes == sorted(sizes)
 
 
@@ -398,7 +406,8 @@ def _report(window, chosen):
         fit = FitResult(chosen, {"lambda": 1.0}, {"lambda": 0.1},
                         ((0.01,),), -1.0, 5)
         classification = StructureClass(chosen, "min-se", (fit,))
-    return StructureReport(window, 5, 4, 5, 1.6, classification, ())
+    return StructureReport(window, 5, 4, DegreeSample({1: 2, 2: 3}), 1.6,
+                           classification, ())
 
 
 def test_classify_trend_single_run():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from outbreaklens.records import (
     CSV_HEADER,
+    FORMATS,
     CaseRecord,
     Diagnostic,
     GeoPoint,
@@ -52,7 +53,9 @@ def test_parse_timestamp_forms(text, expected):
     assert parse_timestamp(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "   ", "yesterday", "2014-13-01", "12:30"])
+@pytest.mark.parametrize("text", ["", "   ", "yesterday", "2014-13-01", "12:30",
+                                  "0001-01-01T00:30:00+01:00",
+                                  "9999-12-31T23:59:59-01:00"])
 def test_parse_timestamp_rejects_garbage(text):
     with pytest.raises(ValueError):
         parse_timestamp(text)
@@ -176,6 +179,69 @@ def test_round_trip_property(case_id, source_id, ts, lon, lat, format):
         source_id = None
     r = rec(case_id, source_id, ts, lon, lat)
     assert parse_record(serialize_record(r, format), format) == r
+
+
+_line_text = st.text(alphabet=st.characters(blacklist_characters="\n"))
+_field_values = st.one_of(
+    st.none(), st.booleans(), st.floats(), _line_text,
+    st.integers(-10**400, 10**400),  # past float range too
+    st.sampled_from(["2014-03-01", "0001-01-01T00:30:00+01:00",
+                     "9999-12-31T23:59:59Z", "9999-12-31T23:59:59-01:00",
+                     "1e999", "nan", "-0"]),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+_VALID_FIELDS = {"case_id": "C1", "source_id": None, "date": "2014-03-01",
+                 "longitude": 0, "latitude": 0}
+
+
+@st.composite
+def _any_line(draw, format):
+    """Arbitrary text, or a valid record's fields with any of them
+    dropped or replaced by arbitrary values, plus a stray key."""
+    if draw(st.booleans()):
+        return draw(_line_text)
+    fields = dict(_VALID_FIELDS)
+    for key in draw(st.sets(st.sampled_from(CSV_HEADER + ("extra",)))):
+        value = draw(st.just(...) | _field_values)
+        if value is ...:
+            fields.pop(key, None)
+        else:
+            fields[key] = value
+    if format == "jsonl":
+        return json.dumps(fields)
+    return ",".join("" if v is None else str(v) for v in fields.values())
+
+
+@settings(max_examples=400)
+@given(st.data(), st.sampled_from(FORMATS))
+def test_any_line_parses_to_a_record_or_a_parse_error(data, format):
+    line = data.draw(_any_line(format))
+    try:
+        assert isinstance(parse_record(line, format), CaseRecord)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=150)
+@given(st.data(), st.sampled_from(FORMATS), st.booleans())
+def test_read_stream_yields_a_record_or_a_diagnostic_per_line(data, format,
+                                                              header):
+    lines = data.draw(st.lists(_any_line(format), max_size=8))
+    if header:
+        lines.insert(0, ",".join(CSV_HEADER))
+    text = "\n".join(lines)
+    seen: list[Diagnostic] = []
+    records = list(read_stream(io.StringIO(text), format, on_error=seen.append))
+    nonblank = [line for line in lines if line.rstrip("\r").strip()]
+    skipped = header and format == "csv"  # the header row is no record
+    assert len(records) + len(seen) == len(nonblank) - skipped
+    assert all(d.kind == "parse-error" for d in seen)
+    try:
+        assert list(read_stream(io.StringIO(text), format, strict=True)) == records
+    except ParseError:
+        assert seen
 
 
 # --- stream validation --------------------------------------------------
