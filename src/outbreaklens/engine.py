@@ -21,6 +21,11 @@ source turns up later in time than the case, the case gets
 waiting at flush() gets ``dangling-source``. With ``on_bad_link=
 "reject"`` each of these raises ValidationError instead.
 
+A record whose window would end after the last representable instant
+(9999-12-31T23:59:59Z) is dropped with a ``beyond-range`` diagnostic
+before it moves the watermark, so no window end ever overflows; under
+``on_bad_link="reject"`` it raises ValidationError too.
+
 For timestamp-ordered feeds every emitted report equals the offline
 pipeline's over the same window, and the link diagnostics equal
 ``validate_stream``'s up to order. Out-of-order feeds keep exact
@@ -284,18 +289,31 @@ class RecognitionEngine:
                 self.diagnostics.append(
                     bad_link("source-after-case", child, self.on_bad_link))
         self._seen_ids[case] = ts
+        index = None
+        if self.spec is not None and ts >= self.spec.origin:
+            index = (ts - self.spec.origin) // self.spec.period
+            try:
+                self.spec.window(index)
+            except OverflowError:
+                problem = (f"the window of case {case!r} would end after "
+                           f"{format_timestamp(datetime.max)}")
+                if self.on_bad_link == "reject":
+                    raise ValidationError(problem) from None
+                self.diagnostics.append(Diagnostic(
+                    kind="beyond-range", case_id=case,
+                    message=problem + "; dropped"))
+                return []
         if self._watermark is None or ts > self._watermark:
             self._watermark = ts
 
         if self.spec is None:
             self._cumulative.add(record)
             return []
-        if ts < self.spec.origin:
+        if index is None:
             self.diagnostics.append(Diagnostic(
                 kind="before-origin", case_id=case,
                 message=f"case {case!r} predates the window origin; dropped"))
         else:
-            index = (ts - self.spec.origin) // self.spec.period
             if self.spec.mode == "tumbling":
                 if index < self._next:
                     self.diagnostics.append(Diagnostic(

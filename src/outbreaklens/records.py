@@ -17,6 +17,7 @@ import io
 import json
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
 
@@ -62,6 +63,7 @@ def normalize_timestamp(value: datetime) -> datetime:
     return value
 
 
+@lru_cache(maxsize=4096)  # feeds repeat their dates; datetimes are immutable
 def parse_timestamp(text: str) -> datetime:
     """Parse an instant from ISO-style text.
 
@@ -81,6 +83,7 @@ def parse_timestamp(text: str) -> datetime:
         raise ValueError(f"unparseable date: {text!r}") from None
 
 
+@lru_cache(maxsize=4096)  # equal instants format alike, whatever their zone
 def format_timestamp(value: datetime) -> str:
     return normalize_timestamp(value).strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -124,20 +127,41 @@ class CaseRecord:
         object.__setattr__(self, "timestamp", normalize_timestamp(self.timestamp))
 
 
+def _normal_record(case_id: str, source_id: str | None, timestamp: datetime,
+                   location: GeoPoint) -> CaseRecord:
+    """A CaseRecord from fields already in the form __post_init__ gives
+    them (a non-empty id, a source that is None or another non-empty id,
+    a UTC whole-second timestamp), built without running it again."""
+    record = object.__new__(CaseRecord)
+    record.__dict__.update(case_id=case_id, source_id=source_id,
+                           timestamp=timestamp, location=location)
+    return record
+
+
+def _csv_row(line: str, line_no: int | None) -> list[str]:
+    """The cells csv.reader makes of one line. A line with no quote and
+    no line break, no longer than the reader's field limit, is split on
+    commas directly, which is what the reader would do with it."""
+    if (line and '"' not in line and "\r" not in line and "\n" not in line
+            and len(line) <= csv.field_size_limit()):
+        return line.split(",")
+    try:
+        return next(csv.reader([line]))
+    except (csv.Error, StopIteration):
+        raise ParseError("malformed CSV line", line_no=line_no) from None
+
+
 def parse_record(line: str, format: str = "csv", *,
                  line_no: int | None = None) -> CaseRecord:
     """Parse one line in the declared format into a CaseRecord."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     if format == "csv":
-        try:
-            row = next(csv.reader([line]))
-        except (csv.Error, StopIteration):
-            raise ParseError("malformed CSV line", line_no=line_no) from None
+        row = _csv_row(line, line_no)
         if len(row) != len(CSV_HEADER):
             raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}",
                              line_no=line_no)
-        raw = dict(zip(CSV_HEADER, (cell.strip() for cell in row)))
+        case_id, source, date, *coords = [cell.strip() for cell in row]
     else:
         try:
             obj = json.loads(line)
@@ -149,29 +173,31 @@ def parse_record(line: str, format: str = "csv", *,
         if missing:
             raise ParseError(f"missing keys: {', '.join(missing)}",
                              line_no=line_no, field=missing[0])
-        raw = obj
+        case_id, source, date, *coords = [obj[key] for key in CSV_HEADER]
 
-    case_id = "" if raw["case_id"] is None else str(raw["case_id"]).strip()
+    case_id = "" if case_id is None else str(case_id).strip()
     if not case_id:
         raise ParseError("empty case_id", line_no=line_no, field="case_id")
-    source = raw["source_id"]
     source_id = None if source is None else (str(source).strip() or None)
     try:
-        timestamp = parse_timestamp(str(raw["date"]))
+        timestamp = parse_timestamp(str(date))
     except ValueError as exc:
         raise ParseError(str(exc), line_no=line_no, field="date") from None
-    coords = {}
-    for key in ("longitude", "latitude"):
+    numbers = []
+    for key, value in zip(("longitude", "latitude"), coords):
         try:
-            coords[key] = float(raw[key])
+            numbers.append(float(value))
         except (TypeError, ValueError, OverflowError):  # an int past float range
-            raise ParseError(f"not a number: {raw[key]!r}",
+            raise ParseError(f"not a number: {value!r}",
                              line_no=line_no, field=key) from None
     try:
-        location = GeoPoint(coords["longitude"], coords["latitude"])
-        return CaseRecord(case_id, source_id, timestamp, location)
+        location = GeoPoint(*numbers)
     except ValueError as exc:
         raise ParseError(str(exc), line_no=line_no) from None
+    if source_id == case_id:
+        raise ParseError(f"case {case_id!r} lists itself as source",
+                         line_no=line_no)
+    return _normal_record(case_id, source_id, timestamp, location)
 
 
 def serialize_record(record: CaseRecord, format: str = "csv") -> str:
@@ -179,28 +205,28 @@ def serialize_record(record: CaseRecord, format: str = "csv") -> str:
     parsing the result yields an equal record."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
-    date = format_timestamp(record.timestamp)
     if format == "csv":
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([
-            record.case_id,
-            record.source_id or "",
-            date,
-            repr(record.location.longitude),
-            repr(record.location.latitude),
-        ])
+        csv.writer(buf, lineterminator="\n").writerow(_csv_cells(record))
         return buf.getvalue().rstrip("\n")
     return json.dumps(
         {
             "case_id": record.case_id,
             "source_id": record.source_id,
-            "date": date,
+            "date": format_timestamp(record.timestamp),
             "longitude": record.location.longitude,
             "latitude": record.location.latitude,
         },
         sort_keys=True,
         separators=(",", ":"),
     )
+
+
+def _csv_cells(record: CaseRecord) -> list[str]:
+    location = record.location
+    return [record.case_id, record.source_id or "",
+            format_timestamp(record.timestamp), repr(location.longitude),
+            repr(location.latitude)]
 
 
 @dataclass(frozen=True)
@@ -340,7 +366,12 @@ def write_stream(records: Iterable[CaseRecord], target: TextIO,
     count = 0
     if format == "csv":
         target.write(",".join(CSV_HEADER) + "\n")
-    for record in records:
-        target.write(serialize_record(record, format) + "\n")
-        count += 1
+        writer = csv.writer(target, lineterminator="\n")
+        for record in records:
+            writer.writerow(_csv_cells(record))
+            count += 1
+    else:
+        for record in records:
+            target.write(serialize_record(record, format) + "\n")
+            count += 1
     return count

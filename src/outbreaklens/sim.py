@@ -16,9 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .records import CaseRecord, GeoPoint, normalize_timestamp, parse_timestamp
 
@@ -37,6 +35,11 @@ _TAG_CURVE = 4
 _CONFIG_KEYS = {"topology", "n_population", "p_transmit", "n_steps",
                 "index_cases", "jitter_km", "seed"}
 _DEFAULT_START = "2014-03-01"
+
+# numpy is imported inside the functions that draw random numbers, so
+# the analysis commands, which never simulate, do not pay for loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def load_regions() -> dict[str, GeoPoint]:
@@ -171,6 +174,8 @@ def _attachment_edges(topology: str, n: int,
 
 def generate_network(config: SimConfig) -> SyntheticNetwork:
     """Deterministic synthetic contact structure for the config seed."""
+    import numpy as np
+
     rng = np.random.default_rng([config.seed, _TAG_NETWORK])
     edges = _attachment_edges(config.topology, config.n_population, rng)
     return SyntheticNetwork(config.n_population, edges, config.topology,
@@ -202,6 +207,8 @@ def simulate_outbreak(network: SyntheticNetwork,
     Geography draws use a separate substream from transmission draws,
     so the infection tree is invariant to jitter_km.
     """
+    import numpy as np
+
     if not config.index_cases:
         raise ValueError("config has no index cases")
     if len(config.index_cases) > network.n:
@@ -222,6 +229,11 @@ def simulate_outbreak(network: SyntheticNetwork,
 
     records: list[CaseRecord] = []
     infected_at: dict[int, int] = {}
+    # Infected nodes that may still have a susceptible neighbour. A node
+    # leaves once its scan in a step leaves every neighbour infected or
+    # claimed: it would never draw a random number again, so skipping it
+    # keeps every draw, and the output, as if each infected node were visited.
+    frontier: set[int] = set()
     locations: dict[int, GeoPoint] = {}
     ids: dict[int, str] = {}
     seq = 0
@@ -243,20 +255,27 @@ def simulate_outbreak(network: SyntheticNetwork,
         for node, ic in activations.get(step_idx, ()):
             if node not in infected_at:  # may already be infected by spread
                 infected_at[node] = step_idx
+                frontier.add(node)
                 emit(node, None, instant, ic.location)
         if step_idx == 0 or p == 0.0:
             continue
         claimed: dict[int, int] = {}  # target -> infector, smallest id first
-        for node in sorted(infected_at):
+        for node in sorted(frontier):
             if infected_at[node] >= step_idx:
                 continue  # infected this step; transmits from the next one
+            susceptible_left = False
             for nbr in adjacency[node]:
                 if nbr in infected_at or nbr in claimed:
                     continue
                 if rng_spread.random() < p:
                     claimed[nbr] = node
+                else:
+                    susceptible_left = True
+            if not susceptible_left:
+                frontier.discard(node)
         for target, infector in claimed.items():
             infected_at[target] = step_idx
+            frontier.add(target)
             if config.jitter_km > 0:
                 dx, dy = rng_geo.normal(0.0, config.jitter_km, size=2)
             else:
@@ -271,6 +290,8 @@ def _geometric_delays(us: np.ndarray, p: float) -> np.ndarray | None:
     uniforms produce delays that are non-increasing in p, so final sizes
     are monotone in p within a replication. Returns None when p = 0
     (no transmission, infinite delay)."""
+    import numpy as np
+
     if p == 0.0:
         return None
     if p == 1.0:
@@ -296,6 +317,8 @@ def final_size_curve(topology: str, p_grid: Sequence[float],
     returns (means, per_replication) where per_replication[r][i] is the
     fraction for p_grid[i] in replication r.
     """
+    import numpy as np
+
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
     if replications < 1:

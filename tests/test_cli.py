@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -318,6 +319,37 @@ def test_whole_stream_computes_no_window_end(cli):
     assert json.loads(out)["n_edges"] == 4
 
 
+LAST_DAY = "B,,9999-12-31T23:59:59Z,0,0\n"  # its day's window ends past year 9999
+
+
+@pytest.mark.parametrize("command,window", [("stream", "tumbling:1d"),
+                                            ("analyze", "cumulative:1d")])
+@pytest.mark.parametrize("first,end", [
+    ("A,,9999-12-30T00:00:00Z,0,0\n", "9999-12-31T00:00:00Z"),
+    ("A,,2014-03-01,0,0\n", "2014-03-02T00:00:00Z"),
+], ids=["day-before", "from-2014"])
+def test_window_past_the_last_instant_drops_the_record(cli, command, window,
+                                                       first, end):
+    # the record is dropped before it moves the watermark, so no window
+    # end overflows and no window between the two records is emitted
+    start = time.perf_counter()
+    code, out, err = cli(command, "--window", window, stdin=first + LAST_DAY)
+    assert code == EXIT_OK, err
+    assert err == ("warning: the window of case 'B' would end after "
+                   "9999-12-31T23:59:59Z; dropped\n")
+    *reports, summary = [json.loads(line) for line in out.splitlines()]
+    assert [r["window"]["end"] for r in reports] == [end]
+    assert reports[0]["n_vertices"] == 1
+    assert summary["summary"]["windows"] == 1
+
+    code, out, err = cli(command, "--window", window, "--strict",
+                         stdin=first + LAST_DAY)
+    assert code == EXIT_INPUT
+    assert err == ("error: the window of case 'B' would end after "
+                   "9999-12-31T23:59:59Z\n")
+    assert time.perf_counter() - start < 0.5
+
+
 def test_stream_requires_a_windowed_mode(cli):
     code, _, err = cli("stream", "--window", "all", stdin=TINY)
     assert code == EXIT_USAGE
@@ -539,3 +571,26 @@ def test_benchmark_trace_hooks_all_resolve():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_only_simulate_imports_numpy(outbreak_csv, tmp_path):
+    # numpy's import is most of the start-up of a command; the analysis
+    # commands never need it
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = f"""
+import sys
+from outbreaklens import cli
+assert cli.main(["--version"]) == 0
+for command in (["analyze"], ["analyze", "--window", "cumulative:1d"],
+                ["stream"], ["plot", "--log-log"]):
+    argv = command + ["--input", {str(outbreak_csv)!r},
+                      "--output", {str(tmp_path / "out")!r}]
+    assert cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules
+assert cli.main(["simulate", "--output", {str(tmp_path / "sim.csv")!r}]) == 0
+assert "numpy" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

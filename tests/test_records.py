@@ -1,14 +1,17 @@
 """Record parsing, timestamp handling, and stream validation."""
 
+import csv
 import io
 import json
 import math
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outbreaklens import records
 from outbreaklens.records import (
     CSV_HEADER,
     FORMATS,
@@ -242,6 +245,63 @@ def test_read_stream_yields_a_record_or_a_diagnostic_per_line(data, format,
         assert list(read_stream(io.StringIO(text), format, strict=True)) == records
     except ParseError:
         assert seen
+
+
+def _reader_row(line, line_no):
+    """The cells of one CSV line as csv.reader alone makes them."""
+    try:
+        return next(csv.reader([line]))
+    except (csv.Error, StopIteration):
+        raise ParseError("malformed CSV line", line_no=line_no) from None
+
+
+def _parsed(line):
+    try:
+        return parse_record(line, "csv", line_no=3)
+    except ParseError as exc:
+        return str(exc)
+
+
+_csv_text = st.text(alphabet=st.sampled_from(',"\r\n \t\x00\\:-.+eZ019AC'))
+
+
+@settings(max_examples=400)
+@given(st.one_of(_any_line("csv"), _csv_text, _line_text))
+def test_split_path_parses_as_the_csv_reader_does(line):
+    fast = _parsed(line)
+    with mock.patch.object(records, "_csv_row", _reader_row):
+        assert _parsed(line) == fast  # the same record or the same message
+    if isinstance(fast, CaseRecord):
+        # built without __post_init__, yet what the constructor would make
+        again = CaseRecord(fast.case_id, fast.source_id, fast.timestamp,
+                           fast.location)
+        assert again == fast
+        assert again.timestamp.tzinfo is fast.timestamp.tzinfo
+
+
+def test_over_long_cell_is_malformed_on_either_path():
+    limit = csv.field_size_limit(20)
+    try:
+        line = "C" * 21 + ",,2014-03-01,0,0"
+        assert _parsed(line) == "line 3: malformed CSV line"
+        assert isinstance(_parsed("C" * 10 + ",,2014-03-01,0,0"), CaseRecord)
+    finally:
+        csv.field_size_limit(limit)
+
+
+_records = st.tuples(
+    _ids | st.text(min_size=1, max_size=6), st.none() | _ids, _instants,
+    _lons, _lats).filter(lambda t: t[0] != t[1]).map(lambda t: rec(*t))
+
+
+@settings(max_examples=100)
+@given(st.lists(_records, max_size=6), st.sampled_from(FORMATS))
+def test_write_stream_writes_the_header_and_each_serialized_record(recs, format):
+    buf = io.StringIO()
+    assert write_stream(iter(recs), buf, format) == len(recs)
+    header = ",".join(CSV_HEADER) + "\n" if format == "csv" else ""
+    assert buf.getvalue() == header + "".join(
+        serialize_record(r, format) + "\n" for r in recs)
 
 
 # --- stream validation --------------------------------------------------

@@ -3,17 +3,22 @@
 import json
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from outbreaklens.graph import build_graph
-from outbreaklens.records import GeoPoint
+from outbreaklens.records import CaseRecord, GeoPoint
 from outbreaklens.sim import (
+    STEP,
+    _TAG_GEO,
+    _TAG_SPREAD,
     IndexCase,
     SimConfig,
     SyntheticNetwork,
     final_size_curve,
     generate_network,
     load_regions,
+    _jittered,
     simulate_outbreak,
 )
 
@@ -231,6 +236,82 @@ def test_simulate_needs_index_cases():
     net = generate_network(config(n_population=10))
     with pytest.raises(ValueError):
         simulate_outbreak(net, SimConfig(n_population=10))
+
+
+def _visit_every_infected_node(network, cfg):
+    """simulate_outbreak as it was before the frontier: every step visits
+    every infected node, in ascending id order."""
+    rng_spread = np.random.default_rng([cfg.seed, _TAG_SPREAD])
+    rng_geo = np.random.default_rng([cfg.seed, _TAG_GEO])
+    adjacency = network.adjacency()
+    nodes = rng_spread.choice(network.n, size=len(cfg.index_cases),
+                              replace=False)
+    base = min(ic.start for ic in cfg.index_cases)
+    activations = {}
+    for node, ic in zip((int(v) for v in nodes), cfg.index_cases):
+        activations.setdefault(-((base - ic.start) // STEP), []).append((node, ic))
+    records, infected_at, locations, ids = [], {}, {}, {}
+
+    def emit(node, source, instant, loc):
+        ids[node] = f"C{len(records) + 1:06d}"
+        locations[node] = loc
+        records.append(CaseRecord(ids[node],
+                                  None if source is None else ids[source],
+                                  instant, loc))
+
+    for step_idx in range(cfg.n_steps + 1):
+        instant = base + step_idx * STEP
+        for node, ic in activations.get(step_idx, ()):
+            if node not in infected_at:
+                infected_at[node] = step_idx
+                emit(node, None, instant, ic.location)
+        if step_idx == 0 or cfg.p_transmit == 0.0:
+            continue
+        claimed = {}
+        for node in sorted(infected_at):
+            if infected_at[node] >= step_idx:
+                continue
+            for nbr in adjacency[node]:
+                if nbr in infected_at or nbr in claimed:
+                    continue
+                if rng_spread.random() < cfg.p_transmit:
+                    claimed[nbr] = node
+        for target, infector in claimed.items():
+            infected_at[target] = step_idx
+            if cfg.jitter_km > 0:
+                dx, dy = rng_geo.normal(0.0, cfg.jitter_km, size=2)
+            else:
+                dx = dy = 0.0
+            emit(target, infector, instant,
+                 _jittered(locations[infector], float(dx), float(dy)))
+    return tuple(records)
+
+
+STAGGERED = (IndexCase(GeoPoint(-10.0, 8.0), T0),
+             IndexCase(GeoPoint(-11.0, 7.0), T0 + timedelta(days=4)),
+             IndexCase(GeoPoint(-9.0, 9.0), T0 + timedelta(days=9, hours=6)))
+
+
+@pytest.mark.parametrize("topology", ["preferential-attachment",
+                                      "uniform-attachment"])
+@pytest.mark.parametrize("kw", [
+    dict(p_transmit=0.3),
+    dict(p_transmit=1.0),
+    dict(p_transmit=0.15, index_cases=STAGGERED),
+    dict(p_transmit=0.5, jitter_km=0.0),
+    dict(p_transmit=1.0, index_cases=STAGGERED, jitter_km=0.0),
+], ids=["p0.3", "p1", "staggered", "no-jitter", "p1-staggered-no-jitter"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_frontier_visits_give_the_records_of_visiting_every_node(topology, kw,
+                                                                 seed):
+    # a node leaves the frontier only when it would draw no more random
+    # numbers, so every draw, and every record, is as before
+    cfg = config(topology=topology, n_population=600, n_steps=25, seed=seed,
+                 **kw)
+    network = generate_network(cfg)
+    records = simulate_outbreak(network, cfg)
+    assert len(records) > len(cfg.index_cases)
+    assert records == _visit_every_infected_node(network, cfg)
 
 
 def test_fixture_regenerates_exactly(outbreak_csv, sim_config_path):
