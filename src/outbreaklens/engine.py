@@ -39,7 +39,7 @@ prefix. No record is late to the whole-stream report.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from typing import Iterable, Iterator, Sequence
 
 from .fitting import (FAMILIES, FitError, StructureClass, fit_family,
@@ -53,6 +53,7 @@ from .records import (BAD_LINK_POLICIES, CaseRecord, Diagnostic,
 WINDOW_MODES = ("tumbling", "cumulative")
 
 _ONE_SECOND = timedelta(seconds=1)
+_LAST_INSTANT = datetime.max.replace(tzinfo=timezone.utc)
 
 
 @dataclass(frozen=True)
@@ -261,6 +262,9 @@ class RecognitionEngine:
         self._orphans: dict[str, list[CaseRecord]] = {}  # by missing source
         self._watermark: datetime | None = None
         self._next = 0  # next window index to emit
+        # the last window index whose end is still a representable instant
+        self._last_index = (None if spec is None else
+                            (_LAST_INSTANT - spec.origin) // spec.period - 1)
         self._ended = False
         self._builders: dict[int, _GraphBuilder] = {}   # tumbling
         self._cumulative = _GraphBuilder()              # cumulative, whole
@@ -292,13 +296,11 @@ class RecognitionEngine:
         index = None
         if self.spec is not None and ts >= self.spec.origin:
             index = (ts - self.spec.origin) // self.spec.period
-            try:
-                self.spec.window(index)
-            except OverflowError:
+            if index > self._last_index:
                 problem = (f"the window of case {case!r} would end after "
-                           f"{format_timestamp(datetime.max)}")
+                           f"{format_timestamp(_LAST_INSTANT)}")
                 if self.on_bad_link == "reject":
-                    raise ValidationError(problem) from None
+                    raise ValidationError(problem)
                 self.diagnostics.append(Diagnostic(
                     kind="beyond-range", case_id=case,
                     message=problem + "; dropped"))

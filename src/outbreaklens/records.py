@@ -54,6 +54,8 @@ class Diagnostic:
 
 def normalize_timestamp(value: datetime) -> datetime:
     """UTC, whole seconds. Naive datetimes are taken as UTC."""
+    if value.tzinfo is timezone.utc and not value.microsecond:
+        return value  # already normal, as every parsed timestamp is
     if value.tzinfo is None:
         value = value.replace(tzinfo=timezone.utc)
     else:
@@ -83,7 +85,6 @@ def parse_timestamp(text: str) -> datetime:
         raise ValueError(f"unparseable date: {text!r}") from None
 
 
-@lru_cache(maxsize=4096)  # equal instants format alike, whatever their zone
 def format_timestamp(value: datetime) -> str:
     return normalize_timestamp(value).strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -124,26 +125,18 @@ class CaseRecord:
             object.__setattr__(self, "source_id", None)
         if self.source_id == self.case_id:
             raise ValueError(f"case {self.case_id!r} lists itself as source")
-        object.__setattr__(self, "timestamp", normalize_timestamp(self.timestamp))
-
-
-def _normal_record(case_id: str, source_id: str | None, timestamp: datetime,
-                   location: GeoPoint) -> CaseRecord:
-    """A CaseRecord from fields already in the form __post_init__ gives
-    them (a non-empty id, a source that is None or another non-empty id,
-    a UTC whole-second timestamp), built without running it again."""
-    record = object.__new__(CaseRecord)
-    record.__dict__.update(case_id=case_id, source_id=source_id,
-                           timestamp=timestamp, location=location)
-    return record
+        timestamp = normalize_timestamp(self.timestamp)
+        if timestamp is not self.timestamp:
+            object.__setattr__(self, "timestamp", timestamp)
 
 
 def _csv_row(line: str, line_no: int | None) -> list[str]:
-    """The cells csv.reader makes of one line. A line with no quote and
-    no line break, no longer than the reader's field limit, is split on
-    commas directly, which is what the reader would do with it."""
+    """The cells csv.reader makes of one line. A line with no quote, no
+    line break and no NUL (which csv.reader rejects before Python 3.11),
+    no longer than the reader's field limit, is split on commas directly,
+    which is what the reader would do with it."""
     if (line and '"' not in line and "\r" not in line and "\n" not in line
-            and len(line) <= csv.field_size_limit()):
+            and "\x00" not in line and len(line) <= csv.field_size_limit()):
         return line.split(",")
     try:
         return next(csv.reader([line]))
@@ -191,13 +184,9 @@ def parse_record(line: str, format: str = "csv", *,
             raise ParseError(f"not a number: {value!r}",
                              line_no=line_no, field=key) from None
     try:
-        location = GeoPoint(*numbers)
+        return CaseRecord(case_id, source_id, timestamp, GeoPoint(*numbers))
     except ValueError as exc:
         raise ParseError(str(exc), line_no=line_no) from None
-    if source_id == case_id:
-        raise ParseError(f"case {case_id!r} lists itself as source",
-                         line_no=line_no)
-    return _normal_record(case_id, source_id, timestamp, location)
 
 
 def serialize_record(record: CaseRecord, format: str = "csv") -> str:

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -332,7 +331,6 @@ def test_window_past_the_last_instant_drops_the_record(cli, command, window,
                                                        first, end):
     # the record is dropped before it moves the watermark, so no window
     # end overflows and no window between the two records is emitted
-    start = time.perf_counter()
     code, out, err = cli(command, "--window", window, stdin=first + LAST_DAY)
     assert code == EXIT_OK, err
     assert err == ("warning: the window of case 'B' would end after "
@@ -347,7 +345,6 @@ def test_window_past_the_last_instant_drops_the_record(cli, command, window,
     assert code == EXIT_INPUT
     assert err == ("error: the window of case 'B' would end after "
                    "9999-12-31T23:59:59Z\n")
-    assert time.perf_counter() - start < 0.5
 
 
 def test_stream_requires_a_windowed_mode(cli):

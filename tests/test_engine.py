@@ -130,6 +130,29 @@ def test_before_origin_record_dropped_with_diagnostic():
     assert [d.kind for d in engine.diagnostics] == ["before-origin"]
 
 
+@pytest.mark.parametrize("mode", ["tumbling", "cumulative"])
+@pytest.mark.parametrize("origin,period", [
+    (datetime(9999, 12, 31, 23, 59, 58, tzinfo=UTC), timedelta(seconds=1)),
+    (datetime(9999, 12, 30, tzinfo=UTC), DAY),
+    (datetime(9999, 11, 1, tzinfo=UTC), timedelta(days=7)),
+    (datetime(9999, 12, 31, tzinfo=UTC), timedelta(hours=5)),
+])
+def test_the_last_window_kept_is_the_last_that_ends(mode, origin, period):
+    # a record is kept exactly when its window's end is representable
+    spec = WindowSpec(mode, period, origin)
+    engine = RecognitionEngine(spec)
+    last = engine._last_index
+    spec.window(last)
+    with pytest.raises(OverflowError):
+        spec.window(last + 1)
+    start = origin + last * period
+    engine.ingest(CaseRecord("A", None, start, GeoPoint(0.0, 0.0)))
+    beyond = start + period
+    engine.ingest(CaseRecord("B", None, beyond, GeoPoint(0.0, 0.0)))
+    assert [d.kind for d in engine.diagnostics] == ["beyond-range"]
+    assert engine.watermark == start
+
+
 def test_late_record_rejected_in_tumbling_mode():
     engine = RecognitionEngine(WindowSpec("tumbling", DAY, T0))
     engine.ingest(rec("A", None, 0))

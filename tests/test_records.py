@@ -8,7 +8,7 @@ from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from outbreaklens import records
@@ -267,16 +267,11 @@ _csv_text = st.text(alphabet=st.sampled_from(',"\r\n \t\x00\\:-.+eZ019AC'))
 
 @settings(max_examples=400)
 @given(st.one_of(_any_line("csv"), _csv_text, _line_text))
+@example("C\x00,,2014-03-01,0,0")  # csv.reader rejects NUL before 3.11
 def test_split_path_parses_as_the_csv_reader_does(line):
     fast = _parsed(line)
     with mock.patch.object(records, "_csv_row", _reader_row):
         assert _parsed(line) == fast  # the same record or the same message
-    if isinstance(fast, CaseRecord):
-        # built without __post_init__, yet what the constructor would make
-        again = CaseRecord(fast.case_id, fast.source_id, fast.timestamp,
-                           fast.location)
-        assert again == fast
-        assert again.timestamp.tzinfo is fast.timestamp.tzinfo
 
 
 def test_over_long_cell_is_malformed_on_either_path():
