@@ -13,7 +13,7 @@ import io
 import json
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -66,11 +66,12 @@ class _Parser(argparse.ArgumentParser):
 def parse_duration(text: str) -> timedelta:
     """Durations like 15m, 1h, 1d (also seconds: 90s)."""
     match = _DURATION_RE.match(text.strip())
-    if not match or not int(match.group(1)):
-        raise ValueError(f"bad duration {text!r}; use positive forms like "
-                         f"15m, 1h, 1d")
-    value, unit = match.groups()
-    return timedelta(**{_DURATION_UNITS[unit]: int(value)})
+    with suppress(OverflowError):  # longer than the longest timedelta
+        if match and int(match.group(1)):
+            value, unit = match.groups()
+            return timedelta(**{_DURATION_UNITS[unit]: int(value)})
+    raise ValueError(f"bad duration {text!r}; use positive forms like "
+                     f"15m, 1h, 1d")
 
 
 def parse_window_flag(text: str) -> tuple[str, timedelta] | None:

@@ -5,7 +5,8 @@ incrementally, and emits one structure report per closed window. A
 window closes when the watermark (largest event timestamp seen) passes
 its end; flushing the stream closes every remaining scheduled window.
 With no schedule (``spec=None``) the whole stream is one graph, reported
-at flush().
+at flush(). Between records the engine holds the id map, the records
+waiting for their source, and one graph.
 
 Ingestion is single-threaded and ordered. Closed windows could be
 fitted in parallel (fitting is pure over immutable samples); emission
@@ -52,7 +53,6 @@ from .records import (BAD_LINK_POLICIES, CaseRecord, Diagnostic,
 
 WINDOW_MODES = ("tumbling", "cumulative")
 
-_ONE_SECOND = timedelta(seconds=1)
 _LAST_INSTANT = datetime.max.replace(tzinfo=timezone.utc)
 
 
@@ -83,7 +83,8 @@ class WindowSpec:
 
 def schedule_windows(spec: WindowSpec, extent: TimeWindow) -> tuple[TimeWindow, ...]:
     """The ordered windows a WindowSpec produces over the extent: enough
-    periods to cover [origin, extent.end)."""
+    periods to cover [origin, extent.end). No command calls it; the
+    engine closes windows by index, and tests compare with this."""
     span = extent.end - spec.origin
     if span <= timedelta(0):
         return ()
@@ -227,10 +228,9 @@ class _GraphBuilder:
                 histogram[d] -= 1
             histogram[d + 1] = histogram.get(d + 1, 0) + 1
 
-    def graph(self, as_of: datetime | None) -> GraphCounts:
+    def graph(self) -> GraphCounts:
         # the histogram is copied: the builder keeps mutating after emission
-        return GraphCounts(len(self.degree), self.n_edges,
-                           dict(self.histogram), as_of)
+        return GraphCounts(len(self.degree), self.n_edges, dict(self.histogram))
 
 
 class RecognitionEngine:
@@ -240,8 +240,10 @@ class RecognitionEngine:
     flush() ends the stream and closes the rest of the schedule, empty
     windows included. With ``spec=None`` every record goes into one
     graph, and flush() returns its one report, even for an empty stream.
-    Cumulative graph maintenance is amortized O(new records); fitting is
-    recomputed per window (tail scans do not incrementalize).
+    Between records it holds ``_seen_ids`` (the id map), ``_orphans``
+    (records waiting for their source) and ``_graph``: the open window's
+    graph, or in cumulative and whole-stream mode every record's so far.
+    Fitting is recomputed per window (tail scans do not incrementalize).
     """
 
     def __init__(self, spec: WindowSpec | None,
@@ -266,9 +268,7 @@ class RecognitionEngine:
         self._last_index = (None if spec is None else
                             (_LAST_INSTANT - spec.origin) // spec.period - 1)
         self._ended = False
-        self._builders: dict[int, _GraphBuilder] = {}   # tumbling
-        self._cumulative = _GraphBuilder()              # cumulative, whole
-        self._pending: dict[int, list[CaseRecord]] = {}  # cumulative, by index
+        self._graph = _GraphBuilder()
 
     @property
     def watermark(self) -> datetime | None:
@@ -309,45 +309,39 @@ class RecognitionEngine:
             self._watermark = ts
 
         if self.spec is None:
-            self._cumulative.add(record)
+            self._graph.add(record)
             return []
+        closed = self._close(
+            (self._watermark - self.spec.origin) // self.spec.period)
         if index is None:
             self.diagnostics.append(Diagnostic(
                 kind="before-origin", case_id=case,
                 message=f"case {case!r} predates the window origin; dropped"))
-        else:
-            if self.spec.mode == "tumbling":
-                if index < self._next:
-                    self.diagnostics.append(Diagnostic(
-                        kind="late-record", case_id=case,
-                        message=f"case {case!r} arrived after its "
-                                f"window closed; rejected"))
-                else:
-                    self._builders.setdefault(index, _GraphBuilder()).add(record)
-            else:
-                if index < self._next:
-                    self.diagnostics.append(Diagnostic(
-                        kind="late-record", case_id=case,
-                        message=f"case {case!r} arrived after its "
-                                f"window closed; absorbed into the next one"))
-                    index = self._next
-                self._pending.setdefault(index, []).append(record)
-        closed = []
-        while (window := self.spec.window(self._next)).end <= self._watermark:
-            closed.append(self._emit(window))
+        elif index < self._next:  # its window is closed
+            absorb = self.spec.mode == "cumulative"
+            outcome = "absorbed into the next one" if absorb else "rejected"
+            self.diagnostics.append(Diagnostic(
+                kind="late-record", case_id=case,
+                message=f"case {case!r} arrived after its window closed; "
+                        f"{outcome}"))
+            if absorb:
+                self._graph.add(record)
+        else:  # the open window; the windows before it closed above
+            self._graph.add(record)
         return closed
 
-    def _emit(self, window: TimeWindow) -> StructureReport:
-        index = self._next
-        if self.spec.mode == "tumbling":
-            builder = self._builders.pop(index, None) or _GraphBuilder()
-        else:
-            for record in self._pending.pop(index, ()):
-                self._cumulative.add(record)
-            builder = self._cumulative
-        self._next += 1
-        return report_for_graph(builder.graph(as_of=window.end), window,
-                                self.families, self.rule, self.include_isolated)
+    def _close(self, stop: int) -> list[StructureReport]:
+        """Report every window from the open one up to index ``stop``
+        (exclusive), in order."""
+        closed = []
+        while self._next < stop:
+            closed.append(report_for_graph(
+                self._graph.graph(), self.spec.window(self._next),
+                self.families, self.rule, self.include_isolated))
+            if self.spec.mode == "tumbling":
+                self._graph = _GraphBuilder()
+            self._next += 1
+        return closed
 
     def flush(self) -> list[StructureReport]:
         """End of stream: report every case still waiting for its source
@@ -362,14 +356,12 @@ class RecognitionEngine:
                 self.diagnostics.append(
                     bad_link("dangling-source", child, self.on_bad_link))
         if self.spec is None:
-            return [report_for_graph(self._cumulative.graph(self._watermark),
-                                     None, self.families, self.rule,
-                                     self.include_isolated)]
+            return [report_for_graph(self._graph.graph(), None, self.families,
+                                     self.rule, self.include_isolated)]
         if self._watermark is None:
             return []
-        last = TimeWindow(self._watermark, self._watermark + _ONE_SECOND)
-        return [self._emit(window)
-                for window in schedule_windows(self.spec, last)[self._next:]]
+        return self._close(
+            (self._watermark - self.spec.origin) // self.spec.period + 1)
 
 
 def run(stream: Iterable[CaseRecord], spec: WindowSpec,

@@ -109,7 +109,6 @@ class GraphCounts:
     n_vertices: int
     n_edges: int
     histogram: Mapping[int, int]
-    as_of: datetime | None = None
 
     def degree_counts(self) -> Mapping[int, int]:
         return self.histogram

@@ -315,24 +315,30 @@ def read_stream(source: Union[str, Path, TextIO], format: str = "csv", *,
                 ) -> Iterator[CaseRecord]:
     """Yield records one at a time without loading the whole input.
 
-    Blank lines are skipped; a leading CSV header row is recognized and
-    skipped. In lenient mode (default) each malformed line produces a
-    Diagnostic through ``on_error`` and reading continues; strict mode
-    raises on the first bad line. Cross-record checks (duplicate ids,
-    link resolution) are the caller's concern; see validate_stream and
-    the engine.
+    Blank lines are skipped. A byte-order mark (U+FEFF) at the start of
+    the first non-blank line is dropped, and a CSV header row as that
+    line is skipped. In lenient mode (default) each malformed line
+    produces a Diagnostic through ``on_error`` and reading continues;
+    strict mode raises on the first bad line. Cross-record checks
+    (duplicate ids, link resolution) are the caller's concern; see
+    validate_stream and the engine.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     own = isinstance(source, (str, Path))
     handle = open(source, "r", encoding="utf-8") if own else source
+    first = True  # no non-blank line read yet
     try:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\r\n")
+            if first:
+                line = line.removeprefix("\ufeff")  # a byte-order mark
             if not line.strip():
                 continue
-            if format == "csv" and line_no == 1 and _is_csv_header(line):
-                continue
+            if first:
+                first = False
+                if format == "csv" and _is_csv_header(line):
+                    continue
             try:
                 yield parse_record(line, format, line_no=line_no)
             except ParseError as exc:

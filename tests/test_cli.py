@@ -48,6 +48,7 @@ USAGE_ERRORS = [
     ("--families", "weibull"),
     ("--origin", "notadate", "--window", "tumbling:1d"),
     ("--window", "cumulative:0m"),
+    ("--window", "tumbling:9999999999d"),  # past the longest timedelta
 ]
 
 
@@ -64,7 +65,8 @@ def test_parse_duration(text, expected):
     assert parse_duration(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "5", "m5", "5w", "1.5h", "h", "0d"])
+@pytest.mark.parametrize("text", ["", "5", "m5", "5w", "1.5h", "h", "0d",
+                                  "9999999999d", "99999999999999999999s"])
 def test_parse_duration_rejects(text):
     with pytest.raises(ValueError):
         parse_duration(text)
@@ -137,6 +139,30 @@ def test_analyze_strict_rejects_dangling(cli, tmp_path):
                          "--strict")
     assert code == EXIT_INPUT
     assert "GHOST" in err
+
+
+_TINY_JSONL = "".join(
+    json.dumps(dict(zip(TINY.splitlines()[0].split(","), line.split(",")))) + "\n"
+    for line in TINY.splitlines()[1:])
+
+
+@pytest.mark.parametrize("text,format", [
+    ("\n" + TINY, "csv"),                        # a blank line, then the header
+    ("\ufeff" + TINY, "csv"),                    # a byte-order mark
+    ("\ufeff" + _TINY_JSONL, "jsonl"),
+], ids=["blank-then-header", "csv-bom", "jsonl-bom"])
+@pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["lenient", "strict"])
+def test_valid_record_file_reads_without_a_warning(cli, tmp_path, text,
+                                                   format, strict):
+    def report(content):  # both files at one path, so one config too
+        src = tmp_path / "cases"
+        src.write_bytes(content.encode("utf-8"))
+        code, out, err = cli("analyze", "--input", str(src), "--format", format,
+                             *strict)
+        assert (code, err) == (EXIT_OK, "")
+        return out
+
+    assert report(text) == report(TINY if format == "csv" else _TINY_JSONL)
 
 
 def test_analyze_missing_file(cli):

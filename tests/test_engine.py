@@ -1,5 +1,7 @@
 """Windowed streaming engine against the batch pipeline."""
 
+import gc
+import weakref
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -187,6 +189,30 @@ def test_child_arriving_before_source_still_links():
     assert reports[0].n_edges == 1
 
 
+@pytest.mark.parametrize("mode", ["tumbling", "cumulative", None])
+def test_engine_keeps_no_record_but_those_waiting_for_their_source(mode):
+    spec = None if mode is None else WindowSpec(mode, timedelta(days=7), T0)
+    engine = RecognitionEngine(spec)
+    refs = []
+    for i in range(50):  # all in one open window
+        if i % 5 == 0:
+            source = f"GHOST{i}"  # never arrives
+        elif i % 2 == 0:
+            source = f"C{i + 1}"  # arrives next, at the same time
+        else:
+            source = None
+        record = rec(f"C{i}", source, 60 * (i // 2))
+        refs.append(weakref.ref(record))
+        assert engine.ingest(record) == []
+        del record
+    gc.collect()
+    alive = {ref().case_id for ref in refs if ref() is not None}
+    waiting = {child.case_id
+               for children in engine._orphans.values() for child in children}
+    assert alive == waiting == {f"C{i}" for i in range(0, 50, 5)}
+    assert [(r.n_vertices, r.n_edges) for r in engine.flush()] == [(50, 20)]
+
+
 def _drive(records, spec):
     engine = RecognitionEngine(spec)
     reports = []
@@ -249,8 +275,8 @@ def _check_snapshots(arrivals, spec):
     snapshots = []
     take_snapshot = engine_module._GraphBuilder.graph
 
-    def capture(builder, as_of):
-        snapshot = take_snapshot(builder, as_of)
+    def capture(builder):
+        snapshot = take_snapshot(builder)
         snapshots.append(snapshot)
         return snapshot
 
