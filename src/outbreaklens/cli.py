@@ -9,29 +9,21 @@ flags produce byte-identical outputs (reports and SVG alike).
 from __future__ import annotations
 
 import argparse
+import importlib
 import io
 import json
 import re
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 
-from . import __version__
-from .engine import (RecognitionEngine, StructureReport, WindowSpec,
-                     canonical_families, classify_trend)
-from .engine import report_for_graph  # noqa: F401  wrapped by perfbench/traced.py
-from .fitting import RULES
-from .fitting import fit_family  # noqa: F401  wrapped by perfbench/traced.py
-from .graph import degree_distribution
-from .graph import build_graph, degree_sample  # noqa: F401  wrapped by perfbench/traced.py
-from .records import (CaseRecord, Diagnostic, format_timestamp,
-                      parse_timestamp, read_stream, write_stream)
-from .records import validate_stream  # noqa: F401  wrapped by perfbench/traced.py
-from .plot import render_degree_plot
-from .sim import SimConfig, generate_network, simulate_outbreak
+from . import RULES, __version__, canonical_families
+
+if TYPE_CHECKING:
+    from .engine import RecognitionEngine, StructureReport
+    from .records import CaseRecord, Diagnostic
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -47,6 +39,24 @@ FAMILY_ALIASES = {
 
 _DURATION_RE = re.compile(r"^(\d+)([smhd])$")
 _DURATION_UNITS = {"s": "seconds", "m": "minutes", "h": "hours", "d": "days"}
+
+# Each command imports only the modules it runs. The names that
+# perfbench/traced.py wraps on this module are imported on first access
+# (PEP 562) and kept as globals; handlers call them through ``_module``.
+_LAZY = {"validate_stream": "records", "write_stream": "records",
+         "degree_sample": "graph", "build_graph": "graph",
+         "fit_family": "fitting", "report_for_graph": "engine",
+         "generate_network": "sim", "simulate_outbreak": "sim",
+         "render_degree_plot": "plot"}
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __package__)
+    globals()[name] = value = getattr(module, name)
+    return value
 
 
 class _CliError(Exception):
@@ -135,6 +145,8 @@ def _records_of(args, source: TextIO | None = None) -> Iterator[CaseRecord]:
     """The records of ``source`` (default: the input), read lazily. A
     file is opened on the first read, so an unreadable one raises
     OSError there."""
+    from .records import read_stream
+
     if source is None:
         source = sys.stdin if args.input in (None, "-") else args.input
     return read_stream(source, args.format, strict=args.strict,
@@ -148,6 +160,7 @@ def _reports(args, records: Iterable[CaseRecord],
     as windows close (with no window, one at end of input), diagnostics
     on stderr as the engine raises them. The origin defaults to midnight
     UTC of the first record's day. Unreadable or invalid input is exit 2."""
+    from .engine import RecognitionEngine, WindowSpec
 
     def engine_at(start: datetime | None) -> RecognitionEngine:
         spec = None if window is None else WindowSpec(*window, start)
@@ -182,6 +195,8 @@ def _whole_stream_report(args, records: Iterable[CaseRecord],
     """The whole-stream report that analyze --window all writes and plot
     renders: the structure report plus the empirical ``degree_pmf``,
     both read from one degree sample."""
+    from .graph import degree_distribution
+
     (report,) = _reports(args, records, None, None, families)
     pmf = degree_distribution(report.sample) if report.sample.n else {}
     out = report.to_json_dict()
@@ -191,6 +206,8 @@ def _whole_stream_report(args, records: Iterable[CaseRecord],
 
 def _run_config(args, command: str, origin: datetime | None,
                 families: Sequence[str]) -> dict:
+    from .records import format_timestamp
+
     return {
         "command": command,
         "input": args.input,
@@ -210,6 +227,8 @@ def _write_windowed(args, command: str, records: Iterable[CaseRecord],
                     families: Sequence[str]) -> int:
     """Write each report to the output as its window closes, then the
     summary line. Reports written before an input error stay."""
+    from .engine import classify_trend
+
     reports: list[StructureReport] = []
     with _output(args.output) as out:
         for report in _reports(args, records, window, origin, families):
@@ -232,6 +251,8 @@ def _by_time(records: Iterable[CaseRecord]) -> Iterator[CaseRecord]:
 
 
 def cmd_analyze(args) -> int:
+    from .records import parse_timestamp
+
     families = _flag(parse_families, args.families)
     window = _flag(parse_window_flag, args.window)
     origin = _flag(parse_timestamp, args.origin or None)
@@ -246,6 +267,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_stream(args) -> int:
+    from .records import parse_timestamp
+
     families = _flag(parse_families, args.families)
     window = _flag(parse_window_flag, args.window)
     if window is None:
@@ -258,6 +281,10 @@ def cmd_stream(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from dataclasses import replace
+
+    from .sim import SimConfig
+
     if args.input:
         text = _read_text(args.input)
         try:
@@ -272,19 +299,21 @@ def cmd_simulate(args) -> int:
         except ValueError as exc:
             raise _CliError(EXIT_USAGE, str(exc)) from None
 
-    network = generate_network(config)
-    records = simulate_outbreak(network, config)
+    network = _module.generate_network(config)
+    records = _module.simulate_outbreak(network, config)
     with _output(args.output) as out:
-        write_stream(records, out, args.format)
+        _module.write_stream(records, out, args.format)
     return EXIT_OK
 
 
 def _looks_like_report(text: str) -> dict | None:
-    stripped = text.lstrip()
+    """The report the text holds, or None for records. A leading
+    byte-order mark is dropped, as ``read_stream`` drops it."""
+    stripped = text.lstrip().removeprefix("\ufeff")
     if not stripped.startswith("{"):
         return None
     try:
-        obj = json.loads(text)
+        obj = json.loads(stripped)
     except json.JSONDecodeError:
         return None
     if isinstance(obj, dict) and "n_vertices" in obj:
@@ -294,7 +323,10 @@ def _looks_like_report(text: str) -> dict | None:
 
 def cmd_plot(args) -> int:
     """Render a whole-stream report; a record file is first turned into
-    the report analyze --window all would write for it."""
+    the report analyze --window all would write for it. A report the plot
+    cannot be drawn from is exit 2, and one with nothing to draw exit 65."""
+    from .plot import EmptyDistribution
+
     families = _flag(parse_families, args.families)
     text = _read_text(args.input)
     report = _looks_like_report(text)
@@ -306,13 +338,20 @@ def cmd_plot(args) -> int:
         raise _CliError(EXIT_INPUT,
                         "report carries no degree_pmf; generate it with "
                         "analyze --window all")
-    pmf = {int(d): float(p) for d, p in pairs}
-    classification = report.get("classification")
-    fits = classification["fits"] if classification else []
     try:
-        svg = render_degree_plot(pmf, fits, log_scale=args.log_log)
-    except ValueError as exc:
+        pmf = {int(d): float(p) for d, p in pairs}
+        classification = report.get("classification")
+        fits = list(classification["fits"]) if classification else []
+    except (KeyError, OverflowError, TypeError, ValueError):
+        raise _CliError(EXIT_INPUT, "malformed report: degree_pmf must be "
+                        "[degree, probability] pairs, and classification "
+                        "null or an object with a list of fits") from None
+    try:
+        svg = _module.render_degree_plot(pmf, fits, log_scale=args.log_log)
+    except EmptyDistribution as exc:
         raise _CliError(EXIT_EMPTY, str(exc)) from None
+    except ValueError as exc:  # a fit that cannot be drawn
+        raise _CliError(EXIT_INPUT, f"malformed report: {exc}") from None
     with _output(args.output) as out:
         out.write(svg)
     return EXIT_OK

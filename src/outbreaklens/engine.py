@@ -43,8 +43,8 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from typing import Iterable, Iterator, Sequence
 
-from .fitting import (FAMILIES, FitError, StructureClass, fit_family,
-                      select_structure, RULES)
+from . import FAMILIES, RULES, canonical_families
+from .fitting import FitError, StructureClass, fit_family, select_structure
 from .graph import (ContactGraph, DegreeSample, GraphCounts, TimeWindow,
                     build_graph, degree_sample)
 from .records import (BAD_LINK_POLICIES, CaseRecord, Diagnostic,
@@ -130,19 +130,6 @@ class StructureReport:
             "classification": classification,
             "skipped": {family: reason for family, reason in self.skipped},
         }
-
-
-def canonical_families(families: Iterable[str]) -> tuple[str, ...]:
-    """The requested families, deduplicated, in FAMILIES order."""
-    requested = list(families)
-    unknown = [f for f in requested if f not in FAMILIES]
-    if unknown:
-        raise ValueError(f"unknown families {unknown}; "
-                         f"choose from {list(FAMILIES)}")
-    if not requested:
-        raise ValueError("at least one family is required")
-    # canonical order keeps reports stable however the list was written
-    return tuple(f for f in FAMILIES if f in set(requested))
 
 
 def report_for_graph(graph: ContactGraph | GraphCounts,

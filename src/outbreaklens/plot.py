@@ -13,7 +13,7 @@ import math
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .fitting import hurwitz_zeta
+from .zeta import hurwitz_zeta
 
 WIDTH = 800
 HEIGHT = 520
@@ -33,6 +33,33 @@ POINT_COLOR = "#202020"
 
 # a power-law curve's normalizer is the same at every plotted degree
 _zeta = lru_cache(maxsize=16)(hurwitz_zeta)
+
+# each family's parameters and the values its curve is defined for
+_DOMAINS = {
+    "exponential": {"lambda": lambda v: v > 0},
+    "normal": {"mu": lambda v: True, "sigma": lambda v: v > 0},
+    "poisson": {"lambda": lambda v: v >= 0},
+    "power-law": {"alpha": lambda v: v > 1,
+                  "x_min": lambda v: v >= 1 and v == int(v)},
+}
+
+
+class EmptyDistribution(ValueError):
+    """No point of the degree PMF can be drawn on the chosen axes."""
+
+
+def _drawable(fit: Mapping) -> tuple[str, dict[str, float]]:
+    """A fit's family and its parameters in name order. ValueError unless
+    it maps a known family to finite numbers in that family's domain."""
+    try:
+        family, params = fit["family"], dict(sorted(fit["params"].items()))
+        if all(isinstance(v, (int, float)) and math.isfinite(v)
+               for v in params.values()) and all(
+                valid(params[name]) for name, valid in _DOMAINS[family].items()):
+            return family, params
+    except (AttributeError, KeyError, TypeError):
+        pass
+    raise ValueError(f"cannot draw fit {fit!r}")
 
 
 def family_density(family: str, params: Mapping[str, float], x: float) -> float:
@@ -66,11 +93,8 @@ def _curve_xs(family: str, params: Mapping[str, float], x_lo: float,
         if family == "power-law":
             start = max(start, int(params["x_min"]))
         return [float(v) for v in range(start, int(x_hi) + 1)]
-    xs = []
     steps = int(round((x_hi - x_lo) / CURVE_STEP))
-    for i in range(steps + 1):
-        xs.append(x_lo + i * CURVE_STEP)
-    return xs
+    return [x_lo + i * CURVE_STEP for i in range(steps + 1)]
 
 
 def _fmt(v: float) -> str:
@@ -85,15 +109,15 @@ def render_degree_plot(pmf: Mapping[int, float], fits: Sequence[Mapping], *,
     ``log_scale`` plots log10 of both axes (zero-degree and
     zero-probability points are dropped there, and curve values below
     half the smallest empirical probability are drawn at that floor).
-    Raises ValueError on an empty distribution."""
+    Raises EmptyDistribution when no point can be drawn, and ValueError
+    on a fit it cannot draw."""
     points = sorted((int(d), float(p)) for d, p in pmf.items())
     if log_scale:
         points = [(d, p) for d, p in points if d > 0 and p > 0]
     if not points:
-        raise ValueError("empty distribution")
+        raise EmptyDistribution("empty distribution")
 
-    parsed = [(fit["family"], dict(sorted(fit["params"].items())))
-              for fit in fits]
+    parsed = [_drawable(fit) for fit in fits]
     max_deg = max(d for d, _ in points)
     x_lo = 1.0 if log_scale else 0.0
     x_hi = float(max_deg + 1)

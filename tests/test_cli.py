@@ -499,6 +499,57 @@ def test_plot_report_without_pmf_is_input_error(cli, tmp_path):
     assert "degree_pmf" in err
 
 
+def test_plot_of_a_report_with_a_byte_order_mark(cli, tmp_path):
+    src = tmp_path / "cases.csv"
+    src.write_text(TINY, encoding="utf-8")
+    _, report, _ = cli("analyze", "--input", str(src), "--window", "all")
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text(report, encoding="utf-8")
+    marked.write_text("\ufeff" + report, encoding="utf-8")
+    code, out, err = cli("plot", "--input", str(marked), "--log-log")
+    assert (code, err) == (EXIT_OK, "")
+    assert cli("plot", "--input", str(plain), "--log-log") == (EXIT_OK, out, "")
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param({"degree_pmf": [["a", 1]]}, id="pmf-degree-not-a-number"),
+    pytest.param({"degree_pmf": 5}, id="pmf-not-a-list"),
+    pytest.param({"degree_pmf": [[1, 0.5, 2]]}, id="pmf-pair-of-three"),
+    pytest.param({"degree_pmf": [[math.inf, 1]]}, id="pmf-degree-infinite"),
+    pytest.param({"classification": 7}, id="classification-not-an-object"),
+    pytest.param({"classification": {"chosen": "normal"}}, id="no-fits"),
+    pytest.param({"classification": {"fits": [7]}}, id="fit-not-an-object"),
+    pytest.param({"classification": {"fits": [{"family": "normal"}]}},
+                 id="fit-without-params"),
+    pytest.param({"classification": {"fits": [
+        {"family": "zipf", "params": {"alpha": 2.0}}]}}, id="unknown-family"),
+    pytest.param({"classification": {"fits": [
+        {"family": "normal", "params": {"mu": 2.0}}]}}, id="missing-param"),
+    pytest.param({"classification": {"fits": [
+        {"family": "normal", "params": {"mu": 2.0, "sigma": 0.0}}]}},
+        id="sigma-zero"),
+    pytest.param({"classification": {"fits": [
+        {"family": "power-law", "params": {"alpha": 1.0, "x_min": 1}}]}},
+        id="alpha-at-one"),
+    pytest.param({"classification": {"fits": [
+        {"family": "poisson", "params": {"lambda": "2"}}]}},
+        id="param-not-a-number"),
+])
+def test_plot_of_a_malformed_report_is_input_error(cli, tmp_path, change):
+    report = {"n_vertices": 4, "n_edges": 3,
+              "degree_pmf": [[1, 0.5], [2, 0.5]],
+              "classification": {"chosen": "normal", "fits": [
+                  {"family": "normal", "params": {"mu": 2.0, "sigma": 1.0}}]}}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    assert cli("plot", "--input", str(path))[0] == EXIT_OK
+    path.write_text(json.dumps({**report, **change}), encoding="utf-8")
+    code, out, err = cli("plot", "--input", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: malformed report: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("scale", [(), ("--log-log",)])
 def test_plot_of_records_is_plot_of_their_report(cli, tmp_path, outbreak_csv,
                                                  sim_config_path, scale):
@@ -617,3 +668,76 @@ assert "numpy" in sys.modules
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+_PACKAGE = {"outbreaklens", "outbreaklens.cli"}
+_ANALYSIS = _PACKAGE | {"outbreaklens.records", "outbreaklens.graph",
+                        "outbreaklens.fitting", "outbreaklens.zeta",
+                        "outbreaklens.engine"}
+
+
+@pytest.mark.parametrize("command,loaded,dataclasses", [
+    (["--version"], _PACKAGE, False),
+    (["plot", "--log-log", "--input", "{report}"],
+     _PACKAGE | {"outbreaklens.plot", "outbreaklens.zeta"}, False),
+    (["simulate"], _PACKAGE | {"outbreaklens.sim", "outbreaklens.records"},
+     True),
+    (["analyze", "--input", "{records}"], _ANALYSIS, True),
+    (["analyze", "--window", "cumulative:1d", "--input", "{records}"],
+     _ANALYSIS, True),
+    (["stream", "--input", "{records}"], _ANALYSIS, True),
+], ids=["version", "plot-report", "simulate", "analyze-all",
+        "analyze-windowed", "stream"])
+def test_each_command_loads_only_the_modules_it_runs(
+        cli, outbreak_csv, tmp_path, command, loaded, dataclasses):
+    # every module a command imports is compiled at each start-up when no
+    # bytecode is written, so each command imports only what it runs
+    report = tmp_path / "report.json"
+    cli("analyze", "--input", str(outbreak_csv), "--output", str(report))
+    argv = [arg.format(report=report, records=outbreak_csv) for arg in command]
+    if argv[0] != "--version":
+        argv += ["--output", str(tmp_path / "out")]
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = f"""
+import json, sys
+from outbreaklens import cli
+assert cli.main({argv!r}) == 0
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("outbreaklens")),
+                  "dataclasses" in sys.modules]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    modules, has_dataclasses = json.loads(proc.stdout.splitlines()[-1])
+    assert set(modules) == loaded
+    assert has_dataclasses == dataclasses
+
+
+def test_traced_commands_record_their_spans(tmp_path):
+    # the handlers call the names perfbench/traced.py wraps through the
+    # cli module, so its wrappers still time them
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    sim, report = tmp_path / "sim.csv", tmp_path / "report.json"
+    script = f"""
+import json, traced
+from outbreaklens import cli
+tracer = traced.Tracer()
+traced.install(tracer, 0)
+assert cli.main(["simulate", "--output", {str(sim)!r}]) == 0
+assert cli.main(["analyze", "--input", {str(sim)!r},
+                 "--output", {str(report)!r}]) == 0
+assert cli.main(["plot", "--input", {str(report)!r},
+                 "--output", {str(tmp_path / "plot.svg")!r}]) == 0
+print(json.dumps(tracer.dump()))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(proc.stdout)
+    assert spans["missing"] == []
+    for name in ("sim.network", "sim.outbreak", "records.serialize",
+                 "plot.render"):
+        assert spans["calls"].get(name, 0) > 0, name

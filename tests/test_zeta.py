@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
-from outbreaklens.fitting import hurwitz_zeta, hurwitz_zeta_derivatives
+from outbreaklens.zeta import hurwitz_zeta, hurwitz_zeta_derivatives
 
 mpmath.mp.dps = 30
 
