@@ -165,8 +165,7 @@ def _reports(args, records: Iterable[CaseRecord],
     def engine_at(start: datetime | None) -> RecognitionEngine:
         spec = None if window is None else WindowSpec(*window, start)
         return RecognitionEngine(spec, families, args.rule,
-                                 args.include_isolated,
-                                 "reject" if args.strict else "warn")
+                                 args.include_isolated, args.strict)
 
     def warn(engine: RecognitionEngine) -> None:
         for diag in engine.diagnostics:

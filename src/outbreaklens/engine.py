@@ -12,20 +12,21 @@ Ingestion is single-threaded and ordered. Closed windows could be
 fitted in parallel (fitting is pure over immutable samples); emission
 preserves window order either way.
 
-Every record's source link is checked on arrival with the rule
+Every link is decided in ``ingest`` and nowhere else, by the rule
 ``validate_stream`` applies to a whole stream: a link stands only when
 its source is a record reported no later than the case. A source
-already seen with a later timestamp gives ``source-after-case`` and the
-link is stripped. A case whose source has not arrived waits; if the
-source turns up later in time than the case, the case gets
-``source-after-case`` and the two are never linked, and a case still
-waiting at flush() gets ``dangling-source``. With ``on_bad_link=
-"reject"`` each of these raises ValidationError instead.
+already seen with a later timestamp gives ``source-after-case``. A case
+whose source has not arrived waits; if the source turns up later in
+time than the case, the case gets ``source-after-case``, and a case
+still waiting at flush() gets ``dangling-source``. The graph is told
+only which ids a new vertex links to, and makes an edge to each of them
+in the open window. With ``strict=True`` a bad link raises
+ValidationError instead.
 
 A record whose window would end after the last representable instant
 (9999-12-31T23:59:59Z) is dropped with a ``beyond-range`` diagnostic
 before it moves the watermark, so no window end ever overflows; under
-``on_bad_link="reject"`` it raises ValidationError too.
+``strict=True`` it raises ValidationError too.
 
 For timestamp-ordered feeds every emitted report equals the offline
 pipeline's over the same window, and the link diagnostics equal
@@ -39,7 +40,7 @@ prefix. No record is late to the whole-stream report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Iterable, Iterator, Sequence
 
@@ -47,13 +48,12 @@ from . import FAMILIES, RULES, canonical_families
 from .fitting import FitError, StructureClass, fit_family, select_structure
 from .graph import (ContactGraph, DegreeSample, GraphCounts, TimeWindow,
                     build_graph, degree_sample)
-from .records import (BAD_LINK_POLICIES, CaseRecord, Diagnostic,
-                      ValidationError, bad_link, format_timestamp,
-                      normalize_timestamp)
+from .records import (CaseRecord, Diagnostic, ValidationError, bad_link,
+                      format_timestamp, normalize_timestamp)
 
 WINDOW_MODES = ("tumbling", "cumulative")
 
-_LAST_INSTANT = datetime.max.replace(tzinfo=timezone.utc)
+_LAST_INSTANT = datetime(9999, 12, 31, 23, 59, 59, 999999, timezone.utc)
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,11 @@ class WindowSpec:
             raise ValueError("window period must be positive")
         object.__setattr__(self, "origin", normalize_timestamp(self.origin))
 
+    def index(self, instant: datetime) -> int:
+        """The index of the window whose slice holds ``instant``; negative
+        before the origin."""
+        return (instant - self.origin) // self.period
+
     def window(self, index: int) -> TimeWindow:
         if index < 0:
             raise ValueError("window index must be non-negative")
@@ -85,11 +90,8 @@ def schedule_windows(spec: WindowSpec, extent: TimeWindow) -> tuple[TimeWindow, 
     """The ordered windows a WindowSpec produces over the extent: enough
     periods to cover [origin, extent.end). No command calls it; the
     engine closes windows by index, and tests compare with this."""
-    span = extent.end - spec.origin
-    if span <= timedelta(0):
-        return ()
-    k = -((-span) // spec.period)  # ceil division for timedeltas
-    return tuple(spec.window(i) for i in range(k))
+    last = spec.index(extent.end - timedelta.resolution)  # < 0: no window
+    return tuple(spec.window(i) for i in range(last + 1))
 
 
 @dataclass(frozen=True)
@@ -168,40 +170,29 @@ def batch_report(stream, window: TimeWindow | None = None,
 
 
 class _GraphBuilder:
-    """Incremental vertex/edge state for one window's graph.
-
-    Children that arrive before their source wait in ``pending`` with
-    their timestamps and are linked when (if) the source shows up no
-    later than they do, which matches the batch rules that an edge
-    exists only when both endpoints are in the window and that a source
-    reported after its case is no link.
+    """Incremental vertex/edge state for one window's graph: a counter,
+    which decides no link. ``add`` is given the ids a new vertex links
+    to and makes an edge to each of them already in this graph, which
+    matches the batch rule that an edge exists only when both endpoints
+    are in the window.
     ``degree`` holds each vertex's degree and ``histogram`` the number
     of vertices per degree; a new vertex adds to the degree-0 bucket and
     a new edge moves its two endpoints up one bucket each.
     """
 
-    __slots__ = ("degree", "histogram", "n_edges", "pending")
+    __slots__ = ("degree", "histogram", "n_edges")
 
     def __init__(self):
         self.degree: dict[str, int] = {}
         self.histogram: dict[int, int] = {}
         self.n_edges = 0
-        self.pending: dict[str, list[tuple[str, datetime]]] = {}
 
-    def add(self, record: CaseRecord) -> None:
-        case = record.case_id
+    def add(self, case: str, links: Sequence[str]) -> None:
         self.degree[case] = 0
         self.histogram[0] = self.histogram.get(0, 0) + 1
-        src = record.source_id
-        if src is not None:
-            if src in self.degree:
-                self._link(src, case)
-            else:
-                self.pending.setdefault(src, []).append((case, record.timestamp))
-        for child, ts in self.pending.pop(case, ()):
-            # a mutual-source pair is one edge, made above (ids are unique)
-            if child != src and record.timestamp <= ts:
-                self._link(case, child)
+        for other in links:
+            if other in self.degree:
+                self._link(other, case)
 
     def _link(self, source: str, case: str) -> None:
         self.n_edges += 1
@@ -230,22 +221,21 @@ class RecognitionEngine:
     Between records it holds ``_seen_ids`` (the id map), ``_orphans``
     (records waiting for their source) and ``_graph``: the open window's
     graph, or in cumulative and whole-stream mode every record's so far.
+    ingest() alone decides which links stand; with ``strict`` a bad link
+    or a record beyond range raises ValidationError, not a diagnostic.
     Fitting is recomputed per window (tail scans do not incrementalize).
     """
 
     def __init__(self, spec: WindowSpec | None,
                  families: Iterable[str] = FAMILIES, rule: str = "min-se",
-                 include_isolated: bool = False, on_bad_link: str = "warn"):
+                 include_isolated: bool = False, strict: bool = False):
         if rule not in RULES:
             raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
-        if on_bad_link not in BAD_LINK_POLICIES:
-            raise ValueError(f"on_bad_link must be 'warn' or 'reject', "
-                             f"got {on_bad_link!r}")
         self.spec = spec
         self.families = canonical_families(families)
         self.rule = rule
         self.include_isolated = include_isolated
-        self.on_bad_link = on_bad_link
+        self.strict = strict
         self.diagnostics: list[Diagnostic] = []
         self._seen_ids: dict[str, datetime] = {}  # case_id -> timestamp
         self._orphans: dict[str, list[CaseRecord]] = {}  # by missing source
@@ -253,7 +243,7 @@ class RecognitionEngine:
         self._next = 0  # next window index to emit
         # the last window index whose end is still a representable instant
         self._last_index = (None if spec is None else
-                            (_LAST_INSTANT - spec.origin) // spec.period - 1)
+                            spec.index(_LAST_INSTANT) - 1)
         self._ended = False
         self._graph = _GraphBuilder()
 
@@ -268,39 +258,40 @@ class RecognitionEngine:
         case, src, ts = record.case_id, record.source_id, record.timestamp
         if case in self._seen_ids:
             raise ValidationError(f"duplicate case_id {case!r}")
+        links = []  # the ids whose link to this case stands
         if src is not None:
             if src not in self._seen_ids:
                 self._orphans.setdefault(src, []).append(record)
             elif self._seen_ids[src] > ts:
                 self.diagnostics.append(
-                    bad_link("source-after-case", record, self.on_bad_link))
-                record = replace(record, source_id=None)
+                    bad_link("source-after-case", record, self.strict))
+            else:
+                links.append(src)
         for child in self._orphans.pop(case, ()):
             if child.timestamp < ts:
                 self.diagnostics.append(
-                    bad_link("source-after-case", child, self.on_bad_link))
+                    bad_link("source-after-case", child, self.strict))
+            elif child.case_id not in links:  # a mutual pair is one edge
+                links.append(child.case_id)
         self._seen_ids[case] = ts
-        index = None
-        if self.spec is not None and ts >= self.spec.origin:
-            index = (ts - self.spec.origin) // self.spec.period
-            if index > self._last_index:
-                problem = (f"the window of case {case!r} would end after "
-                           f"{format_timestamp(_LAST_INSTANT)}")
-                if self.on_bad_link == "reject":
-                    raise ValidationError(problem)
-                self.diagnostics.append(Diagnostic(
-                    kind="beyond-range", case_id=case,
-                    message=problem + "; dropped"))
-                return []
+        index = None if self.spec is None else self.spec.index(ts)
+        if index is not None and index > self._last_index:
+            problem = (f"the window of case {case!r} would end after "
+                       f"{format_timestamp(_LAST_INSTANT)}")
+            if self.strict:
+                raise ValidationError(problem)
+            self.diagnostics.append(Diagnostic(
+                kind="beyond-range", case_id=case,
+                message=problem + "; dropped"))
+            return []
         if self._watermark is None or ts > self._watermark:
             self._watermark = ts
 
-        if self.spec is None:
-            self._graph.add(record)
-            return []
-        closed = self._close(
-            (self._watermark - self.spec.origin) // self.spec.period)
         if index is None:
+            self._graph.add(case, links)
+            return []
+        closed = self._close(self.spec.index(self._watermark))
+        if index < 0:
             self.diagnostics.append(Diagnostic(
                 kind="before-origin", case_id=case,
                 message=f"case {case!r} predates the window origin; dropped"))
@@ -312,9 +303,9 @@ class RecognitionEngine:
                 message=f"case {case!r} arrived after its window closed; "
                         f"{outcome}"))
             if absorb:
-                self._graph.add(record)
+                self._graph.add(case, links)
         else:  # the open window; the windows before it closed above
-            self._graph.add(record)
+            self._graph.add(case, links)
         return closed
 
     def _close(self, stop: int) -> list[StructureReport]:
@@ -341,14 +332,13 @@ class RecognitionEngine:
         for children in self._orphans.values():
             for child in children:
                 self.diagnostics.append(
-                    bad_link("dangling-source", child, self.on_bad_link))
+                    bad_link("dangling-source", child, self.strict))
         if self.spec is None:
             return [report_for_graph(self._graph.graph(), None, self.families,
                                      self.rule, self.include_isolated)]
         if self._watermark is None:
             return []
-        return self._close(
-            (self._watermark - self.spec.origin) // self.spec.period + 1)
+        return self._close(self.spec.index(self._watermark) + 1)
 
 
 def run(stream: Iterable[CaseRecord], spec: WindowSpec,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from typing import AbstractSet, Iterable, Mapping, Union
 
 from .records import CaseRecord, ValidatedStream, validate_stream
@@ -32,10 +32,6 @@ class TimeWindow:
     def contains(self, instant: datetime) -> bool:
         return self.start <= instant < self.end
 
-    @property
-    def duration(self) -> timedelta:
-        return self.end - self.start
-
 
 @dataclass(frozen=True)
 class ContactGraph:
@@ -51,7 +47,6 @@ class ContactGraph:
 
     vertices: Mapping[str, CaseRecord]
     edges: AbstractSet[tuple[str, str]]
-    as_of: datetime | None = None
 
     def __post_init__(self):
         for a, b in self.edges:
@@ -153,11 +148,7 @@ def build_graph(stream: Union[ValidatedStream, Iterable[CaseRecord]],
         if src is not None and src in vertices:
             edges.add((src, rec.case_id) if src < rec.case_id
                       else (rec.case_id, src))
-    if window is not None:
-        as_of = window.end
-    else:
-        as_of = max((r.timestamp for r in vertices.values()), default=None)
-    return ContactGraph(vertices, edges, as_of)
+    return ContactGraph(vertices, edges)
 
 
 def degree_sample(graph: ContactGraph | GraphCounts,

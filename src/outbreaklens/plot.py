@@ -22,6 +22,7 @@ MARGIN_TOP = 40
 MARGIN_RIGHT = 200  # room for the legend
 MARGIN_BOTTOM = 56
 CURVE_STEP = 0.25   # quarter steps land exactly on integer degrees
+CURVE_POINTS = 8192  # a curve of more steps (degree 2,048 on) is thinned
 
 SERIES_COLORS = {
     "exponential": "#d62728",
@@ -82,19 +83,33 @@ def family_density(family: str, params: Mapping[str, float], x: float) -> float:
         alpha, x_min = params["alpha"], int(params["x_min"])
         if x < x_min or x != int(x):
             return 0.0
-        return x ** (-alpha) / _zeta(alpha, float(x_min))
+        z = _zeta(alpha, float(x_min))
+        if z == 0.0:  # x^-alpha underflows too: no curve to draw
+            raise ValueError(f"cannot draw power law alpha={alpha!r}, "
+                             f"x_min={x_min}: zeta underflows")
+        return x ** (-alpha) / z
     raise ValueError(f"unknown family {family!r}")
 
 
 def _curve_xs(family: str, params: Mapping[str, float], x_lo: float,
-              x_hi: float) -> list[float]:
+              x_hi: float, log_scale: bool) -> list[float]:
+    """Where a curve is drawn between the whole degrees x_lo and x_hi:
+    every quarter step (integer, for the discrete families), or past
+    CURVE_POINTS steps that many points spread evenly on the axis."""
+    step = CURVE_STEP
     if family in ("poisson", "power-law"):
-        start = int(math.ceil(x_lo))
+        step = 1.0
         if family == "power-law":
-            start = max(start, int(params["x_min"]))
-        return [float(v) for v in range(start, int(x_hi) + 1)]
-    steps = int(round((x_hi - x_lo) / CURVE_STEP))
-    return [x_lo + i * CURVE_STEP for i in range(steps + 1)]
+            x_lo = max(x_lo, float(params["x_min"]))
+    steps = int(round((x_hi - x_lo) / step))
+    if steps <= CURVE_POINTS:
+        return [x_lo + i * step for i in range(steps + 1)]
+    last = CURVE_POINTS - 1
+    if log_scale:
+        xs = [x_lo * (x_hi / x_lo) ** (i / last) for i in range(CURVE_POINTS)]
+    else:
+        xs = [x_lo + (x_hi - x_lo) * i / last for i in range(CURVE_POINTS)]
+    return xs if step == CURVE_STEP else sorted({float(round(x)) for x in xs})
 
 
 def _fmt(v: float) -> str:
@@ -128,7 +143,7 @@ def render_degree_plot(pmf: Mapping[int, float], fits: Sequence[Mapping], *,
     y_floor = 0.5 * min(p for _, p in points)
     curves = []
     for family, params in parsed:
-        xs = _curve_xs(family, params, x_lo, x_hi)
+        xs = _curve_xs(family, params, x_lo, x_hi, log_scale)
         pts = [(x, family_density(family, params, x)) for x in xs]
         if log_scale:
             pts = [(x, max(y, y_floor)) for x, y in pts if x > 0 and y > 0]

@@ -39,7 +39,7 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """The stream violates a hard invariant (duplicate ids, bad links in
-    reject mode, ingestion misuse)."""
+    strict mode, ingestion misuse)."""
 
 
 @dataclass(frozen=True)
@@ -240,40 +240,34 @@ class ValidatedStream:
         return self.records[0].timestamp, self.records[-1].timestamp
 
 
-BAD_LINK_POLICIES = ("warn", "reject")
-
-
-def bad_link(kind: str, record: CaseRecord, on_bad_link: str) -> Diagnostic:
+def bad_link(kind: str, record: CaseRecord, strict: bool) -> Diagnostic:
     """The diagnostic for a link that cannot stand: ``dangling-source``
     (the source matches no record) or ``source-after-case`` (the source
-    is reported after the case). In "reject" mode raise instead."""
+    is reported after the case). In strict mode raise instead."""
     if kind == "dangling-source":
         problem = (f"source {record.source_id!r} of case {record.case_id!r} "
                    f"matches no record")
     else:
         problem = (f"source {record.source_id!r} is reported after case "
                    f"{record.case_id!r}")
-    if on_bad_link == "reject":
+    if strict:
         raise ValidationError(problem)
     return Diagnostic(kind=kind, message=problem + "; link dropped",
                       case_id=record.case_id)
 
 
 def validate_stream(records: Union[ValidatedStream, Iterable[CaseRecord]],
-                    on_bad_link: str = "warn") -> ValidatedStream:
+                    strict: bool = False) -> ValidatedStream:
     """Order the stream and enforce cross-record invariants, holding
     every record: no command runs it; it is the independent reference
     for the engine, which applies the same rules as records arrive.
     Duplicate case_ids are always a hard error. A source_id that matches
-    no record, or whose record is reported after its child, is handled
-    per ``on_bad_link``: "warn" keeps the case as an index vertex and
-    drops the link (with a diagnostic), "reject" raises.
+    no record, or whose record is reported after its child, drops the
+    link and keeps the case as an index vertex, with a diagnostic; in
+    strict mode it raises ValidationError.
     """
     if isinstance(records, ValidatedStream):
         return records
-    if on_bad_link not in BAD_LINK_POLICIES:
-        raise ValueError(f"on_bad_link must be 'warn' or 'reject', got {on_bad_link!r}")
-
     items = list(records)
     by_id: dict[str, CaseRecord] = {}
     for rec in items:
@@ -296,7 +290,7 @@ def validate_stream(records: Union[ValidatedStream, Iterable[CaseRecord]],
         else:
             out.append(rec)
             continue
-        diags.append(bad_link(kind, rec, on_bad_link))
+        diags.append(bad_link(kind, rec, strict))
         out.append(replace(rec, source_id=None))
     return ValidatedStream(tuple(out), tuple(diags))
 

@@ -24,6 +24,10 @@ _BERNOULLI_2M = (
 # B_{2m} / (2m)!, the Euler-Maclaurin correction coefficients
 _EM_COEFFICIENTS = tuple(b2m / math.factorial(2 * m)
                          for m, b2m in enumerate(_BERNOULLI_2M, start=1))
+# a head longer than this (s > ~43) stops once the rest of the sum is
+# this small against each running sum: below its last bit
+_LONG_HEAD = 64
+_NEGLIGIBLE = 1e-17
 
 
 def _zeta_core(s: float, a: float, order: int) -> tuple[float, float, float]:
@@ -44,14 +48,20 @@ def _zeta_core(s: float, a: float, order: int) -> tuple[float, float, float]:
     head_terms = max(0, math.ceil(target - a))
 
     h0 = h1 = h2 = 0.0
-    if order == 0:
+    if order == 0 and head_terms <= _LONG_HEAD:
         for k in range(head_terms):
             h0 += (a + k) ** (-s)
     else:
+        long_head = head_terms > _LONG_HEAD
         for k in range(head_terms):
             base = a + k
             term = base ** (-s)
             lnb = math.log(base)
+            if long_head:  # the term and the integral past it bound the rest
+                rest = term * (1.0 + base / (s - 1.0))
+                if (rest <= _NEGLIGIBLE * h0 and abs(lnb) * rest <= _NEGLIGIBLE * abs(h1)
+                        and lnb * lnb * rest <= _NEGLIGIBLE * h2):
+                    return h0, -h1, h2  # and so is the Euler-Maclaurin tail
             h0 += term
             h1 += lnb * term
             h2 += lnb * lnb * term

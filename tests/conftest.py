@@ -1,4 +1,5 @@
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from outbreaklens.cli import main
 from outbreaklens.records import read_stream, validate_stream
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +43,9 @@ def cli(capsys, monkeypatch):
 
 
 def run_cli_subprocess(*argv, stdin=None):
-    """Spawn the real entry point; used where byte-identity matters."""
+    """Spawn the real entry point from ``src``; used where byte-identity
+    matters."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "outbreaklens", *argv],
-                          input=stdin, capture_output=True, text=True)
+                          input=stdin, capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr

@@ -532,6 +532,9 @@ def test_plot_of_a_report_with_a_byte_order_mark(cli, tmp_path):
         {"family": "power-law", "params": {"alpha": 1.0, "x_min": 1}}]}},
         id="alpha-at-one"),
     pytest.param({"classification": {"fits": [
+        {"family": "power-law", "params": {"alpha": 1e12, "x_min": 2}}]}},
+        id="power-law-normalizer-underflows"),
+    pytest.param({"classification": {"fits": [
         {"family": "poisson", "params": {"lambda": "2"}}]}},
         id="param-not-a-number"),
 ])

@@ -222,6 +222,20 @@ def _drive(records, spec):
     return reports, engine
 
 
+@pytest.mark.parametrize("mode", ["tumbling", "cumulative", None])
+def test_reversed_mutual_link_keeps_the_edge_that_stands(mode):
+    # B names A and arrives first; A names B but is earlier in time, so
+    # A's link is dropped and B's stands: the pair is still one edge
+    records = [rec("B", "A", 60), rec("A", "B", 10)]
+    spec = None if mode is None else WindowSpec(mode, DAY, T0)
+    reports, engine = _drive(records, spec)
+    assert [(r.n_vertices, r.n_edges) for r in reports] == [(2, 1)]
+    assert [(d.kind, d.case_id) for d in engine.diagnostics] == [
+        ("source-after-case", "A")]
+    window = None if mode is None else spec.window(0)
+    assert reports[0] == batch_report(records, window)
+
+
 def _diagnostic_multiset(diagnostics):
     return Counter((d.kind, d.case_id, d.message) for d in diagnostics)
 
@@ -237,16 +251,14 @@ def test_dangling_source_reported_at_flush():
 
 def test_reject_mode_raises_on_bad_links():
     spec = WindowSpec("tumbling", DAY, T0)
-    engine = RecognitionEngine(spec, on_bad_link="reject")
+    engine = RecognitionEngine(spec, strict=True)
     engine.ingest(rec("C", "B", 60))
     with pytest.raises(ValidationError, match="reported after case 'C'"):
         engine.ingest(rec("B", None, 120))
-    engine = RecognitionEngine(spec, on_bad_link="reject")
+    engine = RecognitionEngine(spec, strict=True)
     engine.ingest(rec("A", "GHOST", 0))
     with pytest.raises(ValidationError, match="matches no record"):
         engine.flush()
-    with pytest.raises(ValueError):
-        RecognitionEngine(spec, on_bad_link="ignore")
 
 
 # --- equality with the batch pipeline ---------------------------------------

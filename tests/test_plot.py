@@ -1,13 +1,16 @@
 """SVG degree-plot structure, coordinate mapping, and determinism."""
 
 import math
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from outbreaklens.fitting import fit_exponential, fit_family, fit_powerlaw
 from outbreaklens.plot import (
+    CURVE_POINTS,
     CURVE_STEP,
+    _curve_xs,
     family_density,
     render_degree_plot,
 )
@@ -117,6 +120,43 @@ def test_discrete_curves_sit_on_integers():
     xs = [float(pair.split(",")[0]) for pair in line.get("points").split()]
     expected = [tx(float(v)) for v in range(1, int(float(area.get("data-x1"))) + 1)]
     assert xs == pytest.approx(expected, abs=2e-3)
+
+
+def test_curves_below_degree_2048_keep_every_step():
+    # the largest degree 2,047 puts x_hi at 2,048: 8,192 quarter steps
+    for log_scale in (False, True):
+        x_lo = 1.0 if log_scale else 0.0
+        steps = int((2048.0 - x_lo) / CURVE_STEP)
+        assert _curve_xs("normal", {}, x_lo, 2048.0, log_scale) == [
+            x_lo + i * CURVE_STEP for i in range(steps + 1)]
+        assert _curve_xs("poisson", {}, x_lo, 2048.0, log_scale) == [
+            float(v) for v in range(int(x_lo), 2049)]
+
+
+@pytest.mark.parametrize("log_scale", [False, True])
+def test_a_huge_degree_draws_capped_curves(log_scale):
+    pmf = {1: 0.5, 1_000_000: 0.5}
+    fits = [{"family": "exponential", "params": {"lambda": 2e-6}},
+            {"family": "normal", "params": {"mu": 5e5, "sigma": 5e5}},
+            {"family": "poisson", "params": {"lambda": 5e5}},
+            {"family": "power-law", "params": {"alpha": 1.5, "x_min": 1}}]
+    started = time.perf_counter()
+    svg = render_degree_plot(pmf, fits, log_scale=log_scale)
+    assert time.perf_counter() - started < 1.0
+    _, area = parse(svg)
+    tx, _ = mapping(area)
+    xs = {line.get("data-family"): [float(pair.split(",")[0])
+                                    for pair in line.get("points").split()]
+          for line in area.iter(NS + "polyline")}
+    assert len(xs) == 4
+    for family_xs in xs.values():
+        assert len(family_xs) <= CURVE_POINTS
+        assert family_xs == sorted(family_xs)
+    # the thinned curves still run from their first degree to the last
+    for family, first in (("exponential", 1.0 if log_scale else 0.0),
+                          ("power-law", 1.0)):
+        assert xs[family][0] == pytest.approx(tx(first), abs=2e-3)
+        assert xs[family][-1] == pytest.approx(tx(1_000_001.0), abs=2e-3)
 
 
 def test_curves_stay_inside_the_frame():

@@ -336,7 +336,7 @@ def test_validate_dangling_source_warn_drops_link():
 
 def test_validate_dangling_source_reject_raises():
     with pytest.raises(ValidationError):
-        validate_stream([rec("B", "GHOST", T0)], on_bad_link="reject")
+        validate_stream([rec("B", "GHOST", T0)], strict=True)
 
 
 def test_validate_source_reported_after_case():
@@ -347,7 +347,7 @@ def test_validate_source_reported_after_case():
     assert kept["K"].source_id is None
     assert vs.diagnostics[0].kind == "source-after-case"
     with pytest.raises(ValidationError):
-        validate_stream([parent, child], on_bad_link="reject")
+        validate_stream([parent, child], strict=True)
 
 
 def test_validate_same_timestamp_link_kept():
@@ -361,11 +361,6 @@ def test_validate_same_timestamp_link_kept():
 def test_validate_is_idempotent():
     vs = validate_stream([rec("A", None, T0)])
     assert validate_stream(vs) is vs
-
-
-def test_validate_bad_mode():
-    with pytest.raises(ValueError):
-        validate_stream([], on_bad_link="ignore")
 
 
 def test_extent():

@@ -1,6 +1,8 @@
 """Hurwitz zeta accuracy against independent references."""
 
 import math
+import time
+from unittest import mock
 
 import mpmath
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
+from outbreaklens import zeta as zeta_module
 from outbreaklens.zeta import hurwitz_zeta, hurwitz_zeta_derivatives
 
 mpmath.mp.dps = 30
@@ -103,3 +106,39 @@ def test_domain_errors():
         hurwitz_zeta(2.0, 0.0)
     with pytest.raises(ValueError):
         hurwitz_zeta(2.0, -3.0)
+
+
+@pytest.mark.parametrize("s", (41.0, 60.0, 1e3, 1e7, 1e12))
+@pytest.mark.parametrize("a", (1.0, 2.0, 7.5))
+def test_large_s_matches_mpmath(s, a):
+    # past 64 head terms the head stops once the rest is negligible, so
+    # a huge s costs a few terms; values below the float range are 0
+    started = time.perf_counter()
+    values = hurwitz_zeta_derivatives(s, a) + (hurwitz_zeta(s, a),)
+    assert time.perf_counter() - started < 0.1
+    refs = [float(mpmath.zeta(s, a, derivative=d)) for d in (0, 1, 2, 0)]
+    for value, ref in zip(values, refs):
+        assert math.isclose(value, ref, rel_tol=1e-12, abs_tol=0.0)
+
+
+def test_large_offset_keeps_the_tail():
+    # terms decay slowly when a >> s: the head runs its full length and
+    # the Euler-Maclaurin tail is added as before
+    s, a = 50.0, 1e6
+    for d, value in enumerate(hurwitz_zeta_derivatives(s, a)):
+        ref = float(mpmath.zeta(s, a, derivative=d))
+        assert math.isclose(value, ref, rel_tol=1e-12)
+
+
+def test_small_s_keeps_the_plain_head_and_tail():
+    # up to s = 40 the head has at most 60 terms, under the length past
+    # which it may stop early, so every bit is the plain head and tail's
+    grid = [(s, a) for s in (1.5, 20.0, 40.0) for a in (0.01, 1.0, 2.0, 7.5)]
+
+    def values():
+        return [(hurwitz_zeta(s, a), hurwitz_zeta_derivatives(s, a))
+                for s, a in grid]
+
+    stopping = values()
+    with mock.patch.object(zeta_module, "_LONG_HEAD", math.inf):
+        assert values() == stopping
