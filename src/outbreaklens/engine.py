@@ -223,7 +223,6 @@ class RecognitionEngine:
     graph, or in cumulative and whole-stream mode every record's so far.
     ingest() alone decides which links stand; with ``strict`` a bad link
     or a record beyond range raises ValidationError, not a diagnostic.
-    Fitting is recomputed per window (tail scans do not incrementalize).
     """
 
     def __init__(self, spec: WindowSpec | None,
@@ -290,7 +289,7 @@ class RecognitionEngine:
         if index is None:
             self._graph.add(case, links)
             return []
-        closed = self._close(self.spec.index(self._watermark))
+        closed = self._close(index)  # no-op unless ts moved the watermark
         if index < 0:
             self.diagnostics.append(Diagnostic(
                 kind="before-origin", case_id=case,

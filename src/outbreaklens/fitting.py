@@ -7,8 +7,9 @@ Kolmogorov-Smirnov scan for the tail start. Standard errors come from
 the observed Fisher information; each fit carries its variance-
 covariance matrix and log-likelihood so selection rules can be swapped.
 
-All operations are pure functions of immutable samples and are safe for
-data-parallel execution across windows.
+All operations are pure functions of immutable samples (memoization
+returns only what a call would compute) and are safe for data-parallel
+execution across windows.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Union
 
@@ -56,11 +58,22 @@ def _integer_counts(hist: Mapping, context: str) -> dict[int, int]:
 
 
 def _sum_over(hist: Mapping, term) -> float:
-    """Exactly rounded sum of term(x) over every sample value. term runs
-    once per distinct value and is repeated count times, so the result
-    is bit-identical to math.fsum over the expanded sample."""
+    """Exactly rounded sum of term(x) over every sample value, equal bit
+    for bit to math.fsum over the expanded sample. term runs once per
+    distinct value; count * term sums exactly as integers over one
+    power-of-two denominator, then one correctly rounded division. Other
+    types, inf, nan and terms large enough for fsum to overflow take
+    the expanded fsum, with its result or exception."""
+    terms = [(term(x), count) for x, count in hist.items()]
+    n = sum(hist.values())
+    if all(isinstance(t, (int, float)) and abs(t) * n < 2.0 ** 1020
+           for t, _ in terms):
+        ratios = [(float(t).as_integer_ratio(), count) for t, count in terms]
+        scale = max((d for (_, d), _ in ratios), default=1)
+        return sum(num * (scale // d) * count
+                   for (num, d), count in ratios) / scale
     return math.fsum(chain.from_iterable(
-        repeat(term(x), count) for x, count in hist.items()))
+        repeat(t, count) for t, count in terms))
 
 
 @dataclass(frozen=True)
@@ -238,6 +251,10 @@ _KS_GAP = 64
 _NEWTON_MAX_STEPS = 200
 
 
+# A candidate tail unchanged since the last window gets bit-identical
+# arguments (suffix sums are built from the top down); 1024 entries hold
+# a few windows' scans in a few hundred KiB, so state stays bounded.
+@lru_cache(maxsize=1024)
 def _powerlaw_alpha(mean_log: float, x_min: int) -> float:
     """Maximize l(alpha) = -n*alpha*mean_log - n*ln zeta(alpha, x_min)
     on [ALPHA_MIN, ALPHA_MAX] by safeguarded Newton on the score.
@@ -281,12 +298,13 @@ def _powerlaw_alpha(mean_log: float, x_min: int) -> float:
 
 
 def _ks_distance(tail: list[tuple[int, int]], n_tail: int, alpha: float,
-                 x_min: int) -> float:
+                 x_min: int, stop: float = math.inf) -> float:
     """Max |empirical - fitted| tail CDF over the observed tail values
     ``tail`` ((value, count), ascending). The fitted CDF at v is the
     running sum of k^-alpha over x_min <= k <= v, over zeta(alpha,
     x_min); a long gap between observed values is crossed with
-    zeta(alpha, x_min) - zeta(alpha, v + 1) instead."""
+    zeta(alpha, x_min) - zeta(alpha, v + 1) instead. Once the distance
+    reaches ``stop`` the scan ends and returns a value >= ``stop``."""
     z = hurwitz_zeta(alpha, float(x_min))
     head = 0.0  # sum of k^-alpha over x_min <= k < nxt
     nxt = x_min
@@ -301,6 +319,8 @@ def _ks_distance(tail: list[tuple[int, int]], n_tail: int, alpha: float,
         nxt = v + 1
         cum += count
         worst = max(worst, abs(cum / n_tail - head / z))
+        if worst >= stop:
+            break
     return worst
 
 
@@ -313,7 +333,7 @@ def fit_powerlaw(sample: SampleLike, x_min: int | None = None) -> FitResult:
     one minimizing the Kolmogorov-Smirnov distance between fitted and
     empirical tail CDFs wins (ties go to the smallest). Tail sizes and
     sums of ln x for every candidate come from suffix sums over the
-    histogram.
+    histogram; a candidate's KS scan stops once it can no longer win.
 
     SE(alpha) comes from the observed Fisher information
     n * (z''/z - (z'/z)^2) evaluated at the estimate; the scanned tail
@@ -355,7 +375,8 @@ def fit_powerlaw(sample: SampleLike, x_min: int | None = None) -> FitResult:
         best: tuple[float, int, float] | None = None  # (ks, index, alpha)
         for i in range(len(values) - 1):
             alpha_c = _powerlaw_alpha(sum_logs[i] / n_tails[i], values[i])
-            ks_c = _ks_distance(tail[i:], n_tails[i], alpha_c, values[i])
+            ks_c = _ks_distance(tail[i:], n_tails[i], alpha_c, values[i],
+                                math.inf if best is None else best[0])
             if best is None or ks_c < best[0]:
                 best = (ks_c, i, alpha_c)
         if best is None:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outbreaklens import engine as engine_module
+from outbreaklens import fitting
 from outbreaklens.engine import (
     RecognitionEngine,
     StructureReport,
@@ -431,6 +432,21 @@ def test_cumulative_sample_sizes_never_shrink(outbreak_stream):
     spec = WindowSpec("cumulative", 7 * DAY, T0)
     sizes = [r.sample.n for r in run(outbreak_stream.records, spec)]
     assert sizes == sorted(sizes)
+
+
+def test_cumulative_reports_equal_cold_cache_batch(outbreak_stream):
+    """Daily prefixes refit with the exponent cache warm from the windows
+    before them; each must equal its batch report fitted from an empty
+    cache, so a stale cached exponent cannot pass as a fresh one."""
+    spec = WindowSpec("cumulative", DAY, outbreak_stream.extent[0])
+    fitting._powerlaw_alpha.cache_clear()
+    reports = list(run(outbreak_stream.records, spec))
+    assert fitting._powerlaw_alpha.cache_info().hits > 0
+    assert len(reports) > 10
+    for report in reports:
+        fitting._powerlaw_alpha.cache_clear()
+        assert report.to_json_dict() == batch_report(
+            outbreak_stream, report.window).to_json_dict()
 
 
 def test_run_is_deterministic(outbreak_stream):

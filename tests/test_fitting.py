@@ -19,6 +19,8 @@ from outbreaklens.fitting import (
     FitError,
     FitResult,
     _ks_distance,
+    _powerlaw_alpha,
+    _sum_over,
     fit_exponential,
     fit_family,
     fit_normal,
@@ -412,6 +414,90 @@ def test_ks_distance_equals_per_value_zeta_cdf(counts, alpha):
     values = [x for x, count in tail for _ in range(count)]
     got = _ks_distance(tail, len(values), alpha, tail[0][0])
     assert got == pytest.approx(_brute_force_ks(values, alpha), abs=1e-12)
+
+
+# --- exactness of the shortcuts ---------------------------------------------
+
+
+def _fit_or_reason(sample):
+    try:
+        return fit_powerlaw(sample)
+    except FitError as exc:
+        return str(exc)
+
+
+# a step adds a histogram, or one vertex, which leaves every candidate
+# tail above it unchanged, so later fits hit the cache
+GROWTH = st.lists(st.one_of(HISTOGRAMS, st.dictionaries(
+    st.integers(0, 3000), st.just(1), min_size=1, max_size=1)),
+    min_size=2, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(GROWTH)
+def test_warm_exponent_cache_fits_equal_cold_fits(steps):
+    """Histograms that grow step by step, as a cumulative window's do:
+    fits that reuse the previous steps' cached exponents equal fits
+    from an empty cache."""
+    samples = []
+    hist = Counter()
+    for step in steps:
+        hist.update(step)
+        samples.append(DegreeSample(dict(hist)))
+    warm = [_fit_or_reason(sample) for sample in samples]
+    cold = []
+    for sample in samples:
+        _powerlaw_alpha.cache_clear()
+        cold.append(_fit_or_reason(sample))
+    assert warm == cold
+
+
+@settings(max_examples=120, deadline=None)
+@given(HISTOGRAMS.filter(lambda counts: len([x for x in counts if x >= 1]) >= 2),
+       st.floats(1.05, 6.0), st.floats(0.0, 1.0))
+def test_ks_distance_stops_only_at_the_bound(counts, alpha, stop):
+    tail = sorted((x, count) for x, count in counts.items() if x >= 1)
+    n_tail = sum(count for _, count in tail)
+    exact = _ks_distance(tail, n_tail, alpha, tail[0][0])
+    for bound in (stop, exact, math.nextafter(exact, math.inf)):
+        got = _ks_distance(tail, n_tail, alpha, tail[0][0], bound)
+        if exact < bound:
+            assert got == exact
+        else:
+            assert got >= bound
+
+
+WIDE_TERMS = st.one_of(
+    st.floats(),  # nan, both infinities, subnormals and +-max included
+    st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan, -0.0,
+                     2.0 ** 1000, -(2.0 ** 1000), 5e-324]),
+    st.floats(2.0 ** 1015, 2.0 ** 1023).flatmap(
+        lambda x: st.sampled_from([x, -x])),
+    st.integers(-(2 ** 80), 2 ** 80),
+    st.integers(2 ** 1023, 2 ** 1100),
+)
+
+
+def _same_float(a, b):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(WIDE_TERMS, st.integers(1, 40)), max_size=10))
+def test_sum_over_equals_expanded_fsum(pairs):
+    # keys are positions, so one term value may repeat under several keys
+    terms = [term for term, _ in pairs]
+    hist = {i: count for i, (_, count) in enumerate(pairs)}
+    expanded = [terms[i] for i, count in hist.items() for _ in range(count)]
+    try:
+        expected = math.fsum(expanded)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            _sum_over(hist, terms.__getitem__)
+        return
+    assert _same_float(_sum_over(hist, terms.__getitem__), expected)
 
 
 # --- order independence -----------------------------------------------------
