@@ -179,7 +179,8 @@ def _reports(args, records: Iterable[CaseRecord],
                 engine = engine_at(origin or record.timestamp.replace(
                     hour=0, minute=0, second=0))
             reports = engine.ingest(record)
-            warn(engine)
+            if engine.diagnostics:
+                warn(engine)
             yield from reports
         if engine is not None:
             reports = engine.flush()

@@ -86,7 +86,14 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def format_timestamp(value: datetime) -> str:
-    return normalize_timestamp(value).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return _format_utc(normalize_timestamp(value))
+
+
+# Keyed on the normalized instant: two datetimes of one zone that differ
+# only in ``fold`` compare and hash equal, yet may be an hour apart.
+@lru_cache(maxsize=4096)  # records of a feed share their timestamps
+def _format_utc(value: datetime) -> str:
+    return value.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line behavior: flags, formats, exit codes, output shapes."""
 
+import hashlib
 import io
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_cli_subprocess
+from conftest import SRC, run_cli_subprocess
 from outbreaklens.cli import (
     EXIT_EMPTY,
     EXIT_INPUT,
@@ -425,6 +426,39 @@ def test_simulate_seed_override_changes_stream(cli, sim_config_path):
     _, c, _ = cli("simulate", "--input", str(sim_config_path), "--seed", "42")
     assert a != b
     assert a == c  # the fixture config already says seed 42
+
+
+# Digests of the simulator's stdout, taken before its draws were made in
+# blocks; they pin every coordinate's repr and every timestamp's text.
+SEED42_JSONL_SHA256 = \
+    "3b8c5347414d4159283276f43680a64bc2d76b7cd6b0fcf8dbbad67e57c2810a"
+SEED42_UNIFORM_CSV_SHA256 = \
+    "3811f191cd7f557a3ac26a9f69e1152370324b051f98974806e6b6e88f10d2df"
+
+
+def _simulate_stdout(config_path, *flags) -> bytes:
+    """The real entry point's stdout as bytes: run_cli_subprocess decodes
+    text with universal newlines, which would hide a stray carriage return."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "outbreaklens", "simulate",
+                           "--input", str(config_path), *flags],
+                          capture_output=True, env=env, check=True)
+    return proc.stdout
+
+
+def test_simulate_prints_the_fixture_bytes(sim_config_path, outbreak_csv):
+    assert _simulate_stdout(sim_config_path) == outbreak_csv.read_bytes()
+
+
+def test_simulate_output_digests(sim_config_path, tmp_path):
+    jsonl = _simulate_stdout(sim_config_path, "--format", "jsonl")
+    assert hashlib.sha256(jsonl).hexdigest() == SEED42_JSONL_SHA256
+    config = json.loads(sim_config_path.read_text(encoding="utf-8"))
+    uniform = tmp_path / "uniform.json"
+    uniform.write_text(json.dumps(dict(config, topology="uniform-attachment")),
+                       encoding="utf-8")
+    csv_bytes = _simulate_stdout(uniform)
+    assert hashlib.sha256(csv_bytes).hexdigest() == SEED42_UNIFORM_CSV_SHA256
 
 
 def test_simulate_rejects_bad_config(cli, tmp_path):

@@ -6,6 +6,7 @@ import json
 import math
 from datetime import datetime, timedelta, timezone
 from unittest import mock
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -22,6 +23,7 @@ from outbreaklens.records import (
     ValidatedStream,
     ValidationError,
     format_timestamp,
+    normalize_timestamp,
     parse_record,
     parse_timestamp,
     read_stream,
@@ -68,6 +70,46 @@ def test_format_timestamp_round_trip():
     ts = datetime(2015, 7, 9, 23, 59, 58, tzinfo=UTC)
     assert parse_timestamp(format_timestamp(ts)) == ts
     assert format_timestamp(ts) == "2015-07-09T23:59:58Z"
+
+
+try:
+    _NEW_YORK = ZoneInfo("America/New_York")
+except ZoneInfoNotFoundError:  # no time-zone database on this host
+    _NEW_YORK = None
+_zones = st.sampled_from([UTC] + ([_NEW_YORK] if _NEW_YORK else [])) | \
+    st.integers(-1439, 1439).map(lambda m: timezone(timedelta(minutes=m)))
+_naive = st.datetimes(min_value=datetime(2, 1, 1),
+                      max_value=datetime(9998, 12, 31))
+
+
+@st.composite
+def _one_instant_in_zones(draw):
+    """A naive datetime, read as UTC, and the same instant in other zones,
+    all with the same sub-second part."""
+    naive = draw(_naive)
+    instant = naive.replace(tzinfo=UTC)
+    return [naive] + [instant.astimezone(zone)
+                      for zone in draw(st.lists(_zones, max_size=3))]
+
+
+_timestamps_in_any_order = st.lists(
+    _one_instant_in_zones() | st.builds(
+        lambda naive, zone, fold: [naive.replace(tzinfo=zone, fold=fold)],
+        _naive, _zones, st.sampled_from([0, 1])),
+    min_size=1, max_size=6,
+).flatmap(lambda groups: st.permutations([v for g in groups for v in g]))
+
+
+@settings(max_examples=200)
+@given(values=_timestamps_in_any_order)
+@example(values=[datetime(2021, 11, 7, 1, 30, tzinfo=_NEW_YORK),
+                 datetime(2021, 11, 7, 1, 30, fold=1, tzinfo=_NEW_YORK)])
+def test_cached_format_timestamp_equals_strftime(values):
+    # instants that compare equal share a cache entry; two New York
+    # times that differ only in fold compare equal but are an hour apart
+    for value in values:
+        assert format_timestamp(value) == \
+            normalize_timestamp(value).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 # --- coordinates --------------------------------------------------------

@@ -10,11 +10,13 @@ from outbreaklens.graph import build_graph
 from outbreaklens.records import CaseRecord, GeoPoint
 from outbreaklens.sim import (
     STEP,
+    _TAG_CURVE,
     _TAG_GEO,
     _TAG_SPREAD,
     IndexCase,
     SimConfig,
     SyntheticNetwork,
+    _attachment_edges,
     final_size_curve,
     generate_network,
     load_regions,
@@ -136,6 +138,38 @@ def test_network_generation_is_deterministic():
     assert a.edges != c.edges
 
 
+def _scalar_attachment_edges(topology, n, rng):
+    """_attachment_edges as it was before its draws were made in one
+    array: one scalar draw per new node."""
+    edges = []
+    if topology == "preferential-attachment":
+        endpoints = [0]
+        for new in range(1, n):
+            target = endpoints[int(rng.integers(0, len(endpoints)))]
+            edges.append((target, new))
+            endpoints.append(target)
+            endpoints.append(new)
+    else:
+        for new in range(1, n):
+            target = int(rng.integers(0, new))
+            edges.append((target, new))
+    return tuple(edges)
+
+
+@pytest.mark.parametrize("topology", ["preferential-attachment",
+                                      "uniform-attachment"])
+@pytest.mark.parametrize("n", [1, 2, 3, 600, 5000])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_attachment_edges_draw_as_one_scalar_per_node(topology, n, seed):
+    # final_size_curve draws on from the same generator, so its state
+    # after the tree must be as after one scalar draw per node
+    batched = np.random.default_rng([seed, _TAG_CURVE])
+    scalar = np.random.default_rng([seed, _TAG_CURVE])
+    assert (_attachment_edges(topology, n, batched)
+            == _scalar_attachment_edges(topology, n, scalar))
+    assert batched.bit_generator.state == scalar.bit_generator.state
+
+
 def test_preferential_attachment_grows_hubs():
     degs = {}
     for topology in ("preferential-attachment", "uniform-attachment"):
@@ -240,7 +274,9 @@ def test_simulate_needs_index_cases():
 
 def _visit_every_infected_node(network, cfg):
     """simulate_outbreak as it was before the frontier: every step visits
-    every infected node, in ascending id order."""
+    every infected node, in ascending id order. It draws one scalar per
+    transmission and one pair per jitter, so it also guards the
+    simulator's block draws."""
     rng_spread = np.random.default_rng([cfg.seed, _TAG_SPREAD])
     rng_geo = np.random.default_rng([cfg.seed, _TAG_GEO])
     adjacency = network.adjacency()
