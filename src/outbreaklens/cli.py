@@ -226,21 +226,22 @@ def _write_windowed(args, command: str, records: Iterable[CaseRecord],
                     window: tuple[str, timedelta], origin: datetime | None,
                     families: Sequence[str]) -> int:
     """Write each report to the output as its window closes, then the
-    summary line. Reports written before an input error stay."""
+    summary line, which is folded from the reports as they pass, so no
+    written report is kept. Reports written before an input error stay."""
     from .engine import classify_trend
 
-    reports: list[StructureReport] = []
-    with _output(args.output) as out:
-        for report in _reports(args, records, window, origin, families):
-            reports.append(report)
+    def written(reports: Iterable[StructureReport]) -> Iterator[StructureReport]:
+        for report in reports:
             out.write(_dump_line(report.to_json_dict()))
-        if reports:  # the first window starts at the origin the engine used
-            origin = reports[0].window.start
-        summary = (classify_trend(reports) if reports
-                   else {"windows": 0, "runs": [], "transitions": []})
-        out.write(_dump_line({
-            "config": _run_config(args, command, origin, families),
-            "summary": summary}))
+            yield report
+
+    with _output(args.output) as out:
+        summary = classify_trend(written(
+            _reports(args, records, window, origin, families)))
+        config = _run_config(args, command, origin, families)
+        if summary["runs"]:  # the first window starts at the engine's origin
+            config["origin"] = summary["runs"][0]["from"]
+        out.write(_dump_line({"config": config, "summary": summary}))
     return EXIT_OK
 
 
@@ -308,8 +309,9 @@ def cmd_simulate(args) -> int:
 
 def _looks_like_report(text: str) -> dict | None:
     """The report the text holds, or None for records. A leading
-    byte-order mark is dropped, as ``read_stream`` drops it."""
-    stripped = text.lstrip().removeprefix("\ufeff")
+    byte-order mark is dropped, as ``read_stream`` drops it, before or
+    after leading whitespace."""
+    stripped = text.lstrip().removeprefix("\ufeff").lstrip()
     if not stripped.startswith("{"):
         return None
     try:
@@ -339,13 +341,18 @@ def cmd_plot(args) -> int:
                         "report carries no degree_pmf; generate it with "
                         "analyze --window all")
     try:
-        pmf = {int(d): float(p) for d, p in pairs}
+        pmf = {d: float(p) for d, p in pairs if type(d) is int and d >= 0
+               and type(p) in (int, float) and 0 <= p <= 1}
+        if len(pmf) != len(pairs):  # a pair left out above, or a degree twice
+            raise ValueError(pairs)
         classification = report.get("classification")
         fits = list(classification["fits"]) if classification else []
-    except (KeyError, OverflowError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError):
         raise _CliError(EXIT_INPUT, "malformed report: degree_pmf must be "
-                        "[degree, probability] pairs, and classification "
-                        "null or an object with a list of fits") from None
+                        "[degree, probability] pairs, degrees distinct "
+                        "integers from 0 and probabilities in [0, 1], and "
+                        "classification null or an object with a list of "
+                        "fits") from None
     try:
         svg = _module.render_degree_plot(pmf, fits, log_scale=args.log_log)
     except EmptyDistribution as exc:

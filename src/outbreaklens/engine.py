@@ -351,38 +351,25 @@ def run(stream: Iterable[CaseRecord], spec: WindowSpec,
     yield from engine.flush()
 
 
-def classify_trend(reports: Sequence[StructureReport]) -> dict:
+def classify_trend(reports: Iterable[StructureReport]) -> dict:
     """Run-length summary of the chosen family across windows: each
-    stretch of identical classification, and every change point."""
-    reports = tuple(reports)
-    if not reports:
-        raise ValueError("classify_trend needs at least one report")
-
-    def family_of(report: StructureReport) -> str | None:
-        return None if report.classification is None else report.classification.chosen
-
-    runs = []
-    transitions = []
-    start = 0
-    current = family_of(reports[0])
-    for i in range(1, len(reports) + 1):
-        family = family_of(reports[i]) if i < len(reports) else object()
-        if i < len(reports) and family == current:
-            continue
-        window_start = reports[start].window
-        window_end = reports[i - 1].window
-        runs.append({
-            "family": current,
-            "start": start,
-            "end": i - 1,
-            "length": i - start,
-            "from": None if window_start is None
-            else format_timestamp(window_start.start),
-            "to": None if window_end is None
-            else format_timestamp(window_end.end),
-        })
-        if i < len(reports):
-            transitions.append({"index": i, "from": current, "to": family})
-            start = i
-            current = family
-    return {"windows": len(reports), "runs": runs, "transitions": transitions}
+    stretch of identical classification, and every change point. One
+    pass over ``reports`` that keeps no report, only the runs; the open
+    run is the last one. A run of whole-stream reports (no window) has
+    null ``from`` and ``to``."""
+    runs: list[dict] = []
+    transitions: list[dict] = []
+    for i, report in enumerate(reports):
+        family = (None if report.classification is None
+                  else report.classification.chosen)
+        window = report.window
+        if not runs or family != runs[-1]["family"]:
+            if runs:
+                transitions.append({"index": i, "from": runs[-1]["family"],
+                                    "to": family})
+            runs.append({"family": family, "start": i,
+                         "from": window and format_timestamp(window.start)})
+        runs[-1].update(end=i, length=i - runs[-1]["start"] + 1,
+                        to=window and format_timestamp(window.end))
+    return {"windows": runs[-1]["end"] + 1 if runs else 0, "runs": runs,
+            "transitions": transitions}

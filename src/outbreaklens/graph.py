@@ -113,14 +113,9 @@ class GraphCounts:
 class DegreeSample:
     """Degree histogram used as a fitting sample: ``counts`` maps each
     degree to the number of vertices that have it. Every fit is a
-    function of this histogram alone.
-
-    ``include_isolated`` records whether zero-degree vertices were kept,
-    so a report can say what its sample actually was.
-    """
+    function of this histogram alone."""
 
     counts: Mapping[int, int]
-    include_isolated: bool = False
 
     @property
     def n(self) -> int:
@@ -157,7 +152,7 @@ def degree_sample(graph: ContactGraph | GraphCounts,
     Zero-degree vertices are dropped unless ``include_isolated`` is set."""
     counts = graph.degree_counts()
     return DegreeSample({d: counts[d] for d in sorted(counts)
-                         if d > 0 or include_isolated}, include_isolated)
+                         if d > 0 or include_isolated})
 
 
 def degree_distribution(sample: DegreeSample) -> dict[int, float]:

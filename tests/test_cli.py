@@ -7,8 +7,10 @@ import math
 import os
 import subprocess
 import sys
-from datetime import timedelta
+import weakref
+from datetime import datetime, timedelta
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -22,6 +24,7 @@ from outbreaklens.cli import (
     parse_families,
     parse_window_flag,
 )
+from outbreaklens.engine import StructureReport
 
 TINY = """case_id,source_id,date,longitude,latitude
 A,,2014-03-01,0,0
@@ -216,6 +219,30 @@ def test_stream_matches_analyze_report_lines(cli, tmp_path):
                            "--window", "cumulative:1d")
     # identical reports; only the trailing config line names the command
     assert via_analyze.splitlines()[:-1] == via_stream.splitlines()[:-1]
+
+
+def test_stream_keeps_no_written_report(cli, tmp_path):
+    hours = 500
+    src = tmp_path / "cases.csv"
+    src.write_text("case_id,source_id,date,longitude,latitude\n" + "".join(
+        f"C{i},{f'C{i - 1}' if i else ''},"
+        f"{datetime(2014, 3, 1) + timedelta(hours=i):%Y-%m-%dT%H:%M:%SZ},0,0\n"
+        for i in range(hours)), encoding="utf-8")
+    refs = []
+    alive = []  # per written report: how many reports before its predecessor live
+    to_json_dict = StructureReport.to_json_dict
+
+    def serialize(report):
+        alive.append(sum(ref() is not None for ref in refs[:-1]))
+        refs.append(weakref.ref(report))
+        return to_json_dict(report)
+
+    with mock.patch.object(StructureReport, "to_json_dict", serialize):
+        code, out, _ = cli("stream", "--input", str(src),
+                           "--window", "tumbling:1h")
+    assert code == EXIT_OK
+    assert json.loads(out.splitlines()[-1])["summary"]["windows"] == hours
+    assert alive == [0] * hours
 
 
 @pytest.mark.parametrize("flags", USAGE_ERRORS)
@@ -539,10 +566,12 @@ def test_plot_of_a_report_with_a_byte_order_mark(cli, tmp_path):
     _, report, _ = cli("analyze", "--input", str(src), "--window", "all")
     plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
     plain.write_text(report, encoding="utf-8")
-    marked.write_text("\ufeff" + report, encoding="utf-8")
-    code, out, err = cli("plot", "--input", str(marked), "--log-log")
+    code, out, err = cli("plot", "--input", str(plain), "--log-log")
     assert (code, err) == (EXIT_OK, "")
-    assert cli("plot", "--input", str(plain), "--log-log") == (EXIT_OK, out, "")
+    for lead in ("\ufeff", "\ufeff\n", "\n\ufeff"):
+        marked.write_text(lead + report, encoding="utf-8")
+        assert cli("plot", "--input", str(marked), "--log-log") == (
+            EXIT_OK, out, ""), repr(lead)
 
 
 @pytest.mark.parametrize("change", [
@@ -550,6 +579,27 @@ def test_plot_of_a_report_with_a_byte_order_mark(cli, tmp_path):
     pytest.param({"degree_pmf": 5}, id="pmf-not-a-list"),
     pytest.param({"degree_pmf": [[1, 0.5, 2]]}, id="pmf-pair-of-three"),
     pytest.param({"degree_pmf": [[math.inf, 1]]}, id="pmf-degree-infinite"),
+    pytest.param({"degree_pmf": [[1.5, 0.5], [2, 0.5]]},
+                 id="pmf-degree-not-an-integer"),
+    pytest.param({"degree_pmf": [[1, 0.5], [1, 0.5]]},
+                 id="pmf-degree-repeated"),
+    pytest.param({"degree_pmf": [[True, 0.5], [2, 0.5]]},
+                 id="pmf-degree-a-bool"),
+    pytest.param({"degree_pmf": [["2", 0.5], [1, 0.5]]},
+                 id="pmf-degree-a-string"),
+    pytest.param({"degree_pmf": [[-1, 0.5], [2, 0.5]]},
+                 id="pmf-degree-negative"),
+    pytest.param({"degree_pmf": [[1, math.nan], [2, 0.5]]},
+                 id="pmf-probability-nan"),
+    pytest.param({"degree_pmf": [[1, math.inf]]},
+                 id="pmf-probability-infinite"),
+    pytest.param({"degree_pmf": [[1, "0.5"], [2, 0.5]]},
+                 id="pmf-probability-a-string"),
+    pytest.param({"degree_pmf": [[1, -0.5], [2, 0.5]]},
+                 id="pmf-probability-negative"),
+    pytest.param({"degree_pmf": [[1, 1.5]]}, id="pmf-probability-above-one"),
+    pytest.param({"degree_pmf": [[1, True], [2, 0.5]]},
+                 id="pmf-probability-a-bool"),
     pytest.param({"classification": 7}, id="classification-not-an-object"),
     pytest.param({"classification": {"chosen": "normal"}}, id="no-fits"),
     pytest.param({"classification": {"fits": [7]}}, id="fit-not-an-object"),

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outbreaklens import FAMILIES
 from outbreaklens import engine as engine_module
 from outbreaklens import fitting
 from outbreaklens.engine import (
@@ -22,7 +23,8 @@ from outbreaklens.engine import (
     schedule_windows,
 )
 from outbreaklens.graph import DegreeSample, TimeWindow, build_graph
-from outbreaklens.records import CaseRecord, GeoPoint, ValidationError, validate_stream
+from outbreaklens.records import (CaseRecord, GeoPoint, ValidationError,
+                                  format_timestamp, validate_stream)
 
 UTC = timezone.utc
 T0 = datetime(2014, 3, 1, tzinfo=UTC)
@@ -511,6 +513,58 @@ def test_classify_trend_transitions():
     assert out["runs"][0]["to"] == "2014-03-03T00:00:00Z"
 
 
-def test_classify_trend_needs_reports():
-    with pytest.raises(ValueError):
-        classify_trend([])
+def test_classify_trend_of_no_reports_is_empty():
+    assert classify_trend(iter([])) == {"windows": 0, "runs": [],
+                                        "transitions": []}
+
+
+def _classify_trend_of_a_list(reports):
+    """classify_trend as it was before the one-pass fold: it copies the
+    reports into a tuple and scans it with a sentinel past the end."""
+    reports = tuple(reports)
+
+    def family_of(report):
+        return None if report.classification is None else report.classification.chosen
+
+    runs = []
+    transitions = []
+    start = 0
+    current = family_of(reports[0])
+    for i in range(1, len(reports) + 1):
+        family = family_of(reports[i]) if i < len(reports) else object()
+        if i < len(reports) and family == current:
+            continue
+        window_start = reports[start].window
+        window_end = reports[i - 1].window
+        runs.append({
+            "family": current,
+            "start": start,
+            "end": i - 1,
+            "length": i - start,
+            "from": None if window_start is None
+            else format_timestamp(window_start.start),
+            "to": None if window_end is None
+            else format_timestamp(window_end.end),
+        })
+        if i < len(reports):
+            transitions.append({"index": i, "from": current, "to": family})
+            start = i
+            current = family
+    return {"windows": len(reports), "runs": runs, "transitions": transitions}
+
+
+@settings(max_examples=200, deadline=None)
+@given(chosen=st.lists(st.sampled_from(FAMILIES + (None,)), min_size=1,
+                       max_size=60),
+       windowed=st.booleans())
+def test_classify_trend_folds_a_generator_as_the_list_scan_did(chosen,
+                                                               windowed):
+    def report(i, family):
+        window = (TimeWindow(T0 + i * DAY, T0 + (i + 1) * DAY) if windowed
+                  else None)
+        return _report(window, family)
+
+    def reports():
+        return (report(i, family) for i, family in enumerate(chosen))
+
+    assert classify_trend(reports()) == _classify_trend_of_a_list(reports())
