@@ -16,6 +16,7 @@ import re
 import sys
 from contextlib import contextmanager, suppress
 from datetime import datetime, timedelta
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 
@@ -181,7 +182,8 @@ def _reports(args, records: Iterable[CaseRecord],
             reports = engine.ingest(record)
             if engine.diagnostics:
                 warn(engine)
-            yield from reports
+            if reports:  # most records close no window
+                yield from reports
         if engine is not None:
             reports = engine.flush()
             warn(engine)
@@ -248,7 +250,7 @@ def _write_windowed(args, command: str, records: Iterable[CaseRecord],
 def _by_time(records: Iterable[CaseRecord]) -> Iterator[CaseRecord]:
     """The records in a stable sort by timestamp, read on the first
     request for one."""
-    yield from sorted(records, key=lambda record: record.timestamp)
+    yield from sorted(records, key=attrgetter("timestamp"))
 
 
 def cmd_analyze(args) -> int:

@@ -77,13 +77,17 @@ class WindowSpec:
         before the origin."""
         return (instant - self.origin) // self.period
 
+    def slice(self, index: int) -> tuple[datetime, datetime]:
+        """The half-open interval of the instants ``index`` maps to."""
+        start = self.origin + index * self.period
+        return start, start + self.period
+
     def window(self, index: int) -> TimeWindow:
         if index < 0:
             raise ValueError("window index must be non-negative")
-        end = self.origin + (index + 1) * self.period
-        if self.mode == "tumbling":
-            return TimeWindow(self.origin + index * self.period, end)
-        return TimeWindow(self.origin, end)
+        start, end = self.slice(index)
+        return TimeWindow(start if self.mode == "tumbling" else self.origin,
+                          end)
 
 
 def schedule_windows(spec: WindowSpec, extent: TimeWindow) -> tuple[TimeWindow, ...]:
@@ -176,8 +180,8 @@ class _GraphBuilder:
     matches the batch rule that an edge exists only when both endpoints
     are in the window.
     ``degree`` holds each vertex's degree and ``histogram`` the number
-    of vertices per degree; a new vertex adds to the degree-0 bucket and
-    a new edge moves its two endpoints up one bucket each.
+    of vertices per degree; a new vertex enters the bucket of its degree
+    (its number of edges) and each vertex it links to moves up one.
     """
 
     __slots__ = ("degree", "histogram", "n_edges")
@@ -188,23 +192,22 @@ class _GraphBuilder:
         self.n_edges = 0
 
     def add(self, case: str, links: Sequence[str]) -> None:
-        self.degree[case] = 0
-        self.histogram[0] = self.histogram.get(0, 0) + 1
+        degree, histogram = self.degree, self.histogram
+        edges = 0
         for other in links:
-            if other in self.degree:
-                self._link(other, case)
-
-    def _link(self, source: str, case: str) -> None:
-        self.n_edges += 1
-        histogram = self.histogram
-        for vertex in (source, case):
-            d = self.degree[vertex]
-            self.degree[vertex] = d + 1
+            d = degree.get(other)
+            if d is None:  # not in this graph
+                continue
+            edges += 1
+            degree[other] = d + 1
             if histogram[d] == 1:
                 del histogram[d]
             else:
                 histogram[d] -= 1
             histogram[d + 1] = histogram.get(d + 1, 0) + 1
+        degree[case] = edges
+        histogram[edges] = histogram.get(edges, 0) + 1
+        self.n_edges += edges
 
     def graph(self) -> GraphCounts:
         # the histogram is copied: the builder keeps mutating after emission
@@ -245,6 +248,8 @@ class RecognitionEngine:
                             spec.index(_LAST_INSTANT) - 1)
         self._ended = False
         self._graph = _GraphBuilder()
+        if spec is not None:
+            self._open_window()
 
     @property
     def watermark(self) -> datetime | None:
@@ -255,26 +260,41 @@ class RecognitionEngine:
         if self._ended:
             raise ValidationError("stream already flushed")
         case, src, ts = record.case_id, record.source_id, record.timestamp
-        if case in self._seen_ids:
+        seen, orphans = self._seen_ids, self._orphans
+        if case in seen:
             raise ValidationError(f"duplicate case_id {case!r}")
         links = []  # the ids whose link to this case stands
         if src is not None:
-            if src not in self._seen_ids:
-                self._orphans.setdefault(src, []).append(record)
-            elif self._seen_ids[src] > ts:
+            if src not in seen:
+                orphans.setdefault(src, []).append(record)
+            elif seen[src] > ts:
                 self.diagnostics.append(
                     bad_link("source-after-case", record, self.strict))
             else:
                 links.append(src)
-        for child in self._orphans.pop(case, ()):
-            if child.timestamp < ts:
-                self.diagnostics.append(
-                    bad_link("source-after-case", child, self.strict))
-            elif child.case_id not in links:  # a mutual pair is one edge
-                links.append(child.case_id)
-        self._seen_ids[case] = ts
-        index = None if self.spec is None else self.spec.index(ts)
-        if index is not None and index > self._last_index:
+        if case in orphans:
+            for child in orphans.pop(case):
+                if child.timestamp < ts:
+                    self.diagnostics.append(
+                        bad_link("source-after-case", child, self.strict))
+                elif child.case_id not in links:  # a mutual pair is one edge
+                    links.append(child.case_id)
+        seen[case] = ts
+        if self.spec is not None and not self._open_start <= ts < self._open_end:
+            return self._place(case, ts, links)
+        # the whole stream or the open window: no window closes
+        if self._watermark is None or ts > self._watermark:
+            self._watermark = ts
+        self._graph.add(case, links)
+        return []
+
+    def _place(self, case: str, ts: datetime,
+               links: list[str]) -> list[StructureReport]:
+        """ingest() of a record outside the open window: it is dropped
+        beyond range or before the origin, late, or in a later window,
+        which closes every window before that one."""
+        index = self.spec.index(ts)
+        if index > self._last_index:
             problem = (f"the window of case {case!r} would end after "
                        f"{format_timestamp(_LAST_INSTANT)}")
             if self.strict:
@@ -285,11 +305,6 @@ class RecognitionEngine:
             return []
         if self._watermark is None or ts > self._watermark:
             self._watermark = ts
-
-        if index is None:
-            self._graph.add(case, links)
-            return []
-        closed = self._close(index)  # no-op unless ts moved the watermark
         if index < 0:
             self.diagnostics.append(Diagnostic(
                 kind="before-origin", case_id=case,
@@ -303,13 +318,15 @@ class RecognitionEngine:
                         f"{outcome}"))
             if absorb:
                 self._graph.add(case, links)
-        else:  # the open window; the windows before it closed above
+        else:
+            closed = self._close(index)
             self._graph.add(case, links)
-        return closed
+            return closed
+        return []
 
     def _close(self, stop: int) -> list[StructureReport]:
         """Report every window from the open one up to index ``stop``
-        (exclusive), in order."""
+        (exclusive), in order, and open window ``stop``."""
         closed = []
         while self._next < stop:
             closed.append(report_for_graph(
@@ -318,7 +335,17 @@ class RecognitionEngine:
             if self.spec.mode == "tumbling":
                 self._graph = _GraphBuilder()
             self._next += 1
+        self._open_window()
         return closed
+
+    def _open_window(self) -> None:
+        """Bound the slice of window ``_next``, so that ingest() places a
+        record inside it without computing its index. The slice is empty
+        when that window would end beyond range."""
+        if self._next <= self._last_index:
+            self._open_start, self._open_end = self.spec.slice(self._next)
+        else:
+            self._open_start = self._open_end = _LAST_INSTANT
 
     def flush(self) -> list[StructureReport]:
         """End of stream: report every case still waiting for its source

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
 from pathlib import Path
@@ -96,23 +96,60 @@ def _format_utc(value: datetime) -> str:
     return value.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-@dataclass(frozen=True)
-class GeoPoint:
+class _Frozen:
+    """Value semantics for the record types, which are built per record
+    and so are slotted classes, not dataclasses: ``__init__`` sets each
+    field once, through its slot; assigning a field afterwards raises
+    AttributeError; instances compare, hash and print by their fields,
+    named in ``__match_args__``, as a frozen dataclass's would."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle go through __init__
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GeoPoint(_Frozen):
     """A coordinate pair in decimal degrees."""
 
+    __match_args__ = __slots__ = ("longitude", "latitude")
     longitude: float
     latitude: float
 
-    def __post_init__(self):
+    def __init__(self, longitude: float, latitude: float):
         # NaN fails both range checks, so it is rejected here too.
-        if not -180.0 <= self.longitude <= 180.0:
-            raise ValueError(f"longitude out of range: {self.longitude!r}")
-        if not -90.0 <= self.latitude <= 90.0:
-            raise ValueError(f"latitude out of range: {self.latitude!r}")
+        if not -180.0 <= longitude <= 180.0:
+            raise ValueError(f"longitude out of range: {longitude!r}")
+        if not -90.0 <= latitude <= 90.0:
+            raise ValueError(f"latitude out of range: {latitude!r}")
+        _set_longitude(self, longitude)
+        _set_latitude(self, latitude)
 
 
-@dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(_Frozen):
     """One reported case.
 
     ``timestamp`` is stored timezone-aware in UTC at second resolution;
@@ -120,21 +157,34 @@ class CaseRecord:
     source is rejected because it could never form a valid contact edge.
     """
 
+    __match_args__ = ("case_id", "source_id", "timestamp", "location")
+    __slots__ = __match_args__ + ("__weakref__",)
     case_id: str
     source_id: str | None
     timestamp: datetime
     location: GeoPoint
 
-    def __post_init__(self):
-        if not self.case_id:
+    def __init__(self, case_id: str, source_id: str | None,
+                 timestamp: datetime, location: GeoPoint):
+        if not case_id:
             raise ValueError("case_id must be non-empty")
-        if self.source_id == "":
-            object.__setattr__(self, "source_id", None)
-        if self.source_id == self.case_id:
-            raise ValueError(f"case {self.case_id!r} lists itself as source")
-        timestamp = normalize_timestamp(self.timestamp)
-        if timestamp is not self.timestamp:
-            object.__setattr__(self, "timestamp", timestamp)
+        if source_id == "":
+            source_id = None
+        elif source_id == case_id:
+            raise ValueError(f"case {case_id!r} lists itself as source")
+        _set_case_id(self, case_id)
+        _set_source_id(self, source_id)
+        _set_timestamp(self, normalize_timestamp(timestamp))
+        _set_location(self, location)
+
+
+# The slots' own setters, which go past _Frozen.__setattr__.
+_set_longitude = GeoPoint.longitude.__set__
+_set_latitude = GeoPoint.latitude.__set__
+_set_case_id = CaseRecord.case_id.__set__
+_set_source_id = CaseRecord.source_id.__set__
+_set_timestamp = CaseRecord.timestamp.__set__
+_set_location = CaseRecord.location.__set__
 
 
 def _csv_row(line: str, line_no: int | None) -> list[str]:
@@ -154,46 +204,79 @@ def _csv_row(line: str, line_no: int | None) -> list[str]:
 def parse_record(line: str, format: str = "csv", *,
                  line_no: int | None = None) -> CaseRecord:
     """Parse one line in the declared format into a CaseRecord."""
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     if format == "csv":
         row = _csv_row(line, line_no)
         if len(row) != len(CSV_HEADER):
             raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}",
                              line_no=line_no)
-        case_id, source, date, *coords = [cell.strip() for cell in row]
+        case_id, source_id, date, longitude, latitude = row
+        case_id = case_id.strip()
+        source_id = source_id.strip() or None
+        date = date.strip()
+        longitude = longitude.strip()
+        latitude = latitude.strip()
+    elif format == "jsonl":
+        case_id, source_id, date, longitude, latitude = _json_fields(line,
+                                                                     line_no)
+        case_id = "" if case_id is None else str(case_id).strip()
+        source_id = None if source_id is None else (str(source_id).strip()
+                                                    or None)
+        date = str(date)
     else:
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no) from None
-        if not isinstance(obj, dict):
-            raise ParseError("JSON line is not an object", line_no=line_no)
-        missing = [key for key in CSV_HEADER if key not in obj]
-        if missing:
-            raise ParseError(f"missing keys: {', '.join(missing)}",
-                             line_no=line_no, field=missing[0])
-        case_id, source, date, *coords = [obj[key] for key in CSV_HEADER]
+        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
 
-    case_id = "" if case_id is None else str(case_id).strip()
     if not case_id:
         raise ParseError("empty case_id", line_no=line_no, field="case_id")
-    source_id = None if source is None else (str(source).strip() or None)
     try:
-        timestamp = parse_timestamp(str(date))
+        timestamp = parse_timestamp(date)
     except ValueError as exc:
         raise ParseError(str(exc), line_no=line_no, field="date") from None
-    numbers = []
-    for key, value in zip(("longitude", "latitude"), coords):
-        try:
-            numbers.append(float(value))
-        except (TypeError, ValueError, OverflowError):  # an int past float range
-            raise ParseError(f"not a number: {value!r}",
-                             line_no=line_no, field=key) from None
+    longitude = _coordinate(longitude, "longitude", line_no)
+    latitude = _coordinate(latitude, "latitude", line_no)
     try:
-        return CaseRecord(case_id, source_id, timestamp, GeoPoint(*numbers))
+        return CaseRecord(case_id, source_id, timestamp,
+                          GeoPoint(longitude, latitude))
     except ValueError as exc:
         raise ParseError(str(exc), line_no=line_no) from None
+
+
+_JSON_KINDS = {bool: "a boolean", dict: "an object", list: "an array"}
+
+
+def _json_fields(line: str, line_no: int | None) -> list:
+    """The five field values of a JSON line, each null, a number or a
+    string."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no) from None
+    if not isinstance(obj, dict):
+        raise ParseError("JSON line is not an object", line_no=line_no)
+    missing = [key for key in CSV_HEADER if key not in obj]
+    if missing:
+        raise ParseError(f"missing keys: {', '.join(missing)}",
+                         line_no=line_no, field=missing[0])
+    values = [obj[key] for key in CSV_HEADER]
+    for key, value in zip(CSV_HEADER, values):
+        if type(value) in _JSON_KINDS:
+            raise ParseError(f"expected a string or a number, got "
+                             f"{_JSON_KINDS[type(value)]}",
+                             line_no=line_no, field=key)
+    return values
+
+
+def _coordinate(value, key: str, line_no: int | None) -> float:
+    """A coordinate cell or JSON value as a float. Text must be an ASCII
+    decimal number, whitespace around it aside: float() alone would also
+    read digit separators (``1_2.5``) and other scripts' digits."""
+    try:
+        if type(value) is str and ("_" in value or not (
+                value.isascii() or value.strip().isascii())):
+            raise ValueError(value)
+        return float(value)
+    except (TypeError, ValueError, OverflowError):  # an int past float range
+        raise ParseError(f"not a number: {value!r}",
+                         line_no=line_no, field=key) from None
 
 
 def serialize_record(record: CaseRecord, format: str = "csv") -> str:
@@ -298,7 +381,7 @@ def validate_stream(records: Union[ValidatedStream, Iterable[CaseRecord]],
             out.append(rec)
             continue
         diags.append(bad_link(kind, rec, strict))
-        out.append(replace(rec, source_id=None))
+        out.append(CaseRecord(rec.case_id, None, rec.timestamp, rec.location))
     return ValidatedStream(tuple(out), tuple(diags))
 
 
@@ -334,7 +417,7 @@ def read_stream(source: Union[str, Path, TextIO], format: str = "csv", *,
             line = raw.rstrip("\r\n")
             if first:
                 line = line.removeprefix("\ufeff")  # a byte-order mark
-            if not line.strip():
+            if not line or line.isspace():
                 continue
             if first:
                 first = False

@@ -801,9 +801,11 @@ print(json.dumps([sorted(m for m in sys.modules if m.startswith("outbreaklens"))
     assert has_dataclasses == dataclasses
 
 
-def test_traced_commands_record_their_spans(tmp_path):
+def test_traced_commands_record_their_spans(outbreak_csv, tmp_path):
     # the handlers call the names perfbench/traced.py wraps through the
-    # cli module, so its wrappers still time them
+    # cli module, so its wrappers still time them; and every record goes
+    # through the wrapped parse_record and ingest, so no fast path hides
+    # records from the benchmark's per-layer figures
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), str(root / "perfbench")]))
@@ -819,12 +821,21 @@ assert cli.main(["analyze", "--input", {str(sim)!r},
 assert cli.main(["plot", "--input", {str(report)!r},
                  "--output", {str(tmp_path / "plot.svg")!r}]) == 0
 print(json.dumps(tracer.dump()))
+before = dict(tracer.calls)
+assert cli.main(["analyze", "--input", {str(outbreak_csv)!r},
+                 "--output", {str(tmp_path / "fixture.json")!r}]) == 0
+print(json.dumps({{name: tracer.calls[name] - before.get(name, 0)
+                  for name in ("records.parse", "engine.ingest")}}))
 """
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    spans = json.loads(proc.stdout)
+    first, fixture = proc.stdout.splitlines()
+    spans = json.loads(first)
     assert spans["missing"] == []
     for name in ("sim.network", "sim.outbreak", "records.serialize",
                  "plot.render"):
         assert spans["calls"].get(name, 0) > 0, name
+    n_records = len(outbreak_csv.read_text(encoding="utf-8").splitlines()) - 1
+    assert json.loads(fixture) == {"records.parse": n_records,
+                                   "engine.ingest": n_records}

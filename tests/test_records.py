@@ -1,9 +1,13 @@
 """Record parsing, timestamp handling, and stream validation."""
 
+import copy
 import csv
 import io
 import json
 import math
+import pickle
+import weakref
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -127,6 +131,65 @@ def test_geopoint_rejects_out_of_range(lon, lat):
 def test_geopoint_accepts_boundaries():
     GeoPoint(180.0, 90.0)
     GeoPoint(-180.0, -90.0)
+
+
+# --- record values ------------------------------------------------------
+
+
+def test_records_compare_and_hash_by_value():
+    a, b = GeoPoint(1.5, -2.0), GeoPoint(1.5, -2.0)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert {a, b, GeoPoint(-2.0, 1.5)} == {a, GeoPoint(-2.0, 1.5)}
+    assert a != (1.5, -2.0) and GeoPoint(0.0, 1.5) != a
+    r = rec("A", "S", T0, 1.5, -2.0)
+    same = CaseRecord("A", "S", T0, GeoPoint(1.5, -2.0))
+    assert r == same and hash(r) == hash(same)
+    for other in (rec("B", "S", T0, 1.5, -2.0), rec("A", None, T0, 1.5, -2.0),
+                  rec("A", "S", T0 + timedelta(seconds=1), 1.5, -2.0),
+                  rec("A", "S", T0, 1.5, 2.0)):
+        assert r != other
+    assert repr(a) == "GeoPoint(longitude=1.5, latitude=-2.0)"
+    assert repr(r) == (f"CaseRecord(case_id='A', source_id='S', "
+                       f"timestamp={T0!r}, location={a!r})")
+
+
+def test_records_are_immutable_and_weakly_referenceable():
+    r = rec("A", None, T0)
+    for obj, name in ((r, "case_id"), (r, "source_id"), (r, "timestamp"),
+                      (r, "location"), (r.location, "longitude"),
+                      (r.location, "latitude"), (r, "other")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, "x")
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert r == rec("A", None, T0)
+    assert weakref.ref(r)() is r
+    assert copy.copy(r) == r and pickle.loads(pickle.dumps(r)) == r
+
+
+def test_record_constructor_checks_and_normalizes():
+    with pytest.raises(ValueError, match="case_id must be non-empty"):
+        rec("", None, T0)
+    with pytest.raises(ValueError, match="lists itself as source"):
+        rec("A", "A", T0)
+    assert rec("A", "", T0).source_id is None
+    for lon, lat in ((180.5, 0.0), (0.0, -90.5), (math.nan, 0.0),
+                     (0.0, math.nan)):
+        with pytest.raises(ValueError, match="out of range"):
+            rec("A", None, T0, lon, lat)
+    naive = datetime(2014, 3, 1, 12, 30, 5, 999)
+    offset = datetime(2014, 3, 1, 14, 30, 5, tzinfo=timezone(timedelta(hours=2)))
+    for ts in (naive, offset):
+        stamp = rec("A", None, ts).timestamp
+        assert stamp == datetime(2014, 3, 1, 12, 30, 5, tzinfo=UTC)
+        assert stamp.tzinfo is UTC and stamp.microsecond == 0
+
+
+def test_a_dropped_link_keeps_the_rest_of_the_record():
+    child = rec("B", "GHOST", T0 + timedelta(days=1), 3.25, -8.5)
+    (kept,) = validate_stream([child]).records
+    assert kept == CaseRecord("B", None, child.timestamp, child.location)
+    assert kept != child
 
 
 # --- single records -----------------------------------------------------
@@ -333,6 +396,260 @@ def test_over_long_cell_is_malformed_on_either_path():
         assert isinstance(_parsed("C" * 10 + ",,2014-03-01,0,0"), CaseRecord)
     finally:
         csv.field_size_limit(limit)
+
+
+# --- the parser against its reference ------------------------------------
+#
+# The reference is parse_record as it stood before records became slotted
+# classes and each CSV cell was read in one pass: the multi-pass parse over
+# csv.reader, building frozen dataclasses. With ``fixed`` it also applies
+# the two rules added since, where parse_record applies them: a JSON field
+# that is a boolean, an object or an array is malformed, and a coordinate
+# given as text must be an ASCII decimal number (whitespace around it
+# aside), where float() would also read 1_2.5, Arabic-Indic and full-width
+# digits.
+
+
+@dataclass(frozen=True)
+class _RefGeoPoint:
+    longitude: float
+    latitude: float
+
+    def __post_init__(self):
+        if not -180.0 <= self.longitude <= 180.0:
+            raise ValueError(f"longitude out of range: {self.longitude!r}")
+        if not -90.0 <= self.latitude <= 90.0:
+            raise ValueError(f"latitude out of range: {self.latitude!r}")
+
+
+@dataclass(frozen=True)
+class _RefCaseRecord:
+    case_id: str
+    source_id: str | None
+    timestamp: datetime
+    location: _RefGeoPoint
+
+    def __post_init__(self):
+        if not self.case_id:
+            raise ValueError("case_id must be non-empty")
+        if self.source_id == "":
+            object.__setattr__(self, "source_id", None)
+        if self.source_id == self.case_id:
+            raise ValueError(f"case {self.case_id!r} lists itself as source")
+        object.__setattr__(self, "timestamp",
+                           normalize_timestamp(self.timestamp))
+
+
+def _json_kind(value):
+    return {bool: "a boolean", dict: "an object", list: "an array"}.get(
+        type(value))
+
+
+def _not_ascii_decimal(value):
+    return isinstance(value, str) and ("_" in value
+                                       or not value.strip().isascii())
+
+
+def _reference_parse(line, format, fixed):
+    line_no = 3
+    if format == "csv":
+        row = _reader_row(line, line_no)
+        if len(row) != len(CSV_HEADER):
+            raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}",
+                             line_no=line_no)
+        case_id, source, date, *coords = [cell.strip() for cell in row]
+    else:
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no) from None
+        if not isinstance(obj, dict):
+            raise ParseError("JSON line is not an object", line_no=line_no)
+        missing = [key for key in CSV_HEADER if key not in obj]
+        if missing:
+            raise ParseError(f"missing keys: {', '.join(missing)}",
+                             line_no=line_no, field=missing[0])
+        for key in CSV_HEADER if fixed else ():
+            if _json_kind(obj[key]):
+                raise ParseError(f"expected a string or a number, got "
+                                 f"{_json_kind(obj[key])}",
+                                 line_no=line_no, field=key)
+        case_id, source, date, *coords = [obj[key] for key in CSV_HEADER]
+
+    case_id = "" if case_id is None else str(case_id).strip()
+    if not case_id:
+        raise ParseError("empty case_id", line_no=line_no, field="case_id")
+    source_id = None if source is None else (str(source).strip() or None)
+    try:
+        timestamp = parse_timestamp(str(date))
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no=line_no, field="date") from None
+    numbers = []
+    for key, value in zip(("longitude", "latitude"), coords):
+        try:
+            if fixed and _not_ascii_decimal(value):
+                raise ValueError(value)
+            numbers.append(float(value))
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(f"not a number: {value!r}",
+                             line_no=line_no, field=key) from None
+    try:
+        return _RefCaseRecord(case_id, source_id, timestamp,
+                              _RefGeoPoint(*numbers))
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no=line_no) from None
+
+
+def _outcome(parse, line, format, *fixed):
+    """The record's fields, or the ParseError's text."""
+    try:
+        r = parse(line, format, *fixed)
+    except ParseError as exc:
+        return str(exc)
+    return (r.case_id, r.source_id, r.timestamp, r.location.longitude,
+            r.location.latitude)
+
+
+def _parse_at_line_3(line, format):
+    return parse_record(line, format, line_no=3)
+
+
+_TRICKY = ['"', "\r", "\x00", "\ufeff", " ", "\u3000", "_", ",", "\u0661",
+           "\uff11", "\u00e9"]
+_tricky_text = st.text(alphabet=st.sampled_from(
+    _TRICKY + list("0123456789.-+eE:TZnaif")), max_size=10)
+_tricky_cell = st.one_of(
+    _tricky_text,
+    st.sampled_from(["", "C1", "C2", "2014-03-01", "2014-03-01T12:00:00+02:00",
+                     "\ufeffC1", "0", "-10.5", "+1E1", "east", "1_2.5",
+                     "\u0661\u0662", "\uff11", "\uff11.5", "1e999", "nan",
+                     "-0"]),
+    st.text(alphabet="C", min_size=17, max_size=45))  # past a lowered limit
+_number_text = st.one_of(
+    st.sampled_from(["0", "-10.5", "+1E1", "1e999", "nan", "-0", "1_2.5",
+                     "1_0", "\u0661\u0662", "\uff11", "\uff11.5", "east"]),
+    st.text(alphabet=st.sampled_from(list("0123456789._-+eE \u3000\u0661\uff11")),
+            max_size=6))
+_pad = st.sampled_from(["", "", "", " ", "\t", "\u3000"])
+_line_start = st.sampled_from(["", "", "\ufeff", " "])
+_TEMPLATE = ("C1", "C0", "2014-03-01", "1.5", "-2.5")
+
+
+def _tricky_text_for(draw, key):
+    """Tricky text for one field, padded with whitespace or not; for a
+    coordinate, number-like text half the time."""
+    coordinate = key in ("longitude", "latitude") and draw(st.booleans())
+    return (draw(_pad) + draw(_number_text if coordinate else _tricky_cell)
+            + draw(_pad))
+
+
+@st.composite
+def _tricky_csv(draw):
+    """A valid line with one or two cells replaced by tricky text, cells
+    padded with whitespace or quoted, and now and then a cell dropped or
+    added."""
+    cells = list(_TEMPLATE)
+    for i in draw(st.sets(st.integers(0, 4), min_size=1, max_size=2)):
+        cells[i] = _tricky_text_for(draw, CSV_HEADER[i])
+    cells = [f'"{cell.replace(chr(34), chr(34) * 2)}"'
+             if draw(st.integers(0, 4)) == 0 else cell for cell in cells]
+    count = draw(st.sampled_from([5, 5, 5, 5, 4, 6]))
+    cells = (cells + [draw(_tricky_cell)])[:count]
+    return draw(_line_start) + ",".join(cells)
+
+
+_json_value = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**30, 10**30), st.floats(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@st.composite
+def _tricky_json(draw):
+    """A valid line with one or two fields replaced by tricky text, which
+    may be padded with whitespace, or by a value of another JSON type,
+    and now and then a field dropped."""
+    fields = dict(zip(CSV_HEADER, _TEMPLATE))
+    for key in draw(st.sets(st.sampled_from(CSV_HEADER), min_size=1,
+                            max_size=2)):
+        fields[key] = (draw(_json_value) if draw(st.booleans())
+                       else _tricky_text_for(draw, key))
+    if draw(st.integers(0, 7)) == 0:
+        del fields[draw(st.sampled_from(CSV_HEADER))]
+    return draw(_line_start) + json.dumps(fields,
+                                          ensure_ascii=draw(st.booleans()))
+
+
+def _is_one_of_the_fixes(line, format):
+    """A JSON field that is a boolean, object or array, or a coordinate
+    given as text that is not ASCII or holds an underscore."""
+    if format == "jsonl":
+        obj = json.loads(line)
+        if any(_json_kind(obj[key]) for key in CSV_HEADER):
+            return True
+        return any(_not_ascii_decimal(obj[key])
+                   for key in ("longitude", "latitude"))
+    row = [cell.strip() for cell in _reader_row(line, 3)]
+    return any(_not_ascii_decimal(cell) for cell in row[3:])
+
+
+@settings(max_examples=1000, suppress_health_check=_FIRST_DRAW_MAY_BE_SLOW)
+@given(st.data(), st.sampled_from(FORMATS), st.sampled_from([None, 16, 40]))
+def test_parse_record_equals_its_reference(data, format, limit):
+    tricky = _tricky_csv() if format == "csv" else _tricky_json()
+    line = data.draw(st.one_of(tricky, tricky, tricky, _any_line(format),
+                               _csv_text, _line_text))
+    old_limit = csv.field_size_limit(limit or csv.field_size_limit())
+    try:
+        new = _outcome(_parse_at_line_3, line, format)
+        before = _outcome(_reference_parse, line, format, False)
+        fixed = _outcome(_reference_parse, line, format, True)
+        assert new == fixed  # the same fields or the same message
+        if fixed != before:  # one of the two fixes turned it into an error
+            assert isinstance(fixed, str)
+            assert _is_one_of_the_fixes(line, format)
+    finally:
+        csv.field_size_limit(old_limit)
+
+
+@pytest.mark.parametrize("line,format,message", [
+    ("C1,,2014-03-01,1_2.5,0", "csv", "not a number: '1_2.5' (field: longitude)"),
+    ("C1,,2014-03-01,0,\u0661\u0662", "csv",
+     "not a number: '\u0661\u0662' (field: latitude)"),
+    ("C1,,2014-03-01,\uff11,0", "csv", "not a number: '\uff11' (field: longitude)"),
+    ('{"case_id":"C1","source_id":null,"date":"2014-03-01","longitude":"1_2.5",'
+     '"latitude":0}', "jsonl", "not a number: '1_2.5' (field: longitude)"),
+    ('{"case_id":"C1","source_id":null,"date":"2014-03-01","longitude":0,'
+     '"latitude":"\\uff11"}', "jsonl", "not a number: '\uff11' (field: latitude)"),
+    ('{"case_id":"C1","source_id":null,"date":"2014-03-01","longitude":true,'
+     '"latitude":0}', "jsonl",
+     "expected a string or a number, got a boolean (field: longitude)"),
+    ('{"case_id":{"x":1},"source_id":null,"date":"2014-03-01","longitude":0,'
+     '"latitude":0}', "jsonl",
+     "expected a string or a number, got an object (field: case_id)"),
+    ('{"case_id":"C1","source_id":["C0"],"date":"2014-03-01","longitude":0,'
+     '"latitude":0}', "jsonl",
+     "expected a string or a number, got an array (field: source_id)"),
+    ('{"case_id":"C1","source_id":null,"date":false,"longitude":0,'
+     '"latitude":0}', "jsonl",
+     "expected a string or a number, got a boolean (field: date)"),
+])
+def test_the_two_fixes_make_a_parse_error_naming_the_field(line, format,
+                                                           message):
+    assert _outcome(_reference_parse, line, format, False) != f"line 3: {message}"
+    assert _outcome(_parse_at_line_3, line, format) == f"line 3: {message}"
+
+
+@pytest.mark.parametrize("line,format", [
+    ("C1,,2014-03-01,\u3000-1.5 ,\t8.25\u3000", "csv"),
+    ('{"case_id":7,"source_id":3.5,"date":"2014-03-01","longitude":"\\u3000-1.5 ",'
+     '"latitude":8.25}', "jsonl"),
+])
+def test_numbers_and_padded_decimal_text_still_parse(line, format):
+    r = parse_record(line, format)
+    assert (r.location.longitude, r.location.latitude) == (-1.5, 8.25)
+    assert _outcome(_parse_at_line_3, line, format) == \
+        _outcome(_reference_parse, line, format, False)
 
 
 _records = st.tuples(
