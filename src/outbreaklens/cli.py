@@ -292,7 +292,7 @@ def cmd_simulate(args) -> int:
         text = _read_text(args.input)
         try:
             config = SimConfig.from_json(text)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, RecursionError) as exc:
             raise _CliError(EXIT_USAGE, f"invalid sim config: {exc}") from None
     else:
         config = SimConfig.from_json({})
@@ -318,7 +318,7 @@ def _looks_like_report(text: str) -> dict | None:
         return None
     try:
         obj = json.loads(stripped)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # a long integer, deep nesting
         return None
     if isinstance(obj, dict) and "n_vertices" in obj:
         return obj

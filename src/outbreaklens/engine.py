@@ -1,12 +1,13 @@
 """Streaming recognition of contact-network structure.
 
-Feeds the record stream through a window schedule, maintains the graph
-incrementally, and emits one structure report per closed window. A
-window closes when the watermark (largest event timestamp seen) passes
-its end; flushing the stream closes every remaining scheduled window.
-With no schedule (``spec=None``) the whole stream is one graph, reported
-at flush(). Between records the engine holds the id map, the records
-waiting for their source, and one graph.
+Feeds the record stream through a window schedule, keeps the graph's
+degree histogram incrementally, and emits one structure report per
+closed window, read from that histogram alone. A window closes when the
+watermark (largest event timestamp seen) passes its end; flushing the
+stream closes every remaining scheduled window. With no schedule
+(``spec=None``) the whole stream is one graph, reported at flush().
+Between records the engine holds the id map, the records waiting for
+their source, and one graph.
 
 Ingestion is single-threaded and ordered. Closed windows could be
 fitted in parallel (fitting is pure over immutable samples); emission
@@ -30,24 +31,23 @@ before it moves the watermark, so no window end ever overflows; under
 
 For timestamp-ordered feeds every emitted report equals the offline
 pipeline's over the same window, and the link diagnostics equal
-``validate_stream``'s up to order. Out-of-order feeds keep exact
-vertex/edge/degree counts, and fits read only the degree histogram, so
-arrival order does not reach a report; late records follow the window
-mode's policy: tumbling windows reject them with a diagnostic (their
-report is already out), cumulative windows absorb them into the next
-prefix. No record is late to the whole-stream report.
+``validate_stream``'s up to order. Out-of-order feeds keep an exact
+degree histogram, and a report reads nothing else, so arrival order
+does not reach a report; late records follow the window mode's policy:
+tumbling windows reject them with a diagnostic (their report is already
+out), cumulative windows absorb them into the next prefix. No record is
+late to the whole-stream report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import FAMILIES, RULES, canonical_families
 from .fitting import FitError, StructureClass, fit_family, select_structure
-from .graph import (ContactGraph, DegreeSample, GraphCounts, TimeWindow,
-                    build_graph, degree_sample)
+from .graph import DegreeSample, TimeWindow, build_graph, degree_sample
 from .records import (CaseRecord, Diagnostic, ValidationError, bad_link,
                       format_timestamp, normalize_timestamp)
 
@@ -138,13 +138,14 @@ class StructureReport:
         }
 
 
-def report_for_graph(graph: ContactGraph | GraphCounts,
-                     window: TimeWindow | None, families: Sequence[str],
-                     rule: str, include_isolated: bool) -> StructureReport:
-    """Measure and classify one graph snapshot from its degree sample,
-    which the report keeps. Shared by the batch pipeline and the engine
-    so the two can never diverge."""
-    sample = degree_sample(graph, include_isolated)
+def report_for_graph(counts: Mapping[int, int], window: TimeWindow | None,
+                     families: Sequence[str], rule: str,
+                     include_isolated: bool) -> StructureReport:
+    """Measure and classify one graph snapshot, its degree histogram
+    ``counts`` (isolated vertices included), from its degree sample,
+    which the report keeps; each edge adds one to two degrees. Shared by
+    the batch pipeline and the engine so the two can never diverge."""
+    sample = degree_sample(counts, include_isolated)
     fits = []
     skipped = []
     for family in families:
@@ -153,10 +154,11 @@ def report_for_graph(graph: ContactGraph | GraphCounts,
         except FitError as exc:
             skipped.append((family, str(exc)))
     classification = select_structure(fits, rule) if fits else None
-    n_vertices = graph.n_vertices
-    mean_degree = (2.0 * graph.n_edges / n_vertices) if n_vertices else 0.0
-    return StructureReport(window, n_vertices, graph.n_edges, sample,
-                           mean_degree, classification, tuple(skipped))
+    n_vertices = sum(counts.values())
+    n_edges = sum(d * count for d, count in counts.items()) // 2
+    mean_degree = (2.0 * n_edges / n_vertices) if n_vertices else 0.0
+    return StructureReport(window, n_vertices, n_edges, sample, mean_degree,
+                           classification, tuple(skipped))
 
 
 def batch_report(stream, window: TimeWindow | None = None,
@@ -169,12 +171,12 @@ def batch_report(stream, window: TimeWindow | None = None,
     fams = canonical_families(families)
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
-    return report_for_graph(build_graph(stream, window), window, fams, rule,
-                            include_isolated)
+    return report_for_graph(build_graph(stream, window).degree_counts(),
+                            window, fams, rule, include_isolated)
 
 
 class _GraphBuilder:
-    """Incremental vertex/edge state for one window's graph: a counter,
+    """Incremental degree state for one window's graph: a counter,
     which decides no link. ``add`` is given the ids a new vertex links
     to and makes an edge to each of them already in this graph, which
     matches the batch rule that an edge exists only when both endpoints
@@ -184,12 +186,11 @@ class _GraphBuilder:
     (its number of edges) and each vertex it links to moves up one.
     """
 
-    __slots__ = ("degree", "histogram", "n_edges")
+    __slots__ = ("degree", "histogram")
 
     def __init__(self):
         self.degree: dict[str, int] = {}
         self.histogram: dict[int, int] = {}
-        self.n_edges = 0
 
     def add(self, case: str, links: Sequence[str]) -> None:
         degree, histogram = self.degree, self.histogram
@@ -207,11 +208,10 @@ class _GraphBuilder:
             histogram[d + 1] = histogram.get(d + 1, 0) + 1
         degree[case] = edges
         histogram[edges] = histogram.get(edges, 0) + 1
-        self.n_edges += edges
 
-    def graph(self) -> GraphCounts:
+    def graph(self) -> dict[int, int]:
         # the histogram is copied: the builder keeps mutating after emission
-        return GraphCounts(len(self.degree), self.n_edges, dict(self.histogram))
+        return dict(self.histogram)
 
 
 class RecognitionEngine:
@@ -219,8 +219,10 @@ class RecognitionEngine:
 
     ingest() returns the reports whose windows the new watermark closed;
     flush() ends the stream and closes the rest of the schedule, empty
-    windows included. With ``spec=None`` every record goes into one
-    graph, and flush() returns its one report, even for an empty stream.
+    windows included; both return reports built as they are read, from
+    the histogram taken when the windows closed. With ``spec=None``
+    every record goes into one graph, and flush() returns its one
+    report, even for an empty stream.
     Between records it holds ``_seen_ids`` (the id map), ``_orphans``
     (records waiting for their source) and ``_graph``: the open window's
     graph, or in cumulative and whole-stream mode every record's so far.
@@ -255,8 +257,9 @@ class RecognitionEngine:
     def watermark(self) -> datetime | None:
         return self._watermark
 
-    def ingest(self, record: CaseRecord) -> list[StructureReport]:
-        """Absorb one record; return any newly closed windows' reports."""
+    def ingest(self, record: CaseRecord) -> Iterable[StructureReport]:
+        """Absorb one record; return an iterable of the reports of the
+        windows it closed."""
         if self._ended:
             raise ValidationError("stream already flushed")
         case, src, ts = record.case_id, record.source_id, record.timestamp
@@ -289,7 +292,7 @@ class RecognitionEngine:
         return []
 
     def _place(self, case: str, ts: datetime,
-               links: list[str]) -> list[StructureReport]:
+               links: list[str]) -> Iterable[StructureReport]:
         """ingest() of a record outside the open window: it is dropped
         beyond range or before the origin, late, or in a later window,
         which closes every window before that one."""
@@ -324,19 +327,26 @@ class RecognitionEngine:
             return closed
         return []
 
-    def _close(self, stop: int) -> list[StructureReport]:
-        """Report every window from the open one up to index ``stop``
-        (exclusive), in order, and open window ``stop``."""
-        closed = []
-        while self._next < stop:
-            closed.append(report_for_graph(
-                self._graph.graph(), self.spec.window(self._next),
-                self.families, self.rule, self.include_isolated))
-            if self.spec.mode == "tumbling":
-                self._graph = _GraphBuilder()
-            self._next += 1
+    def _close(self, stop: int) -> Iterator[StructureReport]:
+        """Close every window from the open one up to index ``stop``
+        (exclusive) and open window ``stop``; return their reports in
+        order, built as they are read. No record lands in a window after
+        the open one, so in tumbling mode each of those is empty."""
+        first, counts = self._next, self._graph.graph()
+        if self.spec.mode == "tumbling":
+            self._graph = _GraphBuilder()
+        self._next = max(first, stop)
         self._open_window()
-        return closed
+        return self._reports(counts, range(first, stop))
+
+    def _reports(self, counts: dict[int, int],
+                 indices: range) -> Iterator[StructureReport]:
+        for index in indices:
+            yield report_for_graph(counts, self.spec.window(index),
+                                   self.families, self.rule,
+                                   self.include_isolated)
+            if self.spec.mode == "tumbling":
+                counts = {}
 
     def _open_window(self) -> None:
         """Bound the slice of window ``_next``, so that ingest() places a
@@ -347,11 +357,11 @@ class RecognitionEngine:
         else:
             self._open_start = self._open_end = _LAST_INSTANT
 
-    def flush(self) -> list[StructureReport]:
+    def flush(self) -> Iterable[StructureReport]:
         """End of stream: report every case still waiting for its source
-        as ``dangling-source``, then emit every scheduled window up to
-        the one containing the watermark, empty windows included, or
-        with no schedule the whole stream's report."""
+        as ``dangling-source``; return an iterable of the reports of every
+        scheduled window up to the one containing the watermark, empty
+        windows included, or with no schedule the whole stream's report."""
         if self._ended:
             return []
         self._ended = True

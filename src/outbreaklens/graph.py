@@ -5,7 +5,8 @@ case, one edge per resolved source link. Graph snapshots are immutable
 value objects; every measurement here is a pure function, so windows can
 be processed in parallel. ``ContactGraph`` and ``build_graph`` are the
 offline reference the streaming engine is tested against; the engine
-itself keeps only ``GraphCounts``.
+itself keeps only a degree histogram (``{degree: vertices}``), which is
+all a structure report reads.
 """
 
 from __future__ import annotations
@@ -94,22 +95,6 @@ class ContactGraph:
 
 
 @dataclass(frozen=True)
-class GraphCounts:
-    """What a structure report reads from a graph: its vertex and edge
-    counts and ``histogram``, the number of vertices per degree
-    (isolated vertices included). The streaming engine keeps these
-    current as records arrive, so a snapshot of one window costs
-    O(distinct degrees) rather than O(vertices)."""
-
-    n_vertices: int
-    n_edges: int
-    histogram: Mapping[int, int]
-
-    def degree_counts(self) -> Mapping[int, int]:
-        return self.histogram
-
-
-@dataclass(frozen=True)
 class DegreeSample:
     """Degree histogram used as a fitting sample: ``counts`` maps each
     degree to the number of vertices that have it. Every fit is a
@@ -146,11 +131,11 @@ def build_graph(stream: Union[ValidatedStream, Iterable[CaseRecord]],
     return ContactGraph(vertices, edges)
 
 
-def degree_sample(graph: ContactGraph | GraphCounts,
+def degree_sample(counts: Mapping[int, int],
                   include_isolated: bool = False) -> DegreeSample:
-    """The graph's degree histogram in ascending degree order.
-    Zero-degree vertices are dropped unless ``include_isolated`` is set."""
-    counts = graph.degree_counts()
+    """A graph's degree histogram ``counts`` (vertices per degree,
+    isolated vertices included) in ascending degree order. Zero-degree
+    vertices are dropped unless ``include_isolated`` is set."""
     return DegreeSample({d: counts[d] for d in sorted(counts)
                          if d > 0 or include_isolated})
 

@@ -250,6 +250,8 @@ def _json_fields(line: str, line_no: int | None) -> list:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no) from None
+    except (ValueError, RecursionError) as exc:  # a long integer, deep nesting
+        raise ParseError(f"invalid JSON: {exc}", line_no=line_no) from None
     if not isinstance(obj, dict):
         raise ParseError("JSON line is not an object", line_no=line_no)
     missing = [key for key in CSV_HEADER if key not in obj]

@@ -169,6 +169,28 @@ def test_valid_record_file_reads_without_a_warning(cli, tmp_path, text,
     assert report(text) == report(TINY if format == "csv" else _TINY_JSONL)
 
 
+# values json.loads cannot hold: an integer past the 4,300-digit limit
+# raises a plain ValueError, nesting past the recursion limit RecursionError
+UNDECODABLE = {"long-integer": "9" * 5000, "deep-nesting": "[" * 100_000}
+
+
+@pytest.mark.parametrize("value", UNDECODABLE.values(), ids=UNDECODABLE)
+def test_undecodable_jsonl_line_is_a_parse_error(cli, tmp_path, value):
+    src = tmp_path / "cases.jsonl"
+    first, *rest = _TINY_JSONL.splitlines(keepends=True)
+    src.write_text(first + f'{{"case_id": {value}}}\n' + "".join(rest),
+                   encoding="utf-8")
+    code, out, err = cli("analyze", "--input", str(src), "--format", "jsonl")
+    assert code == EXIT_OK
+    assert err.startswith("warning: line 2: invalid JSON: ")
+    assert err.count("\n") == 1
+    assert json.loads(out)["n_vertices"] == 4
+    code, out, err = cli("analyze", "--input", str(src), "--format", "jsonl",
+                         "--strict")
+    assert code == EXIT_INPUT
+    assert err.startswith("error: line 2: invalid JSON: ")
+
+
 def test_analyze_missing_file(cli):
     code, _, err = cli("analyze", "--input", "/no/such/file.csv")
     assert code == EXIT_INPUT
@@ -498,6 +520,15 @@ def test_simulate_rejects_bad_config(cli, tmp_path):
     assert cli("simulate", "--input", str(bad))[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("value", UNDECODABLE.values(), ids=UNDECODABLE)
+def test_simulate_rejects_undecodable_config(cli, tmp_path, value):
+    bad = tmp_path / "cfg.json"
+    bad.write_text(f'{{"seed": {value}}}', encoding="utf-8")
+    code, _, err = cli("simulate", "--input", str(bad))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: invalid sim config: ")
+
+
 def test_simulate_rejects_bad_seed_override(cli):
     assert cli("simulate", "--seed", "-1")[0] == EXIT_USAGE
 
@@ -558,6 +589,17 @@ def test_plot_report_without_pmf_is_input_error(cli, tmp_path):
     code, _, err = cli("plot", "--input", str(path))
     assert code == EXIT_INPUT
     assert "degree_pmf" in err
+
+
+@pytest.mark.parametrize("value", UNDECODABLE.values(), ids=UNDECODABLE)
+def test_plot_reads_undecodable_json_as_records(cli, tmp_path, value):
+    # as any text that is not a JSON object: records, here none valid
+    path = tmp_path / "report.json"
+    path.write_text(f'{{"n_vertices": {value}}}\n', encoding="utf-8")
+    undecodable = cli("plot", "--input", str(path))
+    path.write_text('{"n_vertices": \n', encoding="utf-8")
+    assert undecodable == cli("plot", "--input", str(path))
+    assert undecodable[0] == EXIT_EMPTY
 
 
 def test_plot_of_a_report_with_a_byte_order_mark(cli, tmp_path):
@@ -810,6 +852,7 @@ def test_traced_commands_record_their_spans(outbreak_csv, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), str(root / "perfbench")]))
     sim, report = tmp_path / "sim.csv", tmp_path / "report.json"
+    streamed = tmp_path / "stream.jsonl"
     script = f"""
 import json, traced
 from outbreaklens import cli
@@ -826,11 +869,16 @@ assert cli.main(["analyze", "--input", {str(outbreak_csv)!r},
                  "--output", {str(tmp_path / "fixture.json")!r}]) == 0
 print(json.dumps({{name: tracer.calls[name] - before.get(name, 0)
                   for name in ("records.parse", "engine.ingest")}}))
+before = dict(tracer.calls)
+assert cli.main(["stream", "--window", "tumbling:1d", "--input",
+                 {str(outbreak_csv)!r}, "--output", {str(streamed)!r}]) == 0
+print(json.dumps({{name: tracer.calls[name] - before.get(name, 0)
+                  for name in ("engine.report", "graph.snapshot")}}))
 """
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    first, fixture = proc.stdout.splitlines()
+    first, fixture, stream = proc.stdout.splitlines()
     spans = json.loads(first)
     assert spans["missing"] == []
     for name in ("sim.network", "sim.outbreak", "records.serialize",
@@ -839,3 +887,8 @@ print(json.dumps({{name: tracer.calls[name] - before.get(name, 0)
     n_records = len(outbreak_csv.read_text(encoding="utf-8").splitlines()) - 1
     assert json.loads(fixture) == {"records.parse": n_records,
                                    "engine.ingest": n_records}
+    # one traced report per window written, each from at most one snapshot
+    calls = json.loads(stream)
+    n_reports = len(streamed.read_text(encoding="utf-8").splitlines()) - 1
+    assert calls["engine.report"] == n_reports > 1
+    assert calls["graph.snapshot"] <= n_reports

@@ -96,7 +96,7 @@ def test_reports_emitted_once_watermark_passes_window_end():
     engine = RecognitionEngine(WindowSpec("tumbling", DAY, T0))
     assert engine.ingest(rec("A", None, 10)) == []      # window 0 still open
     assert engine.watermark == T0 + timedelta(minutes=10)
-    out = engine.ingest(rec("B", "A", 24 * 60))          # watermark hits day 1
+    out = list(engine.ingest(rec("B", "A", 24 * 60)))    # watermark hits day 1
     assert [r.window for r in out] == [TimeWindow(T0, T0 + DAY)]
     assert out[0].n_vertices == 1 and out[0].n_edges == 0
 
@@ -110,6 +110,26 @@ def test_flush_emits_remaining_and_empty_windows():
     assert engine.flush() == []  # idempotent
     with pytest.raises(ValidationError):
         engine.ingest(rec("C", None, 999))
+
+
+@pytest.mark.parametrize("mode", ["tumbling", "cumulative"])
+def test_a_record_a_century_on_builds_its_reports_one_at_a_time(mode):
+    # 36,524 windows close at once; reading the first builds one report
+    engine = RecognitionEngine(WindowSpec(mode, DAY, T0))
+    engine.ingest(rec("A", None, 0))
+    calls = []
+    report = engine_module.report_for_graph
+
+    def counted(*args):
+        calls.append(args[1])
+        return report(*args)
+
+    with mock.patch.object(engine_module, "report_for_graph", counted):
+        closed = iter(engine.ingest(CaseRecord(
+            "B", None, datetime(2114, 3, 1, tzinfo=UTC), GeoPoint(0.0, 0.0))))
+        first = next(closed)
+    assert calls == [TimeWindow(T0, T0 + DAY)]
+    assert first.n_vertices == 1
 
 
 def test_empty_middle_window_reports_zero_vertices():
@@ -161,11 +181,11 @@ def test_the_last_window_kept_is_the_last_that_ends(mode, origin, period):
 def test_late_record_rejected_in_tumbling_mode():
     engine = RecognitionEngine(WindowSpec("tumbling", DAY, T0))
     engine.ingest(rec("A", None, 0))
-    closed = engine.ingest(rec("B", None, 24 * 60 + 1))  # closes window 0
+    closed = list(engine.ingest(rec("B", None, 24 * 60 + 1)))  # closes window 0
     assert len(closed) == 1
     engine.ingest(rec("LATE", None, 30))
     assert [d.kind for d in engine.diagnostics] == ["late-record"]
-    final = engine.flush()
+    final = list(engine.flush())
     # the late record is in no report
     seen = {r.window: r.n_vertices for r in closed + final}
     assert seen[TimeWindow(T0, T0 + DAY)] == 1
@@ -178,7 +198,7 @@ def test_late_record_absorbed_in_cumulative_mode():
     engine.ingest(rec("B", None, 24 * 60 + 1))
     engine.ingest(rec("LATE", "A", 30))
     assert [d.kind for d in engine.diagnostics] == ["late-record"]
-    final = engine.flush()
+    final = list(engine.flush())
     # growing prefix: the late arrival still lands in the last report
     assert final[-1].n_vertices == 3
     assert final[-1].n_edges == 1
@@ -285,15 +305,16 @@ def test_every_emitted_report_equals_batch(data):
 
 
 def _check_snapshots(arrivals, spec):
-    """Drive the engine and compare every window's snapshot (sizes and
-    degree histogram) with the batch graph of the records it had seen."""
+    """Drive the engine and compare every window's snapshot, the degree
+    histogram its report is built from, with the batch graph of the
+    records it had seen: the degrees, and the sizes the report derives
+    from the histogram."""
     snapshots = []
-    take_snapshot = engine_module._GraphBuilder.graph
+    report = engine_module.report_for_graph
 
-    def capture(builder):
-        snapshot = take_snapshot(builder)
-        snapshots.append(snapshot)
-        return snapshot
+    def capture(counts, window, *rest):
+        snapshots.append((counts, window))
+        return report(counts, window, *rest)
 
     engine = RecognitionEngine(spec)
     seen = []
@@ -301,20 +322,20 @@ def _check_snapshots(arrivals, spec):
 
     def check_new():
         nonlocal checked
-        for snapshot in snapshots[checked:]:
-            graph = build_graph(seen, spec.window(checked))
-            assert snapshot.n_vertices == graph.n_vertices
-            assert snapshot.n_edges == graph.n_edges
-            assert dict(snapshot.degree_counts()) == dict(
-                Counter(graph.degrees().values()))
+        for counts, window in snapshots[checked:]:
+            assert window == spec.window(checked)
+            graph = build_graph(seen, window)
+            assert dict(counts) == dict(Counter(graph.degrees().values()))
+            assert sum(counts.values()) == graph.n_vertices
+            assert sum(d * c for d, c in counts.items()) == 2 * len(graph.edges)
             checked += 1
 
-    with mock.patch.object(engine_module._GraphBuilder, "graph", capture):
+    with mock.patch.object(engine_module, "report_for_graph", capture):
         for record in arrivals:
             seen.append(record)
-            engine.ingest(record)
+            list(engine.ingest(record))
             check_new()
-        engine.flush()
+        list(engine.flush())
         check_new()
     return engine, checked
 

@@ -91,24 +91,24 @@ def test_graph_invariants_enforced():
 
 def test_degree_sample_drops_isolated_by_default():
     g = build_graph(CHAIN)
-    s = degree_sample(g)
+    s = degree_sample(g.degree_counts())
     assert s.counts == {1: 3, 3: 1}
     assert s.n == 4
 
 
 def test_degree_sample_can_keep_isolated():
     g = build_graph(CHAIN)
-    s = degree_sample(g, include_isolated=True)
+    s = degree_sample(g.degree_counts(), include_isolated=True)
     assert s.counts == {0: 1, 1: 3, 3: 1}
 
 
 def test_degree_distribution_sums_to_one():
-    s = degree_sample(build_graph(CHAIN))
+    s = degree_sample(build_graph(CHAIN).degree_counts())
     pmf = degree_distribution(s)
     assert pmf == {1: 0.75, 3: 0.25}
     assert math.fsum(pmf.values()) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        degree_distribution(degree_sample(build_graph([], None)))
+        degree_distribution(degree_sample(build_graph([], None).degree_counts()))
 
 
 @settings(max_examples=80)
@@ -124,6 +124,24 @@ def test_degree_sum_is_twice_edge_count(parents):
     degs = g.degrees()
     assert sum(degs.values()) == 2 * g.n_edges
     assert g.n_components() == g.n_vertices - g.n_edges  # forest, no cycles
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, 9), st.none() | st.integers(0, 12)),
+                max_size=40),
+       st.integers(0, 9), st.integers(1, 10))
+def test_degree_histogram_fixes_vertex_and_edge_counts(rows, start, length):
+    # a structure report reads only the histogram: its counts sum to the
+    # vertices, and its degree sum is twice the edges, for any stream
+    # (late, dangling and mutual sources included) and any window
+    records = [rec(f"N{i}", None if src in (None, i) else f"N{src}", day)
+               for i, (day, src) in enumerate(rows)]
+    window = TimeWindow(T0 + timedelta(days=start),
+                        T0 + timedelta(days=start + length))
+    for g in (build_graph(records), build_graph(records, window)):
+        counts = g.degree_counts()
+        assert sum(counts.values()) == g.n_vertices
+        assert sum(d * c for d, c in counts.items()) == 2 * len(g.edges)
 
 
 # --- validated input -----------------------------------------------------
