@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import lru_cache
 from pathlib import Path
@@ -97,45 +98,22 @@ def _format_utc(value: datetime) -> str:
 
 
 class _Frozen:
-    """Value semantics for the record types, which are built per record
-    and so are slotted classes, not dataclasses: ``__init__`` sets each
-    field once, through its slot; assigning a field afterwards raises
-    AttributeError; instances compare, hash and print by their fields,
-    named in ``__match_args__``, as a frozen dataclass's would."""
+    """Base of the record types, frozen dataclasses whose own ``__init__``
+    sets each field through its slot, at less cost than the generated one.
+    Copy and pickle go through it too: the frozen ``__setattr__`` blocks
+    the default restore of slot state."""
 
     __slots__ = ()
-    __match_args__: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):  # copy and pickle go through __init__
-        return type(self), self._values()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
+@dataclass(frozen=True, init=False)
 class GeoPoint(_Frozen):
     """A coordinate pair in decimal degrees."""
 
-    __match_args__ = __slots__ = ("longitude", "latitude")
+    __slots__ = ("longitude", "latitude")
     longitude: float
     latitude: float
 
@@ -149,6 +127,7 @@ class GeoPoint(_Frozen):
         _set_latitude(self, latitude)
 
 
+@dataclass(frozen=True, init=False)
 class CaseRecord(_Frozen):
     """One reported case.
 
@@ -157,8 +136,8 @@ class CaseRecord(_Frozen):
     source is rejected because it could never form a valid contact edge.
     """
 
-    __match_args__ = ("case_id", "source_id", "timestamp", "location")
-    __slots__ = __match_args__ + ("__weakref__",)
+    __slots__ = ("case_id", "source_id", "timestamp", "location",
+                 "__weakref__")
     case_id: str
     source_id: str | None
     timestamp: datetime
@@ -178,7 +157,7 @@ class CaseRecord(_Frozen):
         _set_location(self, location)
 
 
-# The slots' own setters, which go past _Frozen.__setattr__.
+# The slots' own setters, which go past the frozen __setattr__.
 _set_longitude = GeoPoint.longitude.__set__
 _set_latitude = GeoPoint.latitude.__set__
 _set_case_id = CaseRecord.case_id.__set__
@@ -240,6 +219,18 @@ def parse_record(line: str, format: str = "csv", *,
         raise ParseError(str(exc), line_no=line_no) from None
 
 
+def load_json(text: str):
+    """``json.loads``, naming an integer with too many digits to convert,
+    where Python's message advises a call a command-line user cannot make."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the only other ValueError json.loads raises
+        raise ValueError(f"an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+
+
 _JSON_KINDS = {bool: "a boolean", dict: "an object", list: "an array"}
 
 
@@ -247,7 +238,7 @@ def _json_fields(line: str, line_no: int | None) -> list:
     """The five field values of a JSON line, each null, a number or a
     string."""
     try:
-        obj = json.loads(line)
+        obj = load_json(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no) from None
     except (ValueError, RecursionError) as exc:  # a long integer, deep nesting

@@ -23,7 +23,8 @@ from importlib import resources
 from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
                     Sequence)
 
-from .records import CaseRecord, GeoPoint, normalize_timestamp, parse_timestamp
+from .records import (CaseRecord, GeoPoint, load_json, normalize_timestamp,
+                      parse_timestamp)
 
 TOPOLOGIES = ("preferential-attachment", "uniform-attachment")
 
@@ -107,7 +108,7 @@ class SimConfig:
         (default 2014-03-01). Omitted entirely, one index case at the
         first bundled region is used.
         """
-        obj = json.loads(doc) if isinstance(doc, str) else dict(doc)
+        obj = load_json(doc) if isinstance(doc, str) else dict(doc)
         if not isinstance(obj, dict):
             raise ValueError("sim config must be a JSON object")
         unknown = set(obj) - _CONFIG_KEYS
@@ -254,27 +255,19 @@ def simulate_outbreak(network: SyntheticNetwork,
         step_idx = -((-offset) // STEP)  # ceil; late starts snap forward
         activations.setdefault(step_idx, []).append((node, ic))
 
-    records: list[CaseRecord] = []
-    infected_at: dict[int, int] = {}
-    # Infected nodes that may still have a susceptible neighbour. A node
-    # leaves once its scan in a step leaves every neighbour infected or
-    # claimed: it would never draw a random number again, so skipping it
-    # keeps every draw, and the output, as if each infected node were visited.
+    case_of: dict[int, CaseRecord] = {}  # in the order the cases arose
+    # Infected nodes that may still have a susceptible neighbour. A case
+    # joins after the scan of the step it arose in, as it transmits from
+    # the next one. A node leaves once its scan in a step leaves every
+    # neighbour infected or claimed: it would never draw a random number
+    # again, so skipping it keeps every draw, and the output, as if each
+    # infected node were visited.
     frontier: set[int] = set()
-    locations: dict[int, GeoPoint] = {}
-    ids: dict[int, str] = {}
-    seq = 0
 
-    def emit(node: int, source: int | None, instant: datetime,
+    def emit(node: int, source: str | None, instant: datetime,
              loc: GeoPoint) -> None:
-        nonlocal seq
-        seq += 1
-        case_id = f"C{seq:06d}"
-        ids[node] = case_id
-        locations[node] = loc
-        records.append(CaseRecord(case_id,
-                                  None if source is None else ids[source],
-                                  instant, loc))
+        case_of[node] = CaseRecord(f"C{len(case_of) + 1:06d}", source,
+                                   instant, loc)
 
     # Neither generator is used after the loop, so drawing ahead is safe.
     uniforms = _blocks(rng_spread.random)
@@ -282,20 +275,16 @@ def simulate_outbreak(network: SyntheticNetwork,
     p = config.p_transmit
     for step_idx in range(config.n_steps + 1):
         instant = base + step_idx * STEP
+        arrived = []
         for node, ic in activations.get(step_idx, ()):
-            if node not in infected_at:  # may already be infected by spread
-                infected_at[node] = step_idx
-                frontier.add(node)
+            if node not in case_of:  # may already be infected by spread
+                arrived.append(node)
                 emit(node, None, instant, ic.location)
-        if step_idx == 0 or p == 0.0:
-            continue
         claimed: dict[int, int] = {}  # target -> infector, smallest id first
         for node in sorted(frontier):
-            if infected_at[node] >= step_idx:
-                continue  # infected this step; transmits from the next one
             susceptible_left = False
             for nbr in adjacency[node]:
-                if nbr in infected_at or nbr in claimed:
+                if nbr in case_of or nbr in claimed:
                     continue
                 if next(uniforms) < p:
                     claimed[nbr] = node
@@ -303,16 +292,16 @@ def simulate_outbreak(network: SyntheticNetwork,
                     susceptible_left = True
             if not susceptible_left:
                 frontier.discard(node)
+        frontier.update(arrived, claimed)
         for target, infector in claimed.items():
-            infected_at[target] = step_idx
-            frontier.add(target)
             if config.jitter_km > 0:
                 dx, dy = next(jitter), next(jitter)
             else:
                 dx = dy = 0.0
-            emit(target, infector, instant,
-                 _jittered(locations[infector], dx, dy))
-    return tuple(records)
+            source = case_of[infector]
+            emit(target, source.case_id, instant,
+                 _jittered(source.location, dx, dy))
+    return tuple(case_of.values())
 
 
 def _geometric_delays(us: np.ndarray, p: float) -> np.ndarray | None:

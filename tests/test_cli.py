@@ -191,6 +191,22 @@ def test_undecodable_jsonl_line_is_a_parse_error(cli, tmp_path, value):
     assert err.startswith("error: line 2: invalid JSON: ")
 
 
+def test_long_integer_is_named_without_python_advice(cli, tmp_path):
+    digits = sys.get_int_max_str_digits()
+    holds = f"an integer of more than {digits} digits"
+    src = tmp_path / "cases.jsonl"
+    src.write_text(f'{{"case_id": {"9" * (digits + 1)}}}\n', encoding="utf-8")
+    code, _, err = cli("analyze", "--input", str(src), "--format", "jsonl")
+    assert (code, err) == (EXIT_OK,
+                           f"warning: line 1: invalid JSON: {holds}\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"seed": {"9" * (digits + 1)}}}', encoding="utf-8")
+    code, _, config_err = cli("simulate", "--input", str(cfg))
+    assert (code, config_err) == (EXIT_USAGE,
+                                  f"error: invalid sim config: {holds}\n")
+    assert "set_int_max_str_digits" not in err + config_err
+
+
 def test_analyze_missing_file(cli):
     code, _, err = cli("analyze", "--input", "/no/such/file.csv")
     assert code == EXIT_INPUT

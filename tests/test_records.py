@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -165,6 +166,28 @@ def test_records_are_immutable_and_weakly_referenceable():
     assert r == rec("A", None, T0)
     assert weakref.ref(r)() is r
     assert copy.copy(r) == r and pickle.loads(pickle.dumps(r)) == r
+
+
+def test_records_are_dataclasses_whose_replace_runs_the_checks():
+    r = rec("A", "S", T0, 1.5, -2.0)
+    assert dataclasses.is_dataclass(r) and dataclasses.is_dataclass(r.location)
+    assert [f.name for f in dataclasses.fields(r)] == [
+        "case_id", "source_id", "timestamp", "location"]
+    assert [f.name for f in dataclasses.fields(r.location)] == [
+        "longitude", "latitude"]
+    with pytest.raises(ValueError, match="lists itself as source"):
+        dataclasses.replace(r, source_id=r.case_id)
+    assert dataclasses.replace(r, source_id="").source_id is None
+    with pytest.raises(ValueError, match="out of range"):
+        dataclasses.replace(r.location, latitude=91.0)
+    match r:
+        case CaseRecord(case_id, source_id, timestamp, GeoPoint(lon, lat)):
+            assert (case_id, source_id, timestamp, lon, lat) == (
+                "A", "S", T0, 1.5, -2.0)
+        case _:
+            pytest.fail("a record must match its class pattern")
+    assert hash(r) == hash((r.case_id, r.source_id, r.timestamp, r.location))
+    assert hash(r.location) == hash((1.5, -2.0))
 
 
 def test_record_constructor_checks_and_normalizes():
