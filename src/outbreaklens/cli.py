@@ -38,7 +38,8 @@ FAMILY_ALIASES = {
     "pl": "power-law",
 }
 
-_DURATION_RE = re.compile(r"^(\d+)([smhd])$")
+# ASCII digits only: \d would also take other scripts' digits
+_DURATION_RE = re.compile(r"^([0-9]+)([smhd])$")
 _DURATION_UNITS = {"s": "seconds", "m": "minutes", "h": "hours", "d": "days"}
 
 # Each command imports only the modules it runs. The names that
@@ -77,7 +78,8 @@ class _Parser(argparse.ArgumentParser):
 def parse_duration(text: str) -> timedelta:
     """Durations like 15m, 1h, 1d (also seconds: 90s)."""
     match = _DURATION_RE.match(text.strip())
-    with suppress(OverflowError):  # longer than the longest timedelta
+    # longer than the longest timedelta, or too many digits to read
+    with suppress(OverflowError, ValueError):
         if match and int(match.group(1)):
             value, unit = match.groups()
             return timedelta(**{_DURATION_UNITS[unit]: int(value)})
@@ -359,7 +361,8 @@ def cmd_plot(args) -> int:
         svg = _module.render_degree_plot(pmf, fits, log_scale=args.log_log)
     except EmptyDistribution as exc:
         raise _CliError(EXIT_EMPTY, str(exc)) from None
-    except ValueError as exc:  # a fit that cannot be drawn
+    # a fit that cannot be drawn, or a degree past float range
+    except (ValueError, OverflowError) as exc:
         raise _CliError(EXIT_INPUT, f"malformed report: {exc}") from None
     with _output(args.output) as out:
         out.write(svg)

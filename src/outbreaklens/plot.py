@@ -58,8 +58,8 @@ def _drawable(fit: Mapping) -> tuple[str, dict[str, float]]:
                for v in params.values()) and all(
                 valid(params[name]) for name, valid in _DOMAINS[family].items()):
             return family, params
-    except (AttributeError, KeyError, TypeError):
-        pass
+    except (AttributeError, KeyError, OverflowError, TypeError):
+        pass  # OverflowError: an int past float range
     raise ValueError(f"cannot draw fit {fit!r}")
 
 
@@ -123,7 +123,8 @@ def render_degree_plot(pmf: Mapping[int, float], fits: Sequence[Mapping], *,
     lists the parameters in name order). Linear axes by default;
     ``log_scale`` plots log10 of both axes (zero-degree and
     zero-probability points are dropped there, and curve values below
-    half the smallest empirical probability are drawn at that floor).
+    half the smallest empirical probability, or below it where half of
+    it is 0, are drawn at that floor).
     Raises EmptyDistribution when no point can be drawn, and ValueError
     on a fit it cannot draw."""
     points = sorted((int(d), float(p)) for d, p in pmf.items())
@@ -140,7 +141,9 @@ def render_degree_plot(pmf: Mapping[int, float], fits: Sequence[Mapping], *,
     # On log axes the y floor sits below the smallest empirical
     # probability, and curve values under it are drawn on it: a far tail
     # can underflow to a subnormal whose logarithm would set the scale.
-    y_floor = 0.5 * min(p for _, p in points)
+    # Half the smallest subnormal is 0, so that one is its own floor.
+    p_min = min(p for _, p in points)
+    y_floor = 0.5 * p_min or p_min
     curves = []
     for family, params in parsed:
         xs = _curve_xs(family, params, x_lo, x_hi, log_scale)

@@ -261,10 +261,12 @@ def _json_fields(line: str, line_no: int | None) -> list:
 def _coordinate(value, key: str, line_no: int | None) -> float:
     """A coordinate cell or JSON value as a float. Text must be an ASCII
     decimal number, whitespace around it aside: float() alone would also
-    read digit separators (``1_2.5``) and other scripts' digits."""
+    read digit separators (``1_2.5``) and other scripts' digits. A
+    boolean is no number, although float() reads it as one."""
     try:
-        if type(value) is str and ("_" in value or not (
-                value.isascii() or value.strip().isascii())):
+        if value is True or value is False or type(value) is str and (
+                "_" in value or not (value.isascii()
+                                     or value.strip().isascii())):
             raise ValueError(value)
         return float(value)
     except (TypeError, ValueError, OverflowError):  # an int past float range

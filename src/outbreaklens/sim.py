@@ -17,14 +17,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from functools import partial
 from importlib import resources
-from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
-                    Sequence)
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .records import (CaseRecord, GeoPoint, load_json, normalize_timestamp,
-                      parse_timestamp)
+import numpy as np
+
+from .records import (CaseRecord, GeoPoint, _coordinate, load_json,
+                      normalize_timestamp, parse_timestamp)
 
 TOPOLOGIES = ("preferential-attachment", "uniform-attachment")
 
@@ -46,11 +47,9 @@ _BLOCK = 1024
 _CONFIG_KEYS = {"topology", "n_population", "p_transmit", "n_steps",
                 "index_cases", "jitter_km", "seed"}
 _DEFAULT_START = "2014-03-01"
-
-# numpy is imported inside the functions that draw random numbers, so
-# the analysis commands, which never simulate, do not pay for loading it.
-if TYPE_CHECKING:
-    import numpy as np
+# the types each number field takes; a bool, though an int, is none
+_FIELD_TYPES = {"n_population": int, "n_steps": int, "seed": int,
+                "p_transmit": (int, float), "jitter_km": (int, float)}
 
 
 def load_regions() -> dict[str, GeoPoint]:
@@ -84,20 +83,32 @@ class SimConfig:
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}")
+        for name, kinds in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                noun = "an integer" if kinds is int else "a number"
+                raise ValueError(f"{name} must be {noun}, not "
+                                 f"{type(value).__name__}")
         if self.n_population < 1:
             raise ValueError("n_population must be at least 1")
         if not 0.0 <= self.p_transmit <= 1.0:
             raise ValueError("p_transmit must lie in [0, 1]")
         if self.n_steps < 0:
             raise ValueError("n_steps must be non-negative")
-        if self.jitter_km < 0:
-            raise ValueError("jitter_km must be non-negative")
+        if not 0 <= self.jitter_km < math.inf:
+            raise ValueError("jitter_km must be finite and non-negative")
         # numpy seed sequences take unsigned 64-bit entropy
-        if not 0 <= int(self.seed) < 2 ** 64:
+        if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "index_cases", tuple(self.index_cases))
         if len(self.index_cases) > self.n_population:
             raise ValueError("more index cases than individuals")
+        if self.index_cases:  # the run's last day must be a date
+            try:
+                min(ic.start for ic in self.index_cases) + self.n_steps * STEP
+            except OverflowError:
+                raise ValueError("the run's last day falls after 9999-12-31; "
+                                 "lower n_steps or start earlier") from None
 
     @classmethod
     def from_json(cls, doc: str | Mapping) -> "SimConfig":
@@ -126,14 +137,14 @@ class SimConfig:
                 raise ValueError("each index case must be an object")
             if "region" in entry:
                 name = entry["region"]
-                if name not in regions:
+                if not isinstance(name, str) or name not in regions:
                     raise ValueError(f"unknown region {name!r}; "
                                      f"presets: {sorted(regions)}")
                 loc = regions[name]
             else:
                 try:
-                    loc = GeoPoint(float(entry["longitude"]),
-                                   float(entry["latitude"]))
+                    loc = GeoPoint(*(_coordinate(entry[key], key, None)
+                                     for key in ("longitude", "latitude")))
                 except KeyError as exc:
                     raise ValueError(f"index case needs region or "
                                      f"longitude/latitude: missing {exc}") from None
@@ -184,8 +195,6 @@ def _picks(rng: np.random.Generator, n: int,
     """For nodes 1..n-1, a draw below ``bound(node)`` each. The bounds are
     known up front, so an array draw over a block of nodes gives the
     values, and leaves the generator state, of one scalar draw per node."""
-    import numpy as np
-
     for first in range(1, n, _BLOCK):
         nodes = np.arange(first, min(first + _BLOCK, n))
         yield from rng.integers(0, bound(nodes)).tolist()
@@ -193,8 +202,6 @@ def _picks(rng: np.random.Generator, n: int,
 
 def generate_network(config: SimConfig) -> SyntheticNetwork:
     """Deterministic synthetic contact structure for the config seed."""
-    import numpy as np
-
     rng = np.random.default_rng([config.seed, _TAG_NETWORK])
     edges = _attachment_edges(config.topology, config.n_population, rng)
     return SyntheticNetwork(config.n_population, edges, config.topology,
@@ -235,8 +242,6 @@ def simulate_outbreak(network: SyntheticNetwork,
     Geography draws use a separate substream from transmission draws,
     so the infection tree is invariant to jitter_km.
     """
-    import numpy as np
-
     if not config.index_cases:
         raise ValueError("config has no index cases")
     if len(config.index_cases) > network.n:
@@ -304,15 +309,13 @@ def simulate_outbreak(network: SyntheticNetwork,
     return tuple(case_of.values())
 
 
-def _geometric_delays(us: np.ndarray, p: float) -> np.ndarray | None:
+def _geometric_delays(us: np.ndarray, p: float) -> np.ndarray:
     """Per-edge transmission delays via inverse-CDF coupling: the same
     uniforms produce delays that are non-increasing in p, so final sizes
-    are monotone in p within a replication. Returns None when p = 0
-    (no transmission, infinite delay)."""
-    import numpy as np
-
+    are monotone in p within a replication. At p = 0 (no transmission)
+    every delay is the largest int64, longer than any run."""
     if p == 0.0:
-        return None
+        return np.full(len(us), np.iinfo(np.int64).max)
     if p == 1.0:
         return np.ones(len(us), dtype=np.int64)
     delays = np.ceil(np.log1p(-us) / math.log1p(-p)).astype(np.int64)
@@ -336,8 +339,6 @@ def final_size_curve(topology: str, p_grid: Sequence[float],
     returns (means, per_replication) where per_replication[r][i] is the
     fraction for p_grid[i] in replication r.
     """
-    import numpy as np
-
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
     if replications < 1:
@@ -355,17 +356,12 @@ def final_size_curve(topology: str, p_grid: Sequence[float],
         sources = [int(v) for v in
                    rng.choice(n_population, size=n_index, replace=False)]
         us = rng.random(len(edges))
-        incident: list[list[tuple[int, int]]] = [[] for _ in range(n_population)]
-        for ei, (a, b) in enumerate(edges):
-            incident[a].append((b, ei))
-            incident[b].append((a, ei))
+        adjacency = SyntheticNetwork(n_population, edges, topology,
+                                     seed).adjacency()
 
         fractions = []
         for p in ps:
             delays = _geometric_delays(us, p)
-            if delays is None:
-                fractions.append(n_index / n_population)
-                continue
             best = {}
             for src in sources:
                 # tree walk from each source; keep the earliest infection
@@ -375,11 +371,13 @@ def final_size_curve(topology: str, p_grid: Sequence[float],
                     node, dist = stack.pop()
                     if dist <= n_steps and dist < best.get(node, n_steps + 1):
                         best[node] = dist
-                    for nbr, ei in incident[node]:
+                    for nbr in adjacency[node]:
                         if nbr in seen:
                             continue
                         seen.add(nbr)
-                        nd = dist + int(delays[ei])
+                        # _attachment_edges makes edge i join node i + 1
+                        # to an earlier node
+                        nd = dist + int(delays[max(node, nbr) - 1])
                         if nd <= n_steps:
                             stack.append((nbr, nd))
             fractions.append(len(best) / n_population)

@@ -70,7 +70,8 @@ def test_parse_duration(text, expected):
 
 
 @pytest.mark.parametrize("text", ["", "5", "m5", "5w", "1.5h", "h", "0d",
-                                  "9999999999d", "99999999999999999999s"])
+                                  "9999999999d", "99999999999999999999s",
+                                  "\uff11d", "\u0661d"])
 def test_parse_duration_rejects(text):
     with pytest.raises(ValueError):
         parse_duration(text)
@@ -205,6 +206,17 @@ def test_long_integer_is_named_without_python_advice(cli, tmp_path):
     assert (code, config_err) == (EXIT_USAGE,
                                   f"error: invalid sim config: {holds}\n")
     assert "set_int_max_str_digits" not in err + config_err
+
+
+def test_long_duration_count_is_named_without_python_advice(cli, tmp_path):
+    src = tmp_path / "cases.csv"
+    src.write_text(TINY, encoding="utf-8")
+    code, out, err = cli("analyze", "--input", str(src),
+                         "--window", f"tumbling:{'1' * 5000}d")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: bad duration ")
+    assert err.count("\n") == 1
+    assert "set_int_max_str_digits" not in err
 
 
 def test_analyze_missing_file(cli):
@@ -545,6 +557,52 @@ def test_simulate_rejects_undecodable_config(cli, tmp_path, value):
     assert err.startswith("error: invalid sim config: ")
 
 
+@pytest.mark.parametrize("config", [
+    pytest.param('{"n_population": 2.5}', id="n_population-float"),
+    pytest.param('{"n_population": true}', id="n_population-bool"),
+    pytest.param('{"n_steps": 1e3}', id="n_steps-float"),
+    pytest.param('{"n_steps": "10"}', id="n_steps-string"),
+    pytest.param('{"seed": 1.5}', id="seed-float"),
+    pytest.param('{"p_transmit": "0.1"}', id="p_transmit-string"),
+    pytest.param('{"jitter_km": null}', id="jitter_km-null"),
+    pytest.param('{"index_cases": [{"region": []}]}', id="region-array"),
+    pytest.param('{"index_cases": [{"longitude": null, "latitude": 1}]}',
+                 id="longitude-null"),
+    pytest.param('{"index_cases": [{"longitude": true, "latitude": 1}]}',
+                 id="longitude-bool"),
+    pytest.param('{"index_cases": [{"longitude": "1_0", "latitude": 1}]}',
+                 id="longitude-digit-separator"),
+])
+def test_simulate_rejects_a_config_field_of_the_wrong_type(cli, tmp_path,
+                                                           config):
+    path = tmp_path / "cfg.json"
+    path.write_text(config, encoding="utf-8")
+    code, out, err = cli("simulate", "--input", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: invalid sim config: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config", [
+    '{"n_steps": 3000000}',
+    '{"n_steps": 1000000000000000000000000000000}',
+    '{"n_steps": 5, "index_cases": [{"region": "Conakry", '
+    '"start": "9999-12-31"}]}',
+], ids=["from-2014", "past-the-longest-timedelta", "from-the-last-day"])
+def test_simulate_rejects_a_run_past_the_last_date(cli, tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(config, encoding="utf-8")
+    assert cli("simulate", "--input", str(path)) == (
+        EXIT_USAGE, "", "error: invalid sim config: the run's last day falls "
+                        "after 9999-12-31; lower n_steps or start earlier\n")
+    # a run that ends on the last date is simulated
+    path.write_text('{"n_steps": 5, "index_cases": [{"region": "Conakry", '
+                    '"start": "9999-12-26"}]}', encoding="utf-8")
+    code, out, err = cli("simulate", "--input", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[1].startswith("C000001,,9999-12-26T00:00:00Z,")
+
+
 def test_simulate_rejects_bad_seed_override(cli):
     assert cli("simulate", "--seed", "-1")[0] == EXIT_USAGE
 
@@ -596,6 +654,38 @@ def test_plot_log_log_survives_an_underflowing_fit_tail(cli, tmp_path):
     assert out.count("<circle data-degree=") == 4
     # the y floor is half the smallest empirical probability
     assert f'data-y0="{math.log10(0.05)!r}"' in out
+
+
+def test_plot_log_log_of_the_smallest_subnormal_probability(cli, tmp_path):
+    # half of 5e-324 is 0, so the y floor is 5e-324 itself
+    report = {"n_vertices": 2, "degree_pmf": [[1, 1.0], [2, 5e-324]]}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    code, out, err = cli("plot", "--input", str(path), "--log-log")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.count("<circle data-degree=") == 2
+    assert f'data-y0="{math.log10(5e-324)!r}"' in out
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param({"degree_pmf": [[10 ** 400, 1.0]]}, id="degree"),
+    pytest.param({"classification": {"fits": [
+        {"family": "poisson", "params": {"lambda": 10 ** 400}}]}},
+        id="poisson-lambda"),
+    pytest.param({"classification": {"fits": [
+        {"family": "normal", "params": {"mu": 10 ** 400, "sigma": 1.0}}]}},
+        id="normal-mu"),
+])
+@pytest.mark.parametrize("scale", [(), ("--log-log",)], ids=["linear", "log"])
+def test_plot_of_an_integer_past_float_range_is_input_error(cli, tmp_path,
+                                                            change, scale):
+    report = {"n_vertices": 2, "degree_pmf": [[1, 1.0]], **change}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    code, out, err = cli("plot", "--input", str(path), *scale)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: malformed report: ")
+    assert err.count("\n") == 1
 
 
 def test_plot_report_without_pmf_is_input_error(cli, tmp_path):

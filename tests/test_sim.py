@@ -378,6 +378,21 @@ def test_final_size_monotone_within_each_replication():
         assert list(fractions) == sorted(fractions)
 
 
+@pytest.mark.parametrize("topology,counts", [
+    ("preferential-attachment",
+     [(3, 12, 106), (3, 50, 162), (3, 46, 152), (3, 51, 155)]),
+    ("uniform-attachment",
+     [(3, 15, 55), (3, 14, 32), (3, 29, 81), (3, 16, 94)]),
+])
+def test_final_size_with_several_index_cases(topology, counts):
+    # infected counts of 200 per replication; at p = 0 only the three
+    # index cases, each reached from its own source
+    _, per_rep = final_size_curve(topology, [0.0, 0.1, 0.3], replications=4,
+                                  seed=13, n_population=200, n_steps=12,
+                                  n_index=3, detail=True)
+    assert per_rep == tuple(tuple(c / 200 for c in row) for row in counts)
+
+
 def test_final_size_detail_shape_and_mean():
     grid = [0.05, 0.2]
     means, per_rep = final_size_curve("preferential-attachment", grid,
