@@ -12,6 +12,7 @@ import argparse
 import importlib
 import io
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager, suppress
@@ -117,10 +118,26 @@ def _read_text(path: str | None) -> str:
                         f"cannot read {path or 'stdin'}: {exc}") from None
 
 
+def _discard(out: TextIO) -> None:
+    """Point the output's descriptor at the null device, so what is still
+    buffered for it is dropped instead of failing a second time on close
+    or at exit. An in-memory output has no descriptor."""
+    try:
+        fd = out.fileno()
+    except io.UnsupportedOperation:
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+    finally:
+        os.close(null)
+
+
 @contextmanager
 def _output(path: str | None) -> Iterator[TextIO]:
     """stdout for None or "-", else the file, truncated. An output that
-    cannot be opened or written (a reader that has gone) is exit 2."""
+    cannot be opened or written (a reader that has gone) is exit 2, and
+    what was still to be written to it is discarded."""
     try:
         out = (sys.stdout if path in (None, "-")
                else open(path, "w", encoding="utf-8", newline=""))
@@ -130,6 +147,7 @@ def _output(path: str | None) -> Iterator[TextIO]:
         yield out
         out.flush()
     except OSError as exc:
+        _discard(out)
         raise _CliError(EXIT_INPUT, str(exc)) from None
     finally:
         if out is not sys.stdout:
@@ -229,14 +247,17 @@ def _run_config(args, command: str, origin: datetime | None,
 def _write_windowed(args, command: str, records: Iterable[CaseRecord],
                     window: tuple[str, timedelta], origin: datetime | None,
                     families: Sequence[str]) -> int:
-    """Write each report to the output as its window closes, then the
-    summary line, which is folded from the reports as they pass, so no
-    written report is kept. Reports written before an input error stay."""
+    """Write each report to the output and flush it as its window
+    closes, so a reader on a pipe has it without waiting for later
+    windows or end of input; then the summary line, which is folded from
+    the reports as they pass, so no written report is kept. Reports
+    written before an input error stay."""
     from .engine import classify_trend
 
     def written(reports: Iterable[StructureReport]) -> Iterator[StructureReport]:
         for report in reports:
             out.write(_dump_line(report.to_json_dict()))
+            out.flush()
             yield report
 
     with _output(args.output) as out:

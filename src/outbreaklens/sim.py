@@ -278,6 +278,7 @@ def simulate_outbreak(network: SyntheticNetwork,
     uniforms = _blocks(rng_spread.random)
     jitter = _blocks(partial(rng_geo.normal, 0.0, config.jitter_km))
     p = config.p_transmit
+    last_arrival = max(activations)
     for step_idx in range(config.n_steps + 1):
         instant = base + step_idx * STEP
         arrived = []
@@ -306,6 +307,8 @@ def simulate_outbreak(network: SyntheticNetwork,
             source = case_of[infector]
             emit(target, source.case_id, instant,
                  _jittered(source.location, dx, dy))
+        if not frontier and step_idx >= last_arrival:
+            break  # the outbreak is over: no later step draws or emits
     return tuple(case_of.values())
 
 

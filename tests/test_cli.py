@@ -5,8 +5,10 @@ import io
 import json
 import math
 import os
+import select
 import subprocess
 import sys
+import time
 import weakref
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -392,6 +394,89 @@ def test_stdout_closed_before_the_summary_is_an_error_exit(
     code, _, err = cli(command, *source, *argv)
     assert code == EXIT_INPUT
     assert err == "error: [Errno 32] Broken pipe\n"
+
+
+def _spawn(*argv, stdin=subprocess.DEVNULL) -> subprocess.Popen:
+    """The real entry point with stdout and stderr on pipes and the
+    interpreter's own stdout buffering, which PYTHONUNBUFFERED would turn
+    off and so hide a report held back in it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "outbreaklens", *argv],
+                            stdin=stdin, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+
+
+def _first_line(pipe, timeout: float = 10.0) -> bytes:
+    """The first line read from ``pipe``, or what had come when
+    ``timeout`` seconds passed without one, so a test cannot hang."""
+    fd, data = pipe.fileno(), b""
+    deadline = time.monotonic() + timeout
+    while b"\n" not in data:
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([fd], [], [], left)[0]:
+            break
+        chunk = os.read(fd, 65536)
+        if not chunk:
+            break
+        data += chunk
+    return data.split(b"\n")[0]
+
+
+def test_stream_hands_a_report_to_a_pipe_as_its_window_closes():
+    # day-1 records and one day-2 record close the first window; stdin
+    # stays open, so nothing but the report's own flush can deliver it
+    fed = "".join(TINY.splitlines(keepends=True)[:3])
+    proc = _spawn("stream", "--window", "tumbling:1d", stdin=subprocess.PIPE)
+    try:
+        proc.stdin.write(fed.encode("utf-8"))
+        proc.stdin.flush()
+        line = _first_line(proc.stdout)
+    finally:
+        proc.kill()
+        proc.communicate()
+    code, out, _ = run_cli_subprocess("analyze", "--window", "tumbling:1d",
+                                      stdin=fed)
+    assert code == EXIT_OK
+    assert line.decode("utf-8") == out.splitlines()[0]
+
+
+@pytest.mark.parametrize("command,window", [
+    ("stream", "tumbling:1d"), ("stream", "cumulative:1d"),
+    ("analyze", "tumbling:1d")])
+def test_a_reader_that_goes_away_is_one_error_line(tmp_path, command,
+                                                   window):
+    src = tmp_path / "cases.csv"
+    # ten years of daily reports: far more than a pipe holds
+    src.write_text("case_id,source_id,date,longitude,latitude\n"
+                   "A,,2014-01-01,0,0\nB,,2024-01-01,0,0\n",
+                   encoding="utf-8")
+    proc = _spawn(command, "--window", window, "--input", str(src))
+    try:
+        assert _first_line(proc.stdout).startswith(b'{"')
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == EXIT_INPUT
+    assert err == b"error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command,argv", [
+    ("stream", ("--window", "tumbling:1d")),
+    ("analyze", ("--window", "tumbling:1d")),
+    ("analyze", ("--window", "all")),
+    ("plot", ()),
+])
+def test_a_full_output_file_is_one_error_line(cli, outbreak_csv, command,
+                                              argv):
+    code, out, err = cli(command, "--input", str(outbreak_csv), *argv,
+                         "--output", "/dev/full")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: [Errno 28] ") and err.count("\n") == 1
 
 
 def test_warnings_come_out_as_the_engine_raises_them(cli, monkeypatch):

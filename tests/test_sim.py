@@ -1,6 +1,7 @@
 """Synthetic networks, the outbreak process, and final-size studies."""
 
 import json
+import time
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -272,6 +273,23 @@ def test_simulate_needs_index_cases():
         simulate_outbreak(net, SimConfig(n_population=10))
 
 
+def test_simulate_stops_once_the_outbreak_is_over(cli, tmp_path):
+    outputs, seconds = [], []
+    for n_steps in (60, 2_000_000):
+        path = tmp_path / f"steps{n_steps}.json"
+        path.write_text(json.dumps({"n_population": 10, "p_transmit": 0.5,
+                                    "seed": 3, "n_steps": n_steps}),
+                        encoding="utf-8")
+        start = time.perf_counter()
+        code, out, _ = cli("simulate", "--input", str(path))
+        seconds.append(time.perf_counter() - start)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    # stepping through every day took about 2 s on a 2-core machine
+    assert seconds[1] < 1.0
+
+
 def _visit_every_infected_node(network, cfg):
     """simulate_outbreak as it was before the frontier: every step visits
     every infected node, in ascending id order. It draws one scalar per
@@ -348,6 +366,22 @@ def test_frontier_visits_give_the_records_of_visiting_every_node(topology, kw,
     records = simulate_outbreak(network, cfg)
     assert len(records) > len(cfg.index_cases)
     assert records == _visit_every_infected_node(network, cfg)
+
+
+def test_an_index_case_due_after_the_outbreak_died_out_still_arrives():
+    # two components: the first outbreak is over by day 2, and an index
+    # case placed in the other component still arrives on day 5
+    network = SyntheticNetwork(4, ((0, 1), (2, 3)), "uniform-attachment", 0)
+    index_cases = (IndexCase(GeoPoint(0.0, 0.0), T0),
+                   IndexCase(GeoPoint(5.0, 5.0), T0 + timedelta(days=5)))
+    sizes = set()
+    for seed in range(8):
+        cfg = SimConfig(n_population=4, p_transmit=1.0, n_steps=10,
+                        jitter_km=0.0, seed=seed, index_cases=index_cases)
+        records = simulate_outbreak(network, cfg)
+        assert records == _visit_every_infected_node(network, cfg)
+        sizes.add(len(records))
+    assert sizes == {2, 4}
 
 
 def test_fixture_regenerates_exactly(outbreak_csv, sim_config_path):
