@@ -1,9 +1,10 @@
 """Command-line surface: analyze, stream, simulate, plot.
 
 Exit codes are stable: 0 success, 2 unreadable or invalid input data
-or an output that cannot be written, 64 bad flags or simulation config,
-65 empty distribution where a plot was requested. Identical inputs and
-flags produce byte-identical outputs (reports and SVG alike).
+or an output (stderr included) that cannot be written, 64 bad flags or
+simulation config, 65 empty distribution where a plot was requested.
+Identical inputs and flags produce byte-identical outputs (reports and
+SVG alike).
 """
 
 from __future__ import annotations
@@ -159,7 +160,13 @@ def _dump_line(obj: dict) -> str:
 
 
 def _stderr_diag(diag: Diagnostic) -> None:
-    print(f"warning: {diag.message}", file=sys.stderr)
+    """Warn on stderr. A stderr that cannot be written (a reader that has
+    gone) is exit 2, and what is still buffered for it is discarded."""
+    try:
+        print(f"warning: {diag.message}", file=sys.stderr)
+    except OSError as exc:
+        _discard(sys.stderr)
+        raise _CliError(EXIT_INPUT, str(exc)) from None
 
 
 def _records_of(args, source: TextIO | None = None) -> Iterator[CaseRecord]:
@@ -475,7 +482,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.handler(args)
     except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError:  # stderr's reader has gone too
+            _discard(sys.stderr)
         return exc.code
 
 

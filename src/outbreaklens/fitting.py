@@ -180,10 +180,16 @@ def _log_likelihood(family: str, params: Mapping[str, float],
         tail = {x: count for x, count in ints.items() if x >= x_min}
         if not tail:
             raise FitError("no values at or above x_min")
-        z = hurwitz_zeta(alpha, float(x_min))
-        return (-alpha * _sum_over(tail, math.log)
-                - sum(tail.values()) * math.log(z))
+        return _powerlaw_log_likelihood(tail, alpha,
+                                        hurwitz_zeta(alpha, float(x_min)))
     raise ValueError(f"unknown family {family!r}")
+
+
+def _powerlaw_log_likelihood(tail: Mapping[int, int], alpha: float,
+                             z: float) -> float:
+    """The power law's log-likelihood of its tail {value: count}, given
+    z = zeta(alpha, x_min)."""
+    return -alpha * _sum_over(tail, math.log) - sum(tail.values()) * math.log(z)
 
 
 # --- Closed-form fits -------------------------------------------------------
@@ -387,9 +393,10 @@ def fit_powerlaw(sample: SampleLike, x_min: int | None = None) -> FitResult:
     z, z1, z2 = hurwitz_zeta_derivatives(alpha, float(x_min))
     info = z2 / z - (z1 / z) ** 2  # variance of ln X under the fitted law
     se = 1.0 / math.sqrt(n_tail * info)
-    params = {"x_min": x_min, "alpha": alpha}
-    return FitResult("power-law", params, {"alpha": se}, ((se * se,),),
-                     _log_likelihood("power-law", params, ints), n_tail)
+    return FitResult("power-law", {"x_min": x_min, "alpha": alpha},
+                     {"alpha": se}, ((se * se,),),
+                     _powerlaw_log_likelihood(dict(tail[i:]), alpha, z),
+                     n_tail)
 
 
 # --- Selection --------------------------------------------------------------

@@ -21,13 +21,19 @@ _BERNOULLI_2M = (
     43867.0 / 798.0,
     -174611.0 / 330.0,
 )
-# B_{2m} / (2m)!, the Euler-Maclaurin correction coefficients
-_EM_COEFFICIENTS = tuple(b2m / math.factorial(2 * m)
-                         for m, b2m in enumerate(_BERNOULLI_2M, start=1))
+# (B_{2m} / (2m)!, 2m - 1): each Euler-Maclaurin correction coefficient
+# and the first of the two factors s + i that the next correction's
+# P_m(s) adds
+_EM_STEPS = tuple((b2m / math.factorial(2 * m), 2 * m - 1)
+                  for m, b2m in enumerate(_BERNOULLI_2M, start=1))
 # a head longer than this (s > ~43) stops once the rest of the sum is
 # this small against each running sum: below its last bit
 _LONG_HEAD = 64
 _NEGLIGIBLE = 1e-17
+# the tail stops once a correction is this small against each running
+# sum: under 1/128 of its last bit, so it moves no sum, and the
+# corrections shrink from term to term (x >= 15 and x >= 1.5 s)
+_TAIL_NEGLIGIBLE = 2.0 ** -60
 
 
 def _zeta_core(s: float, a: float, order: int) -> tuple[float, float, float]:
@@ -37,12 +43,19 @@ def _zeta_core(s: float, a: float, order: int) -> tuple[float, float, float]:
     Derivative terms follow from differentiating each tail component in
     s: the integral x^(1-s)/(s-1), the half term x^(-s)/2, and the
     Bernoulli corrections c_m * P_m(s) * x^-(s+2m-1) with
-    P_m(s) = prod(s+i, i=0..2m-2).
+    P_m(s) = prod(s+i, i=0..2m-2). Each correction is the last one times
+    (s+2m-1)(s+2m)/x^2, so the tail takes one power, and its derivative
+    factors are running sums of 1/(s+i) and 1/(s+i)^2. The value alone
+    (order 0) adds the same corrections to the same running sum, so it
+    equals the value of order 2 bit for bit.
 
     With no head term (a >= max(15, 1.5*s)) near the bottom of the float
-    range the Bernoulli terms underflow, leaving about 2e-9 relative
-    accuracy, as at hurwitz_zeta(102.46..., 593.96...). Fits cap alpha
-    at 20; only hand-made reports with alpha above ~100 reach this.
+    range x^-s is subnormal and its lost bits carry into every sum:
+    about 2e-13 relative at hurwitz_zeta_derivatives(79.02..., 8706.1...)
+    against mpmath at 480 digits (at 80 digits mpmath is itself off by
+    1e-10 there). Where x^-s underflows to 0 while zeta does not (s = 17,
+    a = 9e18) the result is 0. Fits cap alpha at 20 and start the tail
+    at an observed degree, so only hand-made reports reach this.
     """
     if not s > 1.0:
         raise ValueError(f"hurwitz_zeta requires s > 1, got {s!r}")
@@ -72,33 +85,40 @@ def _zeta_core(s: float, a: float, order: int) -> tuple[float, float, float]:
             h2 += lnb * lnb * term
 
     x = a + head_terms
-    u = math.log(x)
     xs = x ** (-s)
     g = 1.0 / (s - 1.0)
-
     z0 = h0 + x * xs * g + 0.5 * xs
-    z1 = z2 = 0.0
-    if order >= 1:
-        z1 = -h1 - x * xs * (u * g + g * g) - 0.5 * u * xs
-    if order >= 2:
-        z2 = h2 + x * xs * (u * u * g + 2.0 * u * g * g + 2.0 * g ** 3) \
-            + 0.5 * u * u * xs
+    r = 1.0 / (x * x)
+    w = s * xs / x   # P_1(s) * x^-(s+1)
+    if order == 0:
+        for c, i in _EM_STEPS:
+            t = c * w
+            z0 += t
+            if abs(t) <= _TAIL_NEGLIGIBLE * z0:
+                break
+            w *= (s + i) * (s + (i + 1)) * r
+        return z0, 0.0, 0.0
 
-    p = 1.0          # prod(s+i)
-    q1 = q2 = 0.0    # sum 1/(s+i), sum 1/(s+i)^2
-    next_i = 0       # p currently covers i < next_i
-    for m, c in enumerate(_EM_COEFFICIENTS, start=1):
-        while next_i <= 2 * m - 2:
-            p *= s + next_i
-            q1 += 1.0 / (s + next_i)
-            q2 += 1.0 / (s + next_i) ** 2
-            next_i += 1
-        e = x ** (-(s + 2 * m - 1))
-        z0 += c * p * e
-        if order >= 1:
-            z1 += c * p * e * (q1 - u)
-        if order >= 2:
-            z2 += c * p * e * ((q1 - u) ** 2 - q2)
+    u = math.log(x)
+    z1 = -h1 - x * xs * (u * g + g * g) - 0.5 * u * xs
+    z2 = h2 + x * xs * (u * u * g + 2.0 * u * g * g + 2.0 * g ** 3) \
+        + 0.5 * u * u * xs
+    d = 1.0 / s - u      # d/ds ln(P_m(s) x^-(s+2m-1)) = sum 1/(s+i) - ln x
+    q2 = 1.0 / (s * s)   # -d/ds of d = sum 1/(s+i)^2
+    for c, i in _EM_STEPS:
+        t = c * w
+        z0 += t
+        t1 = t * d
+        z1 += t1
+        t2 = t * (d * d - q2)
+        z2 += t2
+        if (abs(t) <= _TAIL_NEGLIGIBLE * z0 and abs(t1) <= _TAIL_NEGLIGIBLE * abs(z1)
+                and abs(t2) <= _TAIL_NEGLIGIBLE * z2):
+            break
+        si, sj = s + i, s + (i + 1)
+        w *= si * sj * r
+        d += 1.0 / si + 1.0 / sj
+        q2 += 1.0 / (si * si) + 1.0 / (sj * sj)
     return z0, z1, z2
 
 

@@ -396,15 +396,16 @@ def test_stdout_closed_before_the_summary_is_an_error_exit(
     assert err == "error: [Errno 32] Broken pipe\n"
 
 
-def _spawn(*argv, stdin=subprocess.DEVNULL) -> subprocess.Popen:
-    """The real entry point with stdout and stderr on pipes and the
-    interpreter's own stdout buffering, which PYTHONUNBUFFERED would turn
-    off and so hide a report held back in it."""
+def _spawn(*argv, stdin=subprocess.DEVNULL,
+           stderr=subprocess.PIPE) -> subprocess.Popen:
+    """The real entry point with stdout (and by default stderr) on pipes
+    and the interpreter's own stdout buffering, which PYTHONUNBUFFERED
+    would turn off and so hide a report held back in it."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.Popen([sys.executable, "-m", "outbreaklens", *argv],
                             stdin=stdin, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=env)
+                            stderr=stderr, env=env)
 
 
 def _first_line(pipe, timeout: float = 10.0) -> bytes:
@@ -461,6 +462,42 @@ def test_a_reader_that_goes_away_is_one_error_line(tmp_path, command,
         proc.wait()
     assert proc.returncode == EXIT_INPUT
     assert err == b"error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("command,window", [
+    ("stream", "tumbling:1d"), ("analyze", "tumbling:1d"), ("analyze", "all")])
+def test_a_stderr_reader_that_goes_away_is_exit_2(tmp_path, command, window):
+    src = tmp_path / "bad.csv"
+    # a warning per line: far more than a pipe holds
+    src.write_text("case_id,source_id,date,longitude,latitude\n"
+                   + "not a record\n" * 20000, encoding="utf-8")
+    proc = _spawn(command, "--window", window, "--input", str(src))
+    try:
+        assert _first_line(proc.stderr).startswith(b"warning: line 2: ")
+        proc.stderr.close()
+        out, _ = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == EXIT_INPUT
+    assert out == b""
+
+
+def test_an_error_line_with_no_stderr_reader_is_exit_2(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _spawn("analyze", "--input", str(tmp_path / "missing.csv"),
+                      stderr=write_end)
+    finally:
+        os.close(write_end)
+    try:
+        out, _ = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == EXIT_INPUT
+    assert out == b""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

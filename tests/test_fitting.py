@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 from collections import Counter
+from datetime import timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +33,11 @@ from outbreaklens.fitting import (
     log_likelihood,
     select_structure,
 )
+from outbreaklens import RULES
+from outbreaklens import zeta as zeta_module
+from outbreaklens.engine import WindowSpec, run
 from outbreaklens.graph import DegreeSample
+from outbreaklens.sim import SimConfig, generate_network, simulate_outbreak
 
 SAMPLE = (1, 2, 3, 10)  # mean 4, n 4
 
@@ -517,3 +523,138 @@ def test_fits_are_bitwise_order_independent(perm):
     pa = fit_powerlaw(base, x_min=2)
     pb = fit_powerlaw(tuple(perm), x_min=2)
     assert pa.params == pb.params and pa.se == pb.se
+
+
+# --- fits under the earlier zeta kernel -------------------------------------
+
+# The zeta kernel before its tail took each correction from the last
+# one: one power per Bernoulli correction, all ten always added.
+_REFERENCE_EM_COEFFICIENTS = tuple(
+    b2m / math.factorial(2 * m)
+    for m, b2m in enumerate(zeta_module._BERNOULLI_2M, start=1))
+
+
+def _reference_zeta_core(s, a, order):
+    if not s > 1.0:
+        raise ValueError(f"hurwitz_zeta requires s > 1, got {s!r}")
+    if not a > 0.0:
+        raise ValueError(f"hurwitz_zeta requires a > 0, got {a!r}")
+
+    target = max(15.0, 1.5 * s)
+    head_terms = max(0, math.ceil(target - a))
+
+    h0 = h1 = h2 = 0.0
+    if order == 0 and head_terms <= 64:
+        for k in range(head_terms):
+            h0 += (a + k) ** (-s)
+    else:
+        long_head = head_terms > 64
+        for k in range(head_terms):
+            base = a + k
+            term = base ** (-s)
+            lnb = math.log(base)
+            if long_head:
+                rest = term * (1.0 + base / (s - 1.0))
+                if (rest <= 1e-17 * h0 and abs(lnb) * rest <= 1e-17 * abs(h1)
+                        and lnb * lnb * rest <= 1e-17 * h2):
+                    return h0, -h1, h2
+            h0 += term
+            h1 += lnb * term
+            h2 += lnb * lnb * term
+
+    x = a + head_terms
+    u = math.log(x)
+    xs = x ** (-s)
+    g = 1.0 / (s - 1.0)
+
+    z0 = h0 + x * xs * g + 0.5 * xs
+    z1 = z2 = 0.0
+    if order >= 1:
+        z1 = -h1 - x * xs * (u * g + g * g) - 0.5 * u * xs
+    if order >= 2:
+        z2 = h2 + x * xs * (u * u * g + 2.0 * u * g * g + 2.0 * g ** 3) \
+            + 0.5 * u * u * xs
+
+    p = 1.0
+    q1 = q2 = 0.0
+    next_i = 0
+    for m, c in enumerate(_REFERENCE_EM_COEFFICIENTS, start=1):
+        while next_i <= 2 * m - 2:
+            p *= s + next_i
+            q1 += 1.0 / (s + next_i)
+            q2 += 1.0 / (s + next_i) ** 2
+            next_i += 1
+        e = x ** (-(s + 2 * m - 1))
+        z0 += c * p * e
+        if order >= 1:
+            z1 += c * p * e * (q1 - u)
+        if order >= 2:
+            z2 += c * p * e * ((q1 - u) ** 2 - q2)
+    return z0, z1, z2
+
+
+def _fits_under(kernel, sample):
+    """Every family's fit (or its error) and the family each rule
+    chooses, with ``kernel`` as zeta's and an empty exponent cache."""
+    fits, outcome = [], {}
+    with mock.patch.object(zeta_module, "_zeta_core", kernel):
+        _powerlaw_alpha.cache_clear()
+        try:
+            for family in FAMILIES:
+                try:
+                    fits.append(fit_family(family, sample))
+                except FitError as exc:
+                    outcome[family] = str(exc)
+        finally:
+            _powerlaw_alpha.cache_clear()
+    if fits:
+        outcome.update((rule, select_structure(fits, rule).chosen)
+                       for rule in RULES)
+    return outcome, {fit.family: fit for fit in fits}
+
+
+def _assert_fits_match_the_reference_kernel(sample):
+    outcome, fits = _fits_under(zeta_module._zeta_core, sample)
+    ref_outcome, ref_fits = _fits_under(_reference_zeta_core, sample)
+    assert outcome == ref_outcome
+    assert fits.keys() == ref_fits.keys()
+    if "power-law" not in fits:
+        return
+    fit, ref = fits["power-law"], ref_fits["power-law"]
+    assert fit.params["x_min"] == ref.params["x_min"]
+    assert fit.n == ref.n
+    for value, expected in ((fit.params["alpha"], ref.params["alpha"]),
+                            (fit.log_likelihood, ref.log_likelihood)):
+        assert math.isclose(value, expected, rel_tol=1e-13, abs_tol=0.0)
+    # se comes from z''/z - (z'/z)^2, which cancels down to the variance
+    # of ln X: a tail bunched at x_min (x_min 23, alpha 7.7) scales the
+    # rounding of either kernel, and of alpha, by z''/z over it, ~480
+    z, _, z2 = hurwitz_zeta_derivatives(ref.params["alpha"],
+                                        float(ref.params["x_min"]))
+    cancellation = (z2 / z) * ref.n * ref.se["alpha"] ** 2
+    assert math.isclose(fit.se["alpha"], ref.se["alpha"],
+                        rel_tol=1e-13 * max(1.0, cancellation), abs_tol=0.0)
+    for family in fits.keys() - {"power-law"}:
+        assert fits[family] == ref_fits[family]  # no zeta on their path
+
+
+@settings(max_examples=150, deadline=None)
+@given(HISTOGRAMS)
+def test_histogram_fits_match_the_reference_kernel(counts):
+    _assert_fits_match_the_reference_kernel(DegreeSample(dict(sorted(counts.items()))))
+
+
+def test_cumulative_window_fits_match_the_reference_kernel():
+    # every window of a heavy-tailed outbreak, as stream --window
+    # cumulative:1d fits it
+    config = SimConfig.from_json({"topology": "preferential-attachment",
+                                  "n_population": 6000, "p_transmit": 0.4,
+                                  "n_steps": 80, "seed": 3})
+    records = simulate_outbreak(generate_network(config), config)
+    assert len(records) > 5000
+    origin = records[0].timestamp.replace(hour=0, minute=0, second=0)
+    spec = WindowSpec("cumulative", timedelta(days=1), origin)
+    samples = [report.sample for report in run(records, spec, ["power-law"])]
+    assert len(samples) > 30
+    for sample in samples:
+        _assert_fits_match_the_reference_kernel(sample)
