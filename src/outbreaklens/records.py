@@ -280,9 +280,7 @@ def serialize_record(record: CaseRecord, format: str = "csv") -> str:
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     if format == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(_csv_cells(record))
-        return buf.getvalue().rstrip("\n")
+        return _csv_line(_csv_cells(record))
     return json.dumps(
         {
             "case_id": record.case_id,
@@ -301,6 +299,17 @@ def _csv_cells(record: CaseRecord) -> list[str]:
     return [record.case_id, record.source_id or "",
             format_timestamp(record.timestamp), repr(location.longitude),
             repr(location.latitude)]
+
+
+def _csv_line(cells: list[str]) -> str:
+    """One CSV line of the cells, without its newline. csv.writer quotes
+    a cell that holds a comma, a quote, or a character of its line
+    terminator; the terminator CR LF makes that a carriage return as well
+    as a newline, so that csv.reader, which ends an unquoted cell at
+    either, reads the line back."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2]
 
 
 @dataclass(frozen=True)
@@ -439,10 +448,22 @@ def write_stream(records: Iterable[CaseRecord], target: TextIO,
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     count = 0
     if format == "csv":
-        target.write(",".join(CSV_HEADER) + "\n")
-        writer = csv.writer(target, lineterminator="\n")
+        write = target.write
+        write(",".join(CSV_HEADER) + "\n")
+        timestamp = stamp = None
         for record in records:
-            writer.writerow(_csv_cells(record))
+            if record.timestamp is not timestamp:  # feeds repeat their instants
+                timestamp = record.timestamp
+                stamp = format_timestamp(timestamp)
+            location = record.location
+            line = (f"{record.case_id},{record.source_id or ''},{stamp},"
+                    f"{location.longitude!r},{location.latitude!r}")
+            # Four commas and no quote or line break: no cell needs
+            # quoting, so this is the line _csv_line would write.
+            if (line.count(",") != 4 or '"' in line or "\r" in line
+                    or "\n" in line):
+                line = _csv_line(_csv_cells(record))
+            write(line + "\n")
             count += 1
     else:
         for record in records:

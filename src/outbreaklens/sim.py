@@ -208,12 +208,22 @@ def generate_network(config: SimConfig) -> SyntheticNetwork:
                             config.seed)
 
 
-def _jittered(loc: GeoPoint, dx_km: float, dy_km: float) -> GeoPoint:
-    lat = loc.latitude + dy_km / _KM_PER_DEG_LAT
-    lat = max(-90.0, min(90.0, lat))
+def _jittered(loc: GeoPoint, dx_km: float, dy_km: float, *,
+              cos=math.cos, radians=math.radians,
+              km_per_deg=_KM_PER_DEG_LAT) -> GeoPoint:
+    # The keyword defaults turn the global lookups of this once-per-case
+    # call into locals; each conditional gives what max/min gave for
+    # every finite input.
+    lat = loc.latitude + dy_km / km_per_deg
+    if lat > 90.0:
+        lat = 90.0
+    elif lat < -90.0:
+        lat = -90.0
     # longitude degrees shrink with latitude; clamp the scale near poles
-    km_per_deg_lon = _KM_PER_DEG_LAT * max(math.cos(math.radians(lat)), 0.01)
-    lon = loc.longitude + dx_km / km_per_deg_lon
+    scale = cos(radians(lat))
+    if scale < 0.01:
+        scale = 0.01
+    lon = loc.longitude + dx_km / (km_per_deg * scale)
     lon = ((lon + 180.0) % 360.0) - 180.0
     return GeoPoint(lon, lat)
 

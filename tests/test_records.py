@@ -305,6 +305,12 @@ _lats = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 @settings(max_examples=150)
 @given(case_id=_ids, source_id=st.none() | _ids, ts=_instants,
        lon=_lons, lat=_lats, format=st.sampled_from(["csv", "jsonl"]))
+@example(case_id="a\rb", source_id=None, ts=T0, lon=1.0, lat=2.0,
+         format="csv")  # a "\r" cell written unquoted ended the line there
+@example(case_id="a", source_id="b\r\nc", ts=T0, lon=1.0, lat=2.0,
+         format="csv")
+@example(case_id="a\rb", source_id="c\rd", ts=T0, lon=1.0, lat=2.0,
+         format="jsonl")
 def test_round_trip_property(case_id, source_id, ts, lon, lat, format):
     if source_id == case_id:
         source_id = None
@@ -675,19 +681,68 @@ def test_numbers_and_padded_decimal_text_still_parse(line, format):
         _outcome(_reference_parse, line, format, False)
 
 
+# Each character that decides how csv.writer writes a cell, and some
+# that do not: NUL, spaces (parse_record strips them, the writer keeps
+# them) and non-ASCII text.
+_cell_text = st.text(alphabet=st.sampled_from(
+    [",", '"', "\n", "\r", "\x00", " ", "\u00e9", "\u3000", "C", "7"]),
+    min_size=1, max_size=8)
 _records = st.tuples(
-    _ids | st.text(min_size=1, max_size=6), st.none() | _ids, _instants,
-    _lons, _lats).filter(lambda t: t[0] != t[1]).map(lambda t: rec(*t))
+    _ids | st.text(min_size=1, max_size=6) | _cell_text,
+    st.none() | _ids | _cell_text, _instants, _lons, _lats,
+).filter(lambda t: t[0] != t[1]).map(lambda t: rec(*t))
 
 
-@settings(max_examples=100)
+def _one(case_id, source_id=None):
+    return [rec(case_id, source_id, T0, -10.5, 8.25)]
+
+
+@settings(max_examples=300)
 @given(st.lists(_records, max_size=6), st.sampled_from(FORMATS))
+@example(_one("a,b", "c"), "csv")
+@example(_one("a", 'b"c'), "csv")
+@example(_one("a\nb", "c"), "csv")
+@example(_one("a", "b\rc"), "csv")
+@example(_one("a\x00b", "c"), "csv")
+@example(_one(" a ", "b "), "csv")
+@example(_one("\u00e9t\u00e9", "\u75c5\u4f8b"), "csv")
+@example(_one("a", None), "csv")
+@example([rec("A", None, T0), rec("B", "A", T0),  # one timestamp object,
+          rec("C", "A", T0 + timedelta(days=1)),  # then another
+          rec("D,", "C", T0)], "csv")
 def test_write_stream_writes_the_header_and_each_serialized_record(recs, format):
     buf = io.StringIO()
     assert write_stream(iter(recs), buf, format) == len(recs)
     header = ",".join(CSV_HEADER) + "\n" if format == "csv" else ""
     assert buf.getvalue() == header + "".join(
         serialize_record(r, format) + "\n" for r in recs)
+
+
+@pytest.mark.parametrize("cell", ["a\rb", "a\r\rb", "a\r\nb"])
+def test_a_carriage_return_cell_is_quoted(cell):
+    r = rec("C1", cell, T0, 1.0, 2.0)
+    line = f'C1,"{cell}",2014-03-01T00:00:00Z,1.0,2.0'
+    assert serialize_record(r) == line
+    assert parse_record(line) == r
+    buf = io.StringIO()
+    write_stream([r], buf)
+    assert buf.getvalue() == ",".join(CSV_HEADER) + "\n" + line + "\n"
+
+
+def test_records_yielded_before_the_iterable_raises_are_written():
+    def failing():
+        yield rec("C1", None, T0)
+        yield rec("C,2", "C1", T0)  # through csv.writer
+        raise RuntimeError("source failed")
+
+    for format in FORMATS:
+        buf = io.StringIO()
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_stream(failing(), buf, format)
+        lines = [serialize_record(r, format) + "\n"
+                 for r in (rec("C1", None, T0), rec("C,2", "C1", T0))]
+        header = ",".join(CSV_HEADER) + "\n" if format == "csv" else ""
+        assert buf.getvalue() == header + "".join(lines)
 
 
 # --- stream validation --------------------------------------------------

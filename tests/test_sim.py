@@ -1,14 +1,21 @@
 """Synthetic networks, the outbreak process, and final-size studies."""
 
+import csv
+import io
 import json
+import math
 import time
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from outbreaklens.graph import build_graph
-from outbreaklens.records import CaseRecord, GeoPoint
+from outbreaklens.records import (CSV_HEADER, CaseRecord, GeoPoint,
+                                  format_timestamp)
 from outbreaklens.sim import (
     STEP,
     _TAG_CURVE,
@@ -391,6 +398,84 @@ def test_fixture_regenerates_exactly(outbreak_csv, sim_config_path):
     from outbreaklens.records import read_stream
     on_disk = list(read_stream(outbreak_csv))
     assert list(recs) == on_disk
+
+
+def _written_by_csv_writer(records):
+    """A CSV record stream as csv.writer writes it, one row per record."""
+    buf = io.StringIO()
+    buf.write(",".join(CSV_HEADER) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    for r in records:
+        writer.writerow([r.case_id, r.source_id or "",
+                         format_timestamp(r.timestamp),
+                         repr(r.location.longitude),
+                         repr(r.location.latitude)])
+    return buf.getvalue()
+
+
+# The simulator configs of perfbench's three workloads (stream-cumulative,
+# stream-tumbling, batch-pipeline), on a fifteenth of their people.
+_WORKLOAD_SIMS = [
+    {"topology": "preferential-attachment", "n_population": 400,
+     "p_transmit": 0.4, "n_steps": 80},
+    {"topology": "uniform-attachment", "n_population": 800,
+     "p_transmit": 0.3, "n_steps": 160},
+    {"topology": "preferential-attachment", "n_population": 800,
+     "p_transmit": 0.4, "n_steps": 80},
+]
+
+
+@pytest.mark.parametrize("sim", _WORKLOAD_SIMS)
+@pytest.mark.parametrize("seed", [3, 905])
+def test_simulate_writes_the_bytes_of_csv_writer(cli, tmp_path, sim, seed):
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(sim), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    code, _, err = cli("simulate", "--input", str(path), "--seed", str(seed),
+                       "--output", str(out))
+    assert code == 0, err
+    cfg = replace(SimConfig.from_json(path.read_text(encoding="utf-8")),
+                  seed=seed)
+    recs = simulate_outbreak(generate_network(cfg), cfg)
+    assert len(recs) > 100
+    assert out.read_bytes() == _written_by_csv_writer(recs).encode("utf-8")
+
+
+def _jittered_with_max_min(loc, dx_km, dy_km):
+    """The reference form of _jittered: global lookups and max/min."""
+    km_per_deg_lat = math.pi * 6371.0 / 180.0
+    lat = loc.latitude + dy_km / km_per_deg_lat
+    lat = max(-90.0, min(90.0, lat))
+    km_per_deg_lon = km_per_deg_lat * max(math.cos(math.radians(lat)), 0.01)
+    lon = loc.longitude + dx_km / km_per_deg_lon
+    lon = ((lon + 180.0) % 360.0) - 180.0
+    return GeoPoint(lon, lat)
+
+
+def _bits(point):
+    return repr(point.longitude), repr(point.latitude)
+
+
+@settings(max_examples=300)
+@given(lon=st.floats(-180.0, 180.0), lat=st.floats(-90.0, 90.0),
+       dx=st.floats(-1e6, 1e6), dy=st.floats(-1e6, 1e6))
+@example(lon=0.0, lat=89.99, dx=3.0, dy=50.0)       # clamped to 90
+@example(lon=0.0, lat=-89.99, dx=-3.0, dy=-50.0)    # clamped to -90
+@example(lon=10.0, lat=90.0, dx=7.0, dy=0.0)
+@example(lon=10.0, lat=89.0, dx=5.0, dy=111.19492664455873)  # lands on 90
+@example(lon=-5.0, lat=89.5, dx=12.0, dy=0.0)       # cosine below 0.01
+@example(lon=-5.0, lat=-89.7, dx=-12.0, dy=0.0)
+@example(lon=0.0, lat=89.42706130231652, dx=20.0, dy=0.0)  # just below 0.01
+@example(lon=0.0, lat=89.4241677221995, dx=20.0, dy=0.0)   # just above
+@example(lon=179.99, lat=0.0, dx=5.0, dy=0.0)       # wraps past 180
+@example(lon=-179.99, lat=0.0, dx=-5.0, dy=0.0)     # wraps past -180
+@example(lon=180.0, lat=0.0, dx=0.0, dy=0.0)
+@example(lon=-180.0, lat=0.0, dx=0.0, dy=0.0)
+@example(lon=179.0, lat=89.9, dx=500.0, dy=30.0)    # all three at once
+def test_jittered_equals_max_min_form(lon, lat, dx, dy):
+    loc = GeoPoint(lon, lat)
+    assert _bits(_jittered(loc, dx, dy)) == \
+        _bits(_jittered_with_max_min(loc, dx, dy))
 
 
 # --- final-size studies -------------------------------------------------------

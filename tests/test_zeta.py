@@ -1,6 +1,7 @@
 """Hurwitz zeta accuracy against independent references."""
 
 import math
+import sys
 import time
 from unittest import mock
 
@@ -159,4 +160,18 @@ def test_every_order_matches_mpmath_at_80_digits(s, a):
     with mpmath.workdps(80):
         for d, value in enumerate(values):
             ref = mpmath.zeta(s, a, derivative=d)
+            assert abs((value - ref) / ref) <= 1e-14
+
+
+@pytest.mark.parametrize("s,a", [
+    (17.09517579629412, 8.873911086834165e18),  # x^-s is 0, zeta 6.6e-307
+    (79.02, 8000.0),                            # x^-s is subnormal
+])
+def test_values_where_x_to_the_minus_s_is_not_a_normal_float(s, a):
+    assert a ** -s < sys.float_info.min <= a ** (1.0 - s)
+    values = hurwitz_zeta_derivatives(s, a)
+    assert hurwitz_zeta(s, a) == values[0]
+    with mpmath.workdps(480):
+        for d, value in enumerate(values):
+            ref = mpmath.zeta(mpmath.mpf(s), mpmath.mpf(a), derivative=d)
             assert abs((value - ref) / ref) <= 1e-14
