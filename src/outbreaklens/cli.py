@@ -18,6 +18,7 @@ import re
 import sys
 from contextlib import contextmanager, suppress
 from datetime import datetime, timedelta
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 from . import RULES, __version__, canonical_families
 
 if TYPE_CHECKING:
-    from .engine import RecognitionEngine, StructureReport
+    from .engine import StructureReport
     from .records import CaseRecord, Diagnostic
 
 EXIT_OK = 0
@@ -184,37 +185,25 @@ def _records_of(args, source: TextIO | None = None) -> Iterator[CaseRecord]:
 def _reports(args, records: Iterable[CaseRecord],
              window: tuple[str, timedelta] | None, origin: datetime | None,
              families: Sequence[str]) -> Iterator[StructureReport]:
-    """The one engine loop of every command that reads records: reports
-    as windows close (with no window, one at end of input), diagnostics
-    on stderr as the engine raises them. The origin defaults to midnight
-    UTC of the first record's day. Unreadable or invalid input is exit 2."""
-    from .engine import RecognitionEngine, WindowSpec
+    """The reports of every command that reads records, from
+    ``engine.run``: as windows close (with no window, one at end of
+    input), diagnostics on stderr as they are found. The origin defaults
+    to midnight UTC of the first record's day. Unreadable or invalid
+    input is exit 2."""
+    from .engine import WindowSpec, run
 
-    def engine_at(start: datetime | None) -> RecognitionEngine:
-        spec = None if window is None else WindowSpec(*window, start)
-        return RecognitionEngine(spec, families, args.rule,
-                                 args.include_isolated, args.strict)
-
-    def warn(engine: RecognitionEngine) -> None:
-        for diag in engine.diagnostics:
-            _stderr_diag(diag)
-        engine.diagnostics.clear()
-
-    engine = engine_at(None) if window is None else None
     try:
-        for record in records:
-            if engine is None:
-                engine = engine_at(origin or record.timestamp.replace(
-                    hour=0, minute=0, second=0))
-            reports = engine.ingest(record)
-            if engine.diagnostics:
-                warn(engine)
-            if reports:  # most records close no window
-                yield from reports
-        if engine is not None:
-            reports = engine.flush()
-            warn(engine)
-            yield from reports
+        spec = None
+        if window is not None:
+            records = iter(records)
+            first = next(records, None)
+            if first is None:  # no record, no window
+                return
+            records = chain([first], records)
+            spec = WindowSpec(*window, origin or first.timestamp.replace(
+                hour=0, minute=0, second=0))
+        yield from run(records, spec, families, args.rule,
+                       args.include_isolated, args.strict, _stderr_diag)
     except (OSError, ValueError) as exc:  # unreadable or invalid input
         raise _CliError(EXIT_INPUT, str(exc)) from None
 

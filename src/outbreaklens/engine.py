@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import FAMILIES, RULES, canonical_families
 from .fitting import FitError, StructureClass, fit_family, select_structure
@@ -228,11 +228,14 @@ class RecognitionEngine:
     graph, or in cumulative and whole-stream mode every record's so far.
     ingest() alone decides which links stand; with ``strict`` a bad link
     or a record beyond range raises ValidationError, not a diagnostic.
+    Each diagnostic goes to ``on_error`` as soon as it is found, and
+    none is kept; with no ``on_error`` it is dropped.
     """
 
     def __init__(self, spec: WindowSpec | None,
                  families: Iterable[str] = FAMILIES, rule: str = "min-se",
-                 include_isolated: bool = False, strict: bool = False):
+                 include_isolated: bool = False, strict: bool = False,
+                 on_error: Callable[[Diagnostic], None] | None = None):
         if rule not in RULES:
             raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
         self.spec = spec
@@ -240,7 +243,7 @@ class RecognitionEngine:
         self.rule = rule
         self.include_isolated = include_isolated
         self.strict = strict
-        self.diagnostics: list[Diagnostic] = []
+        self.on_error = on_error
         self._seen_ids: dict[str, datetime] = {}  # case_id -> timestamp
         self._orphans: dict[str, list[CaseRecord]] = {}  # by missing source
         self._watermark: datetime | None = None
@@ -257,6 +260,10 @@ class RecognitionEngine:
     def watermark(self) -> datetime | None:
         return self._watermark
 
+    def _warn(self, diagnostic: Diagnostic) -> None:
+        if self.on_error is not None:
+            self.on_error(diagnostic)
+
     def ingest(self, record: CaseRecord) -> Iterable[StructureReport]:
         """Absorb one record; return an iterable of the reports of the
         windows it closed."""
@@ -271,15 +278,13 @@ class RecognitionEngine:
             if src not in seen:
                 orphans.setdefault(src, []).append(record)
             elif seen[src] > ts:
-                self.diagnostics.append(
-                    bad_link("source-after-case", record, self.strict))
+                self._warn(bad_link("source-after-case", record, self.strict))
             else:
                 links.append(src)
         if case in orphans:
             for child in orphans.pop(case):
                 if child.timestamp < ts:
-                    self.diagnostics.append(
-                        bad_link("source-after-case", child, self.strict))
+                    self._warn(bad_link("source-after-case", child, self.strict))
                 elif child.case_id not in links:  # a mutual pair is one edge
                     links.append(child.case_id)
         seen[case] = ts
@@ -302,20 +307,20 @@ class RecognitionEngine:
                        f"{format_timestamp(_LAST_INSTANT)}")
             if self.strict:
                 raise ValidationError(problem)
-            self.diagnostics.append(Diagnostic(
+            self._warn(Diagnostic(
                 kind="beyond-range", case_id=case,
                 message=problem + "; dropped"))
             return []
         if self._watermark is None or ts > self._watermark:
             self._watermark = ts
         if index < 0:
-            self.diagnostics.append(Diagnostic(
+            self._warn(Diagnostic(
                 kind="before-origin", case_id=case,
                 message=f"case {case!r} predates the window origin; dropped"))
         elif index < self._next:  # its window is closed
             absorb = self.spec.mode == "cumulative"
             outcome = "absorbed into the next one" if absorb else "rejected"
-            self.diagnostics.append(Diagnostic(
+            self._warn(Diagnostic(
                 kind="late-record", case_id=case,
                 message=f"case {case!r} arrived after its window closed; "
                         f"{outcome}"))
@@ -367,8 +372,7 @@ class RecognitionEngine:
         self._ended = True
         for children in self._orphans.values():
             for child in children:
-                self.diagnostics.append(
-                    bad_link("dangling-source", child, self.strict))
+                self._warn(bad_link("dangling-source", child, self.strict))
         if self.spec is None:
             return [report_for_graph(self._graph.graph(), None, self.families,
                                      self.rule, self.include_isolated)]
@@ -377,14 +381,21 @@ class RecognitionEngine:
         return self._close(self.spec.index(self._watermark) + 1)
 
 
-def run(stream: Iterable[CaseRecord], spec: WindowSpec,
+def run(stream: Iterable[CaseRecord], spec: WindowSpec | None,
         families: Iterable[str] = FAMILIES, rule: str = "min-se",
-        include_isolated: bool = False) -> Iterator[StructureReport]:
+        include_isolated: bool = False, strict: bool = False,
+        on_error: Callable[[Diagnostic], None] | None = None,
+        ) -> Iterator[StructureReport]:
     """Drive a record iterable through the engine, yielding each report
-    as its window closes. Deterministic for a given input and spec."""
-    engine = RecognitionEngine(spec, families, rule, include_isolated)
+    as its window closes (with no schedule, the whole stream's report at
+    its end), and each diagnostic to ``on_error`` as the engine finds it.
+    Deterministic for a given input and spec."""
+    engine = RecognitionEngine(spec, families, rule, include_isolated, strict,
+                               on_error)
     for record in stream:
-        yield from engine.ingest(record)
+        reports = engine.ingest(record)
+        if reports:  # most records close no window
+            yield from reports
     yield from engine.flush()
 
 

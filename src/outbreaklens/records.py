@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -118,13 +119,24 @@ class GeoPoint(_Frozen):
     latitude: float
 
     def __init__(self, longitude: float, latitude: float):
-        # NaN fails both range checks, so it is rejected here too.
-        if not -180.0 <= longitude <= 180.0:
-            raise ValueError(f"longitude out of range: {longitude!r}")
-        if not -90.0 <= latitude <= 90.0:
-            raise ValueError(f"latitude out of range: {latitude!r}")
-        _set_longitude(self, longitude)
-        _set_latitude(self, latitude)
+        _set_longitude(self, _degrees(longitude, "longitude", 180.0))
+        _set_latitude(self, _degrees(latitude, "latitude", 90.0))
+
+
+def _degrees(value, name: str, bound: float) -> float:
+    """A coordinate as a float in [-bound, bound], so that what ``repr``
+    writes of it reads back. A bool is no coordinate, though float()
+    reads it as one; NaN fails the range check."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} is not a real number: {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int or fraction past float range
+            raise ValueError(f"{name} out of range: {value!r}") from None
+    if not -bound <= value <= bound:
+        raise ValueError(f"{name} out of range: {value!r}")
+    return value
 
 
 @dataclass(frozen=True, init=False)
@@ -133,7 +145,8 @@ class CaseRecord(_Frozen):
 
     ``timestamp`` is stored timezone-aware in UTC at second resolution;
     ``source_id`` is None for index cases. A record naming itself as its
-    source is rejected because it could never form a valid contact edge.
+    source is rejected because it could never form a valid contact edge,
+    and an id with whitespace around it because parse_record strips it.
     """
 
     __slots__ = ("case_id", "source_id", "timestamp", "location",
@@ -147,10 +160,15 @@ class CaseRecord(_Frozen):
                  timestamp: datetime, location: GeoPoint):
         if not case_id:
             raise ValueError("case_id must be non-empty")
+        if case_id.strip() != case_id:
+            raise ValueError(f"case_id {case_id!r} has whitespace around it")
         if source_id == "":
             source_id = None
         elif source_id == case_id:
             raise ValueError(f"case {case_id!r} lists itself as source")
+        elif source_id is not None and source_id.strip() != source_id:
+            raise ValueError(f"source_id {source_id!r} has whitespace "
+                             f"around it")
         _set_case_id(self, case_id)
         _set_source_id(self, source_id)
         _set_timestamp(self, normalize_timestamp(timestamp))
@@ -280,7 +298,23 @@ def serialize_record(record: CaseRecord, format: str = "csv") -> str:
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     if format == "csv":
-        return _csv_line(_csv_cells(record))
+        location = record.location
+        cells = (record.case_id, record.source_id or "",
+                 _format_utc(record.timestamp), repr(location.longitude),
+                 repr(location.latitude))
+        line = ",".join(cells)
+        # Four commas and no quote or line break: no cell needs quoting.
+        if (line.count(",") == 4 and '"' not in line and "\r" not in line
+                and "\n" not in line):
+            return line
+        # csv.writer quotes a cell that holds a comma, a quote, or a
+        # character of its line terminator; the terminator CR LF makes
+        # that a carriage return as well as a newline, so that
+        # csv.reader, which ends an unquoted cell at either, reads the
+        # line back.
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(cells)
+        return buf.getvalue()[:-2]
     return json.dumps(
         {
             "case_id": record.case_id,
@@ -292,24 +326,6 @@ def serialize_record(record: CaseRecord, format: str = "csv") -> str:
         sort_keys=True,
         separators=(",", ":"),
     )
-
-
-def _csv_cells(record: CaseRecord) -> list[str]:
-    location = record.location
-    return [record.case_id, record.source_id or "",
-            format_timestamp(record.timestamp), repr(location.longitude),
-            repr(location.latitude)]
-
-
-def _csv_line(cells: list[str]) -> str:
-    """One CSV line of the cells, without its newline. csv.writer quotes
-    a cell that holds a comma, a quote, or a character of its line
-    terminator; the terminator CR LF makes that a carriage return as well
-    as a newline, so that csv.reader, which ends an unquoted cell at
-    either, reads the line back."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow(cells)
-    return buf.getvalue()[:-2]
 
 
 @dataclass(frozen=True)
@@ -446,27 +462,10 @@ def write_stream(records: Iterable[CaseRecord], target: TextIO,
     Returns the number of records written."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
-    count = 0
     if format == "csv":
-        write = target.write
-        write(",".join(CSV_HEADER) + "\n")
-        timestamp = stamp = None
-        for record in records:
-            if record.timestamp is not timestamp:  # feeds repeat their instants
-                timestamp = record.timestamp
-                stamp = format_timestamp(timestamp)
-            location = record.location
-            line = (f"{record.case_id},{record.source_id or ''},{stamp},"
-                    f"{location.longitude!r},{location.latitude!r}")
-            # Four commas and no quote or line break: no cell needs
-            # quoting, so this is the line _csv_line would write.
-            if (line.count(",") != 4 or '"' in line or "\r" in line
-                    or "\n" in line):
-                line = _csv_line(_csv_cells(record))
-            write(line + "\n")
-            count += 1
-    else:
-        for record in records:
-            target.write(serialize_record(record, format) + "\n")
-            count += 1
+        target.write(",".join(CSV_HEADER) + "\n")
+    count = 0
+    for record in records:
+        target.write(serialize_record(record, format) + "\n")
+        count += 1
     return count

@@ -150,9 +150,11 @@ def test_duplicate_id_rejected_mid_stream():
 
 
 def test_before_origin_record_dropped_with_diagnostic():
-    engine = RecognitionEngine(WindowSpec("tumbling", DAY, T0 + DAY))
+    diags = []
+    engine = RecognitionEngine(WindowSpec("tumbling", DAY, T0 + DAY),
+                               on_error=diags.append)
     engine.ingest(rec("OLD", None, 0))
-    assert [d.kind for d in engine.diagnostics] == ["before-origin"]
+    assert [d.kind for d in diags] == ["before-origin"]
 
 
 @pytest.mark.parametrize("mode", ["tumbling", "cumulative"])
@@ -165,7 +167,8 @@ def test_before_origin_record_dropped_with_diagnostic():
 def test_the_last_window_kept_is_the_last_that_ends(mode, origin, period):
     # a record is kept exactly when its window's end is representable
     spec = WindowSpec(mode, period, origin)
-    engine = RecognitionEngine(spec)
+    diags = []
+    engine = RecognitionEngine(spec, on_error=diags.append)
     last = engine._last_index
     spec.window(last)
     with pytest.raises(OverflowError):
@@ -174,17 +177,19 @@ def test_the_last_window_kept_is_the_last_that_ends(mode, origin, period):
     engine.ingest(CaseRecord("A", None, start, GeoPoint(0.0, 0.0)))
     beyond = start + period
     engine.ingest(CaseRecord("B", None, beyond, GeoPoint(0.0, 0.0)))
-    assert [d.kind for d in engine.diagnostics] == ["beyond-range"]
+    assert [d.kind for d in diags] == ["beyond-range"]
     assert engine.watermark == start
 
 
 def test_late_record_rejected_in_tumbling_mode():
-    engine = RecognitionEngine(WindowSpec("tumbling", DAY, T0))
+    diags = []
+    engine = RecognitionEngine(WindowSpec("tumbling", DAY, T0),
+                               on_error=diags.append)
     engine.ingest(rec("A", None, 0))
     closed = list(engine.ingest(rec("B", None, 24 * 60 + 1)))  # closes window 0
     assert len(closed) == 1
     engine.ingest(rec("LATE", None, 30))
-    assert [d.kind for d in engine.diagnostics] == ["late-record"]
+    assert [d.kind for d in diags] == ["late-record"]
     final = list(engine.flush())
     # the late record is in no report
     seen = {r.window: r.n_vertices for r in closed + final}
@@ -193,11 +198,13 @@ def test_late_record_rejected_in_tumbling_mode():
 
 
 def test_late_record_absorbed_in_cumulative_mode():
-    engine = RecognitionEngine(WindowSpec("cumulative", DAY, T0))
+    diags = []
+    engine = RecognitionEngine(WindowSpec("cumulative", DAY, T0),
+                               on_error=diags.append)
     engine.ingest(rec("A", None, 0))
     engine.ingest(rec("B", None, 24 * 60 + 1))
     engine.ingest(rec("LATE", "A", 30))
-    assert [d.kind for d in engine.diagnostics] == ["late-record"]
+    assert [d.kind for d in diags] == ["late-record"]
     final = list(engine.flush())
     # growing prefix: the late arrival still lands in the last report
     assert final[-1].n_vertices == 3
@@ -236,13 +243,34 @@ def test_engine_keeps_no_record_but_those_waiting_for_their_source(mode):
     assert [(r.n_vertices, r.n_edges) for r in engine.flush()] == [(50, 20)]
 
 
+def test_the_engine_keeps_no_diagnostic():
+    refs = []
+    alive = []
+
+    def feed():
+        yield rec("A", None, 0)
+        yield rec("B", None, 24 * 60)  # closes the first window
+        for i in range(1000):
+            yield rec(f"LATE{i}", None, i)
+        yield rec("OLD", None, -60)  # before the origin
+        gc.collect()  # run's engine is alive and has found every diagnostic
+        alive.extend(ref() for ref in refs if ref() is not None)
+
+    reports = run(feed(), WindowSpec("tumbling", DAY, T0),
+                  on_error=lambda diag: refs.append(weakref.ref(diag)))
+    assert len(list(reports)) == 2
+    assert len(refs) == 1001 and alive == []
+
+
 def _drive(records, spec):
-    engine = RecognitionEngine(spec)
+    """The reports and diagnostics of driving the engine by hand."""
+    diags = []
+    engine = RecognitionEngine(spec, on_error=diags.append)
     reports = []
     for record in records:
         reports.extend(engine.ingest(record))
     reports.extend(engine.flush())
-    return reports, engine
+    return reports, diags
 
 
 @pytest.mark.parametrize("mode", ["tumbling", "cumulative", None])
@@ -251,12 +279,28 @@ def test_reversed_mutual_link_keeps_the_edge_that_stands(mode):
     # A's link is dropped and B's stands: the pair is still one edge
     records = [rec("B", "A", 60), rec("A", "B", 10)]
     spec = None if mode is None else WindowSpec(mode, DAY, T0)
-    reports, engine = _drive(records, spec)
+    reports, diags = _drive(records, spec)
     assert [(r.n_vertices, r.n_edges) for r in reports] == [(2, 1)]
-    assert [(d.kind, d.case_id) for d in engine.diagnostics] == [
+    assert [(d.kind, d.case_id) for d in diags] == [
         ("source-after-case", "A")]
     window = None if mode is None else spec.window(0)
     assert reports[0] == batch_report(records, window)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_run_hands_on_the_diagnostics_the_engine_finds_in_order(data):
+    records = data.draw(st.permutations(_linked_records(data)))
+    mode = data.draw(st.sampled_from(["tumbling", "cumulative", None]))
+    # an origin after the first records, so some come before it
+    spec = (None if mode is None else
+            WindowSpec(mode, timedelta(minutes=45), T0 + timedelta(hours=1)))
+    reports, diags = _drive(records, spec)
+    handed = []
+    assert [r.to_json_dict() for r in run(records, spec,
+                                          on_error=handed.append)] == [
+        r.to_json_dict() for r in reports]
+    assert handed == diags
 
 
 def _diagnostic_multiset(diagnostics):
@@ -264,12 +308,13 @@ def _diagnostic_multiset(diagnostics):
 
 
 def test_dangling_source_reported_at_flush():
-    engine = RecognitionEngine(WindowSpec("tumbling", DAY, T0))
+    diags = []
+    engine = RecognitionEngine(WindowSpec("tumbling", DAY, T0),
+                               on_error=diags.append)
     engine.ingest(rec("A", "GHOST", 0))
-    assert engine.diagnostics == []  # the source may still arrive
+    assert diags == []  # the source may still arrive
     engine.flush()
-    assert engine.diagnostics == list(
-        validate_stream([rec("A", "GHOST", 0)]).diagnostics)
+    assert diags == list(validate_stream([rec("A", "GHOST", 0)]).diagnostics)
 
 
 def test_reject_mode_raises_on_bad_links():
@@ -316,7 +361,8 @@ def _check_snapshots(arrivals, spec):
         snapshots.append((counts, window))
         return report(counts, window, *rest)
 
-    engine = RecognitionEngine(spec)
+    diags = []
+    engine = RecognitionEngine(spec, on_error=diags.append)
     seen = []
     checked = 0
 
@@ -337,7 +383,7 @@ def _check_snapshots(arrivals, spec):
             check_new()
         list(engine.flush())
         check_new()
-    return engine, checked
+    return diags, checked
 
 
 @settings(max_examples=80, deadline=None)
@@ -370,10 +416,10 @@ def test_engine_histogram_late_and_mutual_records(mode):
         rec("E", "LATE", 24 * 60 + 10),
         rec("F", "D", 2 * 24 * 60),
     ]
-    engine, windows = _check_snapshots(records, WindowSpec(mode, DAY, T0))
+    diags, windows = _check_snapshots(records, WindowSpec(mode, DAY, T0))
     assert windows == 3
     # P's source Q is reported after P, so that link is dropped
-    assert [(d.kind, d.case_id) for d in engine.diagnostics] == [
+    assert [(d.kind, d.case_id) for d in diags] == [
         ("source-after-case", "P"), ("late-record", "LATE")]
 
 
@@ -407,11 +453,11 @@ def test_ordered_stream_equals_validated_stream(data):
     mode = data.draw(st.sampled_from(["tumbling", "cumulative"]))
     spec = WindowSpec(mode, timedelta(minutes=45), T0)
     validated = validate_stream(records)
-    reports, engine = _drive(records, spec)
+    reports, diags = _drive(records, spec)
     expected = list(run(validated.records, spec))
     assert [r.to_json_dict() for r in reports] == [
         r.to_json_dict() for r in expected]
-    assert _diagnostic_multiset(engine.diagnostics) == _diagnostic_multiset(
+    assert _diagnostic_multiset(diags) == _diagnostic_multiset(
         validated.diagnostics)
 
 
@@ -420,21 +466,21 @@ def test_ordered_stream_equals_validated_stream(data):
 def test_shuffled_cumulative_ends_where_analyze_does(data):
     records = data.draw(st.permutations(_linked_records(data)))
     spec = WindowSpec("cumulative", timedelta(minutes=45), T0)
-    reports, engine = _drive(records, spec)
+    reports, diags = _drive(records, spec)
     analyzed = list(run(validate_stream(records).records, spec))
     assert [r.window for r in reports] == [r.window for r in analyzed]
     assert reports[-1].to_json_dict() == analyzed[-1].to_json_dict()
     # link diagnostics do not depend on arrival order
-    links = [d for d in engine.diagnostics if d.kind != "late-record"]
+    links = [d for d in diags if d.kind != "late-record"]
     assert _diagnostic_multiset(links) == _diagnostic_multiset(
         validate_stream(records).diagnostics)
     # with no schedule the one report is the whole stream's, as analyze
     # --window all writes it, and no record is late
-    (whole,), engine = _drive(records, None)
+    (whole,), diags = _drive(records, None)
     batch = batch_report(validate_stream(records))
     assert whole.to_json_dict() == batch.to_json_dict()
     assert whole.sample == batch.sample
-    assert _diagnostic_multiset(engine.diagnostics) == _diagnostic_multiset(
+    assert _diagnostic_multiset(diags) == _diagnostic_multiset(
         validate_stream(records).diagnostics)
 
 
@@ -443,8 +489,8 @@ def test_shuffled_cumulative_ends_where_analyze_does(data):
 def test_shuffled_tumbling_equals_batch_without_late_records(data):
     records = data.draw(st.permutations(_linked_records(data)))
     spec = WindowSpec("tumbling", timedelta(minutes=45), T0)
-    reports, engine = _drive(records, spec)
-    late = {d.case_id for d in engine.diagnostics if d.kind == "late-record"}
+    reports, diags = _drive(records, spec)
+    late = {d.case_id for d in diags if d.kind == "late-record"}
     kept = validate_stream([r for r in records if r.case_id not in late])
     for report in reports:
         assert report.to_json_dict() == batch_report(
