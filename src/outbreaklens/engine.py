@@ -243,7 +243,7 @@ class RecognitionEngine:
         self.rule = rule
         self.include_isolated = include_isolated
         self.strict = strict
-        self.on_error = on_error
+        self._warn = (lambda d: None) if on_error is None else on_error
         self._seen_ids: dict[str, datetime] = {}  # case_id -> timestamp
         self._orphans: dict[str, list[CaseRecord]] = {}  # by missing source
         self._watermark: datetime | None = None
@@ -259,10 +259,6 @@ class RecognitionEngine:
     @property
     def watermark(self) -> datetime | None:
         return self._watermark
-
-    def _warn(self, diagnostic: Diagnostic) -> None:
-        if self.on_error is not None:
-            self.on_error(diagnostic)
 
     def ingest(self, record: CaseRecord) -> Iterable[StructureReport]:
         """Absorb one record; return an iterable of the reports of the

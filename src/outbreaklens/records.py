@@ -119,21 +119,25 @@ class GeoPoint(_Frozen):
     latitude: float
 
     def __init__(self, longitude: float, latitude: float):
-        _set_longitude(self, _degrees(longitude, "longitude", 180.0))
-        _set_latitude(self, _degrees(latitude, "latitude", 90.0))
+        if not (type(longitude) is float and -180.0 <= longitude <= 180.0):
+            longitude = _degrees(longitude, "longitude", 180.0)
+        if not (type(latitude) is float and -90.0 <= latitude <= 90.0):
+            latitude = _degrees(latitude, "latitude", 90.0)
+        _set_longitude(self, longitude)
+        _set_latitude(self, latitude)
 
 
 def _degrees(value, name: str, bound: float) -> float:
     """A coordinate as a float in [-bound, bound], so that what ``repr``
-    writes of it reads back. A bool is no coordinate, though float()
-    reads it as one; NaN fails the range check."""
-    if type(value) is not float:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} is not a real number: {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:  # an int or fraction past float range
-            raise ValueError(f"{name} out of range: {value!r}") from None
+    writes of it reads back; GeoPoint keeps a float in range as it is. A
+    bool is no coordinate, though float() reads it as one; NaN fails the
+    range check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} is not a real number: {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int or fraction past float range
+        raise ValueError(f"{name} out of range: {value!r}") from None
     if not -bound <= value <= bound:
         raise ValueError(f"{name} out of range: {value!r}")
     return value
@@ -158,6 +162,8 @@ class CaseRecord(_Frozen):
 
     def __init__(self, case_id: str, source_id: str | None,
                  timestamp: datetime, location: GeoPoint):
+        if not isinstance(case_id, str):
+            raise ValueError(f"case_id is not a string: {case_id!r}")
         if not case_id:
             raise ValueError("case_id must be non-empty")
         if case_id.strip() != case_id:
@@ -166,9 +172,10 @@ class CaseRecord(_Frozen):
             source_id = None
         elif source_id == case_id:
             raise ValueError(f"case {case_id!r} lists itself as source")
+        elif source_id is not None and not isinstance(source_id, str):
+            raise ValueError(f"source_id is not a string: {source_id!r}")
         elif source_id is not None and source_id.strip() != source_id:
-            raise ValueError(f"source_id {source_id!r} has whitespace "
-                             f"around it")
+            raise ValueError(f"source_id {source_id!r} has whitespace around it")
         _set_case_id(self, case_id)
         _set_source_id(self, source_id)
         _set_timestamp(self, normalize_timestamp(timestamp))
@@ -295,8 +302,6 @@ def _coordinate(value, key: str, line_no: int | None) -> float:
 def serialize_record(record: CaseRecord, format: str = "csv") -> str:
     """One output line (no trailing newline). Inverse of parse_record:
     parsing the result yields an equal record."""
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     if format == "csv":
         location = record.location
         cells = (record.case_id, record.source_id or "",
@@ -307,19 +312,18 @@ def serialize_record(record: CaseRecord, format: str = "csv") -> str:
         if (line.count(",") == 4 and '"' not in line and "\r" not in line
                 and "\n" not in line):
             return line
-        # csv.writer quotes a cell that holds a comma, a quote, or a
-        # character of its line terminator; the terminator CR LF makes
-        # that a carriage return as well as a newline, so that
-        # csv.reader, which ends an unquoted cell at either, reads the
-        # line back.
+        # csv.writer quotes a cell holding a comma, a quote or a character
+        # of its terminator, here CR LF: csv.reader ends a bare cell at either.
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\r\n").writerow(cells)
         return buf.getvalue()[:-2]
+    if format != "jsonl":
+        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     return json.dumps(
         {
             "case_id": record.case_id,
             "source_id": record.source_id,
-            "date": format_timestamp(record.timestamp),
+            "date": _format_utc(record.timestamp),
             "longitude": record.location.longitude,
             "latitude": record.location.latitude,
         },

@@ -321,11 +321,12 @@ def test_round_trip_property(case_id, source_id, ts, lon, lat, format):
 
 # Ids with each character that decides how a cell is written or read
 # back: whitespace (parse_record strips it), commas, quotes and line
-# breaks. No NUL, which csv.reader rejects before Python 3.11.
+# breaks. No NUL, which csv.reader rejects before Python 3.11. And a few
+# integers, which the constructor rejects as ids.
 _any_ids = st.text(alphabet=st.sampled_from(
     ["a", "7", "\u00e9", ",", '"', " ", "\t", "\u3000", "\r", "\n"]),
     max_size=5) | st.text(st.characters(exclude_characters="\x00"),
-                          max_size=5)
+                          max_size=5) | st.integers(0, 9)
 _any_degrees = (st.integers(-200, 200) | st.floats(-200.0, 200.0)
                 | st.fractions(-200, 200) | st.booleans())
 
@@ -337,6 +338,8 @@ _any_degrees = (st.integers(-200, 200) | st.floats(-200.0, 200.0)
 @example(case_id="a", source_id="\rc", ts=T0, lon=1.0, lat=2.0)
 @example(case_id="a", source_id=None, ts=T0, lon=Fraction(3, 2), lat=7)
 @example(case_id="a", source_id=None, ts=T0, lon=True, lat=0.0)
+@example(case_id=5, source_id=None, ts=T0, lon=1.0, lat=2.0)
+@example(case_id="a", source_id=5, ts=T0, lon=1.0, lat=2.0)
 def test_every_record_the_constructors_accept_reads_back(case_id, source_id,
                                                          ts, lon, lat):
     try:
@@ -346,6 +349,15 @@ def test_every_record_the_constructors_accept_reads_back(case_id, source_id,
     assert type(r.location.longitude) is type(r.location.latitude) is float
     for format in FORMATS:
         assert parse_record(serialize_record(r, format), format) == r
+
+
+@pytest.mark.parametrize("case_id,source_id,field", [
+    (5, None, "case_id"), (None, None, "case_id"), ("A", 5, "source_id"),
+    ("A", b"B", "source_id")])
+def test_a_non_string_id_is_a_value_error_naming_its_field(case_id, source_id,
+                                                           field):
+    with pytest.raises(ValueError, match=f"^{field} is not a string"):
+        rec(case_id, source_id, T0)
 
 
 _line_text = st.text(alphabet=st.characters(blacklist_characters="\n"))
@@ -742,11 +754,28 @@ def _one(case_id, source_id=None):
           rec("C", "A", T0 + timedelta(days=1)),  # then another
           rec("D,", "C", T0)], "csv")
 def test_write_stream_writes_the_header_and_each_serialized_record(recs, format):
+    lines = [_reference_line(r, format) for r in recs]
+    assert [serialize_record(r, format) for r in recs] == lines
     buf = io.StringIO()
     assert write_stream(iter(recs), buf, format) == len(recs)
     header = ",".join(CSV_HEADER) + "\n" if format == "csv" else ""
-    assert buf.getvalue() == header + "".join(
-        serialize_record(r, format) + "\n" for r in recs)
+    assert buf.getvalue() == header + "".join(line + "\n" for line in lines)
+
+
+def _reference_line(r, format):
+    """A record's line as csv.writer (with the terminator CR LF, which
+    quotes a cell holding \\r) or json.dumps writes it."""
+    if format == "jsonl":
+        return json.dumps({"case_id": r.case_id, "source_id": r.source_id,
+                           "date": format_timestamp(r.timestamp),
+                           "longitude": r.location.longitude,
+                           "latitude": r.location.latitude},
+                          sort_keys=True, separators=(",", ":"))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(
+        [r.case_id, r.source_id or "", format_timestamp(r.timestamp),
+         repr(r.location.longitude), repr(r.location.latitude)])
+    return buf.getvalue()[:-2]
 
 
 @pytest.mark.parametrize("cell", ["a\rb", "a\r\rb", "a\r\nb"])
