@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import numbers
+import re
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -67,24 +67,37 @@ def normalize_timestamp(value: datetime) -> datetime:
     return value
 
 
+# The extended ISO 8601 form, which datetime.fromisoformat reads on every
+# supported Python: a date, alone or then any one character and a time,
+# with an offset or none. From 3.11 it also reads basic (20140301), week
+# (2014-W10-1) and other forms; checking this first gives one grammar.
+_TIMESTAMP_RE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?:.[0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
+    r"(?:[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?", re.DOTALL)
+
+
 @lru_cache(maxsize=4096)  # feeds repeat their dates; datetimes are immutable
 def parse_timestamp(text: str) -> datetime:
     """Parse an instant from ISO-style text.
 
-    Accepts full timestamps with a trailing ``Z`` or numeric offset, and
-    bare dates, which are read as midnight UTC. Naive timestamps are
-    taken as UTC. Sub-second precision is truncated. An offset that
-    moves the instant outside years 1-9999 in UTC is a ValueError.
+    Accepts bare dates, read as midnight UTC, and full timestamps in the
+    extended form, with a trailing ``Z``, a numeric offset or none (then
+    taken as UTC); see ``_TIMESTAMP_RE``. Sub-second precision is
+    truncated. An offset that moves the instant outside years 1-9999 in
+    UTC is a ValueError.
     """
     raw = text.strip()
     if not raw:
         raise ValueError("empty timestamp")
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
-    try:
-        return normalize_timestamp(datetime.fromisoformat(raw))
-    except (ValueError, OverflowError):
-        raise ValueError(f"unparseable date: {text!r}") from None
+    if _TIMESTAMP_RE.fullmatch(raw):
+        try:
+            return normalize_timestamp(datetime.fromisoformat(raw))
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"unparseable date: {text!r}")
 
 
 def format_timestamp(value: datetime) -> str:
@@ -95,7 +108,9 @@ def format_timestamp(value: datetime) -> str:
 # only in ``fold`` compare and hash equal, yet may be an hour apart.
 @lru_cache(maxsize=4096)  # records of a feed share their timestamps
 def _format_utc(value: datetime) -> str:
-    return value.strftime("%Y-%m-%dT%H:%M:%SZ")
+    # strftime writes year 500 as "500", which no parser reads back
+    return (f"{value.year:04}-{value.month:02}-{value.day:02}T"
+            f"{value.hour:02}:{value.minute:02}:{value.second:02}Z")
 
 
 class _Frozen:
@@ -132,6 +147,8 @@ def _degrees(value, name: str, bound: float) -> float:
     writes of it reads back; GeoPoint keeps a float in range as it is. A
     bool is no coordinate, though float() reads it as one; NaN fails the
     range check."""
+    import numbers  # here, not at the top: only this rare path reads it
+
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} is not a real number: {value!r}")
     try:
@@ -182,7 +199,9 @@ class CaseRecord(_Frozen):
         _set_location(self, location)
 
 
-# The slots' own setters, which go past the frozen __setattr__.
+# The slots' own setters, which go past the frozen __setattr__, and an
+# instance with no slot set, for parse_record to fill.
+_new = object.__new__
 _set_longitude = GeoPoint.longitude.__set__
 _set_latitude = GeoPoint.latitude.__set__
 _set_case_id = CaseRecord.case_id.__set__
@@ -219,6 +238,30 @@ def parse_record(line: str, format: str = "csv", *,
         date = date.strip()
         longitude = longitude.strip()
         latitude = latitude.strip()
+        # A plain line in one pass: the checks of this function and of
+        # the constructors, each made once, then the slots set directly.
+        # A line that fails one goes on to the checks after this branch,
+        # which name what is wrong with it.
+        if (case_id and source_id != case_id and longitude.isascii()
+                and latitude.isascii() and "_" not in longitude
+                and "_" not in latitude):
+            try:
+                lon = float(longitude)
+                lat = float(latitude)
+                timestamp = parse_timestamp(date)
+            except ValueError:
+                pass
+            else:
+                if -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0:
+                    location = _new(GeoPoint)
+                    _set_longitude(location, lon)
+                    _set_latitude(location, lat)
+                    record = _new(CaseRecord)
+                    _set_case_id(record, case_id)
+                    _set_source_id(record, source_id)
+                    _set_timestamp(record, timestamp)
+                    _set_location(record, location)
+                    return record
     elif format == "jsonl":
         case_id, source_id, date, longitude, latitude = _json_fields(line,
                                                                      line_no)

@@ -725,6 +725,26 @@ def test_simulate_rejects_a_run_past_the_last_date(cli, tmp_path, config):
     assert out.splitlines()[1].startswith("C000001,,9999-12-26T00:00:00Z,")
 
 
+def test_a_run_before_year_1000_reads_back(cli, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"n_population": 200, "n_steps": 20, "index_cases": '
+                      '[{"region": "Conakry", "start": "0500-03-01"}]}',
+                      encoding="utf-8")
+    cases = tmp_path / "cases.csv"
+    assert cli("simulate", "--input", str(config), "--output", str(cases)) \
+        == (EXIT_OK, "", "")
+    lines = cases.read_text(encoding="utf-8").splitlines()
+    assert lines[1].startswith("C000001,,0500-03-01T00:00:00Z,")
+    code, out, err = cli("analyze", "--input", str(cases), "--window", "all")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["n_vertices"] == len(lines) - 1
+    code, out, err = cli("stream", "--input", str(cases), "--window",
+                         "tumbling:2d")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out.splitlines()[0])["window"] == {
+        "start": "0500-03-01T00:00:00Z", "end": "0500-03-03T00:00:00Z"}
+
+
 def test_simulate_rejects_bad_seed_override(cli):
     assert cli("simulate", "--seed", "-1")[0] == EXIT_USAGE
 

@@ -59,14 +59,34 @@ T0 = datetime(2014, 3, 1, tzinfo=UTC)
     ("2014-03-01T12:30:05", datetime(2014, 3, 1, 12, 30, 5, tzinfo=UTC)),
     ("2014-03-01", datetime(2014, 3, 1, tzinfo=UTC)),
     ("2014-03-01T12:30:05.987654Z", datetime(2014, 3, 1, 12, 30, 5, tzinfo=UTC)),
+    ("2014-03-01 12:30:05", datetime(2014, 3, 1, 12, 30, 5, tzinfo=UTC)),
+    ("2014-03-01T12", datetime(2014, 3, 1, 12, tzinfo=UTC)),
+    ("2014-03-01T12:30", datetime(2014, 3, 1, 12, 30, tzinfo=UTC)),
+    ("2014-03-01T12:30:05.987+01:00",
+     datetime(2014, 3, 1, 11, 30, 5, tzinfo=UTC)),
+    ("2014-03-01T12:30:05+01:00:30",
+     datetime(2014, 3, 1, 11, 29, 35, tzinfo=UTC)),
+    ("0999-12-31T23:59:59Z", datetime(999, 12, 31, 23, 59, 59, tzinfo=UTC)),
 ])
 def test_parse_timestamp_forms(text, expected):
     assert parse_timestamp(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "   ", "yesterday", "2014-13-01", "12:30",
-                                  "0001-01-01T00:30:00+01:00",
-                                  "9999-12-31T23:59:59-01:00"])
+@pytest.mark.parametrize("text", [
+    "", "   ", "yesterday", "2014-13-01", "12:30", "0001-01-01T00:30:00+01:00",
+    "9999-12-31T23:59:59-01:00",
+    # forms datetime.fromisoformat reads from Python 3.11 on, but not on
+    # 3.10: basic and week dates, basic times and offsets, a decimal
+    # comma, fractions of other than 3 or 6 digits, an hours-only offset
+    "20140301", "2014-W10-1", "20140301T000000Z", "2014-03-01T00:00:00,5Z",
+    "2014-03-01T00:00:00+0100", "2014-03-01T1230", "2014-03-01T12:30:05.9Z",
+    "2014-03-01T12:30:05.9876543Z", "2014-03-01T12:30:05+01",
+    "2014-03-01T12:30:05+01:00:30.5",
+    # and no extended form, though every Python reads it: a third digit of
+    # seconds (dropped), a fraction after the hour, a trailing colon or point
+    "2014-03-01T12:30:019Z", "2014-03-01T12.500", "2014-03-01T12:+00:00",
+    "2014-03-01T12:30:05.Z",
+])
 def test_parse_timestamp_rejects_garbage(text):
     with pytest.raises(ValueError):
         parse_timestamp(text)
@@ -114,8 +134,9 @@ def test_cached_format_timestamp_equals_strftime(values):
     # instants that compare equal share a cache entry; two New York
     # times that differ only in fold compare equal but are an hour apart
     for value in values:
+        normal = normalize_timestamp(value)  # the year zero-padded to four
         assert format_timestamp(value) == \
-            normalize_timestamp(value).strftime("%Y-%m-%dT%H:%M:%SZ")
+            f"{normal.year:04}" + normal.strftime("-%m-%dT%H:%M:%SZ")
 
 
 # --- coordinates --------------------------------------------------------
@@ -297,8 +318,11 @@ def test_serialize_parse_round_trip(format):
 _ids = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126),
     min_size=1, max_size=12)
-_instants = st.integers(min_value=0, max_value=4_102_444_800).map(
-    lambda s: datetime.fromtimestamp(s, tz=UTC))
+_instants = st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59),
+    timezones=st.just(UTC)).map(lambda value: value.replace(microsecond=0))
+_EARLY = [datetime(year, 12, 31, 23, 59, 59, tzinfo=UTC)
+          for year in (1, 999, 1000)]  # written with leading zeros, or not
 _lons = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
 _lats = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 
@@ -311,6 +335,12 @@ _lats = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 @example(case_id="a", source_id="b\r\nc", ts=T0, lon=1.0, lat=2.0,
          format="csv")
 @example(case_id="a\rb", source_id="c\rd", ts=T0, lon=1.0, lat=2.0,
+         format="jsonl")
+@example(case_id="a", source_id=None, ts=_EARLY[0], lon=1.0, lat=2.0,
+         format="csv")
+@example(case_id="a", source_id=None, ts=_EARLY[1], lon=1.0, lat=2.0,
+         format="csv")
+@example(case_id="a", source_id=None, ts=_EARLY[2], lon=1.0, lat=2.0,
          format="jsonl")
 def test_round_trip_property(case_id, source_id, ts, lon, lat, format):
     if source_id == case_id:
@@ -340,6 +370,9 @@ _any_degrees = (st.integers(-200, 200) | st.floats(-200.0, 200.0)
 @example(case_id="a", source_id=None, ts=T0, lon=True, lat=0.0)
 @example(case_id=5, source_id=None, ts=T0, lon=1.0, lat=2.0)
 @example(case_id="a", source_id=5, ts=T0, lon=1.0, lat=2.0)
+@example(case_id="a", source_id=None, ts=_EARLY[0], lon=1.0, lat=2.0)
+@example(case_id="a", source_id=None, ts=_EARLY[1], lon=1.0, lat=2.0)
+@example(case_id="a", source_id=None, ts=_EARLY[2], lon=1.0, lat=2.0)
 def test_every_record_the_constructors_accept_reads_back(case_id, source_id,
                                                          ts, lon, lat):
     try:
@@ -453,6 +486,16 @@ _csv_text = st.text(alphabet=st.sampled_from(',"\r\n \t\x00\\:-.+eZ019AC'))
 @settings(max_examples=400, suppress_health_check=_FIRST_DRAW_MAY_BE_SLOW)
 @given(st.one_of(_any_line("csv"), _csv_text, _line_text))
 @example("C\x00,,2014-03-01,0,0")  # csv.reader rejects NUL before 3.11
+# where the one-pass branch of a plain line hands over to the checks
+@example("A,A,2014-03-01,0,0")
+@example(" ,,2014-03-01,0,0")
+@example("C1,,2014-03-01,nan,0")
+@example("C1,,2014-03-01,1e999,0")
+@example("C1,,2014-03-01,181,0")
+@example("C1,,2014-03-01,1_2.5,0")
+@example("C1,,2014-03-01,\uff11,0")
+@example(" C1 ,\tC0\u3000, 2014-03-01 ,\u30001.5 ,\t-2.5\t")
+@example("C1,,2014-03-01,+1.5,-2.5")
 def test_split_path_parses_as_the_csv_reader_does(line):
     fast = _parsed(line)
     with mock.patch.object(records, "_csv_row", _reader_row):
@@ -664,8 +707,32 @@ def _is_one_of_the_fixes(line, format):
     return any(_not_ascii_decimal(cell) for cell in row[3:])
 
 
+class _Drawn:
+    """Stands in for st.data() in an @example: every draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy):
+        return self.value
+
+
 @settings(max_examples=1000, suppress_health_check=_FIRST_DRAW_MAY_BE_SLOW)
 @given(st.data(), st.sampled_from(FORMATS), st.sampled_from([None, 16, 40]))
+# where the one-pass branch of a plain line hands over to the checks
+@example(_Drawn("A,A,2014-03-01,0,0"), "csv", None)
+@example(_Drawn(",,2014-03-01,0,0"), "csv", None)
+@example(_Drawn("\u3000,C0,2014-03-01,0,0"), "csv", None)
+@example(_Drawn("C1,,2014-03-01,nan,0"), "csv", None)
+@example(_Drawn("C1,,2014-03-01,0,1e999"), "csv", None)
+@example(_Drawn("C1,,2014-03-01,181,0"), "csv", None)
+@example(_Drawn("C1,,2014-03-01,0,90.5"), "csv", None)
+@example(_Drawn("C1,,2014-03-01,1_2.5,0"), "csv", None)
+@example(_Drawn("C1,,2014-03-01,0,\uff11"), "csv", None)
+@example(_Drawn(" C1 ,\tC0\u3000, 2014-03-01 ,\u30001.5 ,\t-2.5\t"), "csv",
+         None)
+@example(_Drawn("C1,,2014-03-01,+1.5,-2.5"), "csv", None)
+@example(_Drawn("C1,,yesterday,0,0"), "csv", None)
 def test_parse_record_equals_its_reference(data, format, limit):
     tricky = _tricky_csv() if format == "csv" else _tricky_json()
     line = data.draw(st.one_of(tricky, tricky, tricky, _any_line(format),
