@@ -93,11 +93,13 @@ def parse_duration(text: str) -> timedelta:
 def parse_window_flag(text: str) -> tuple[str, timedelta] | None:
     """'all' means the whole stream; otherwise 'tumbling:<dur>' or
     'cumulative:<dur>'."""
+    from .engine import WINDOW_MODES
+
     raw = text.strip()
     if raw == "all":
         return None
     mode, sep, dur = raw.partition(":")
-    if not sep or mode not in ("tumbling", "cumulative"):
+    if not sep or mode not in WINDOW_MODES:
         raise ValueError(f"bad window {text!r}; use all, tumbling:<dur> "
                          f"or cumulative:<dur>")
     return mode, parse_duration(dur)

@@ -68,13 +68,14 @@ def normalize_timestamp(value: datetime) -> datetime:
 
 
 # The extended ISO 8601 form, which datetime.fromisoformat reads on every
-# supported Python: a date, alone or then any one character and a time,
-# with an offset or none. From 3.11 it also reads basic (20140301), week
-# (2014-W10-1) and other forms; checking this first gives one grammar.
+# supported Python: a date, alone or then a separator other than a sign
+# (which fromisoformat would take, reading an offset as a time) and a
+# time, with an offset or none. From 3.11 it also reads basic (20140301),
+# week (2014-W10-1) and other forms; checking this first gives one grammar.
 _TIMESTAMP_RE = re.compile(
     r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
-    r"(?:.[0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
-    r"(?:[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?", re.DOTALL)
+    r"(?:[^+-][0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
+    r"(?:[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?")
 
 
 @lru_cache(maxsize=4096)  # feeds repeat their dates; datetimes are immutable
@@ -226,7 +227,9 @@ def _csv_row(line: str, line_no: int | None) -> list[str]:
 
 def parse_record(line: str, format: str = "csv", *,
                  line_no: int | None = None) -> CaseRecord:
-    """Parse one line in the declared format into a CaseRecord."""
+    """Parse one line in the declared format into a CaseRecord. Both
+    formats check the same values once, in one order; ``_coordinate`` and
+    the constructors name what fails, and what passes is built in place."""
     if format == "csv":
         row = _csv_row(line, line_no)
         if len(row) != len(CSV_HEADER):
@@ -238,30 +241,6 @@ def parse_record(line: str, format: str = "csv", *,
         date = date.strip()
         longitude = longitude.strip()
         latitude = latitude.strip()
-        # A plain line in one pass: the checks of this function and of
-        # the constructors, each made once, then the slots set directly.
-        # A line that fails one goes on to the checks after this branch,
-        # which name what is wrong with it.
-        if (case_id and source_id != case_id and longitude.isascii()
-                and latitude.isascii() and "_" not in longitude
-                and "_" not in latitude):
-            try:
-                lon = float(longitude)
-                lat = float(latitude)
-                timestamp = parse_timestamp(date)
-            except ValueError:
-                pass
-            else:
-                if -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0:
-                    location = _new(GeoPoint)
-                    _set_longitude(location, lon)
-                    _set_latitude(location, lat)
-                    record = _new(CaseRecord)
-                    _set_case_id(record, case_id)
-                    _set_source_id(record, source_id)
-                    _set_timestamp(record, timestamp)
-                    _set_location(record, location)
-                    return record
     elif format == "jsonl":
         case_id, source_id, date, longitude, latitude = _json_fields(line,
                                                                      line_no)
@@ -278,11 +257,29 @@ def parse_record(line: str, format: str = "csv", *,
         timestamp = parse_timestamp(date)
     except ValueError as exc:
         raise ParseError(str(exc), line_no=line_no, field="date") from None
-    longitude = _coordinate(longitude, "longitude", line_no)
-    latitude = _coordinate(latitude, "latitude", line_no)
+    try:  # _coordinate's rule, inline for a number or plain ASCII text
+        if (type(longitude) is str
+                and ("_" in longitude or not longitude.isascii())
+                or type(latitude) is str
+                and ("_" in latitude or not latitude.isascii())):
+            raise ValueError
+        lon = float(longitude)
+        lat = float(latitude)
+    except (TypeError, ValueError, OverflowError):
+        lon = _coordinate(longitude, "longitude", line_no)
+        lat = _coordinate(latitude, "latitude", line_no)
+    if -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0 and source_id != case_id:
+        location = _new(GeoPoint)
+        _set_longitude(location, lon)
+        _set_latitude(location, lat)
+        record = _new(CaseRecord)
+        _set_case_id(record, case_id)
+        _set_source_id(record, source_id)
+        _set_timestamp(record, timestamp)
+        _set_location(record, location)
+        return record
     try:
-        return CaseRecord(case_id, source_id, timestamp,
-                          GeoPoint(longitude, latitude))
+        return CaseRecord(case_id, source_id, timestamp, GeoPoint(lon, lat))
     except ValueError as exc:
         raise ParseError(str(exc), line_no=line_no) from None
 
@@ -333,8 +330,7 @@ def _coordinate(value, key: str, line_no: int | None) -> float:
     boolean is no number, although float() reads it as one."""
     try:
         if value is True or value is False or type(value) is str and (
-                "_" in value or not (value.isascii()
-                                     or value.strip().isascii())):
+                "_" in value or not value.strip().isascii()):
             raise ValueError(value)
         return float(value)
     except (TypeError, ValueError, OverflowError):  # an int past float range

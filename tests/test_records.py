@@ -86,6 +86,9 @@ def test_parse_timestamp_forms(text, expected):
     # seconds (dropped), a fraction after the hour, a trailing colon or point
     "2014-03-01T12:30:019Z", "2014-03-01T12.500", "2014-03-01T12:+00:00",
     "2014-03-01T12:30:05.Z",
+    # a date then Z or an offset, which fromisoformat reads as a time of
+    # day with the sign as its separator
+    "2014-03-01+05:00", "2014-03-01-05:00", "2014-03-01+05", "2014-03-01Z",
 ])
 def test_parse_timestamp_rejects_garbage(text):
     with pytest.raises(ValueError):
@@ -486,7 +489,7 @@ _csv_text = st.text(alphabet=st.sampled_from(',"\r\n \t\x00\\:-.+eZ019AC'))
 @settings(max_examples=400, suppress_health_check=_FIRST_DRAW_MAY_BE_SLOW)
 @given(st.one_of(_any_line("csv"), _csv_text, _line_text))
 @example("C\x00,,2014-03-01,0,0")  # csv.reader rejects NUL before 3.11
-# where the one-pass branch of a plain line hands over to the checks
+# where a CSV line's values meet the checks of parse_record
 @example("A,A,2014-03-01,0,0")
 @example(" ,,2014-03-01,0,0")
 @example("C1,,2014-03-01,nan,0")
@@ -707,6 +710,11 @@ def _is_one_of_the_fixes(line, format):
     return any(_not_ascii_decimal(cell) for cell in row[3:])
 
 
+def _json_line(**values):
+    """The template record as a JSON line, with some values replaced."""
+    return json.dumps({**dict(zip(CSV_HEADER, _TEMPLATE)), **values})
+
+
 class _Drawn:
     """Stands in for st.data() in an @example: every draw is ``value``."""
 
@@ -719,7 +727,7 @@ class _Drawn:
 
 @settings(max_examples=1000, suppress_health_check=_FIRST_DRAW_MAY_BE_SLOW)
 @given(st.data(), st.sampled_from(FORMATS), st.sampled_from([None, 16, 40]))
-# where the one-pass branch of a plain line hands over to the checks
+# where a CSV line's values meet the checks of parse_record
 @example(_Drawn("A,A,2014-03-01,0,0"), "csv", None)
 @example(_Drawn(",,2014-03-01,0,0"), "csv", None)
 @example(_Drawn("\u3000,C0,2014-03-01,0,0"), "csv", None)
@@ -733,6 +741,13 @@ class _Drawn:
          None)
 @example(_Drawn("C1,,2014-03-01,+1.5,-2.5"), "csv", None)
 @example(_Drawn("C1,,yesterday,0,0"), "csv", None)
+# and where a JSON line's values meet them
+@example(_Drawn(_json_line(case_id=1, source_id="1")), "jsonl", None)
+@example(_Drawn(_json_line(longitude=181)), "jsonl", None)
+@example(_Drawn(_json_line(latitude=None)), "jsonl", None)
+@example(_Drawn(_json_line(latitude=10**400)), "jsonl", None)
+@example(_Drawn(_json_line(longitude="\u30001.5")), "jsonl", None)
+@example(_Drawn(_json_line(longitude="1_2.5")), "jsonl", None)
 def test_parse_record_equals_its_reference(data, format, limit):
     tricky = _tricky_csv() if format == "csv" else _tricky_json()
     line = data.draw(st.one_of(tricky, tricky, tricky, _any_line(format),
