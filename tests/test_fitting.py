@@ -1,5 +1,6 @@
 """MLE fitting, standard errors, likelihoods, and structure selection."""
 
+import functools
 import itertools
 import json
 import math
@@ -7,9 +8,10 @@ from collections import Counter
 from datetime import timedelta
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import zeta as scipy_zeta
@@ -34,6 +36,7 @@ from outbreaklens.fitting import (
     select_structure,
 )
 from outbreaklens import RULES
+from outbreaklens import fitting as fitting_module
 from outbreaklens import zeta as zeta_module
 from outbreaklens.engine import WindowSpec, run
 from outbreaklens.graph import DegreeSample
@@ -432,6 +435,11 @@ def _fit_or_reason(sample):
         return str(exc)
 
 
+def _clear_exponent_caches():
+    _powerlaw_alpha.cache_clear()
+    fitting_module._powerlaw_start.cache_clear()
+
+
 # a step adds a histogram, or one vertex, which leaves every candidate
 # tail above it unchanged, so later fits hit the cache
 GROWTH = st.lists(st.one_of(HISTOGRAMS, st.dictionaries(
@@ -453,7 +461,7 @@ def test_warm_exponent_cache_fits_equal_cold_fits(steps):
     warm = [_fit_or_reason(sample) for sample in samples]
     cold = []
     for sample in samples:
-        _powerlaw_alpha.cache_clear()
+        _clear_exponent_caches()
         cold.append(_fit_or_reason(sample))
     assert warm == cold
 
@@ -471,6 +479,101 @@ def test_ks_distance_stops_only_at_the_bound(counts, alpha, stop):
             assert got == exact
         else:
             assert got >= bound
+
+
+def _exhaustive_fit_or_reason(sample):
+    """fit_powerlaw's x_min scan before candidates were skipped, on a
+    non-empty sample: every candidate's exponent is solved and its KS
+    distance measured. The fit at the winning x_min is fit_powerlaw's
+    with x_min given; no candidate gives fit_powerlaw's reason."""
+    counts = sample.counts
+    values = sorted(x for x in counts if x >= 1)
+    tail = [(v, counts[v]) for v in values]
+    n_tails = [0] * (len(values) + 1)
+    sum_logs = [0.0] * (len(values) + 1)
+    for i in range(len(values) - 1, -1, -1):
+        v, count = tail[i]
+        n_tails[i] = n_tails[i + 1] + count
+        sum_logs[i] = sum_logs[i + 1] + count * math.log(v)
+    best = None
+    for i in range(len(values) - 1):
+        alpha = _powerlaw_alpha(sum_logs[i] / n_tails[i], values[i])
+        ks = _ks_distance(tail[i:], n_tails[i], alpha, values[i],
+                          math.inf if best is None else best[0])
+        if best is None or ks < best[0]:
+            best = (ks, values[i])
+    if best is None:
+        return "no x_min candidate leaves a fittable tail"
+    return fit_powerlaw(sample, x_min=best[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(HISTOGRAMS)
+# x_min 21 and 40 are both at ALPHA_MAX and at KS distance 0.39160005954083
+@example({21: 688200321925746, 40: 5000000000000, 41: 5000000000000})
+# x_min 40 is at ALPHA_MAX, after x_min 1 has set a best distance
+@example({1: 5, 40: 400, 41: 1})
+def test_pruned_scan_equals_exhaustive_scan(counts):
+    sample = DegreeSample(counts)
+    assert _fit_or_reason(sample) == _exhaustive_fit_or_reason(sample)
+
+
+@functools.cache
+def _outbreak_window_samples():
+    """Every window's sample of the outbreak that
+    test_cumulative_window_fits_match_the_reference_kernel fits."""
+    config = SimConfig.from_json({"topology": "preferential-attachment",
+                                  "n_population": 6000, "p_transmit": 0.4,
+                                  "n_steps": 80, "seed": 3})
+    records = simulate_outbreak(generate_network(config), config)
+    origin = records[0].timestamp.replace(hour=0, minute=0, second=0)
+    spec = WindowSpec("cumulative", timedelta(days=1), origin)
+    return [report.sample for report in run(records, spec, ["power-law"])]
+
+
+def _fits_and_zeta_derivative_calls(fit, samples):
+    """fit over the samples in turn from empty exponent caches, and how
+    many zeta-derivative evaluations it made."""
+    _clear_exponent_caches()
+    with mock.patch.object(fitting_module, "hurwitz_zeta_derivatives",
+                           wraps=hurwitz_zeta_derivatives) as counted:
+        fits = [fit(sample) for sample in samples]
+    _clear_exponent_caches()
+    return fits, counted.call_count
+
+
+def test_pruned_scan_equals_exhaustive_scan_on_every_outbreak_window():
+    # also a count guard: a scan that solved every candidate again would
+    # make as many zeta-derivative calls as the exhaustive one
+    samples = [sample for sample in _outbreak_window_samples() if sample.counts]
+    assert len(samples) > 30
+    fits, calls = _fits_and_zeta_derivative_calls(_fit_or_reason, samples)
+    expected, reference_calls = _fits_and_zeta_derivative_calls(
+        _exhaustive_fit_or_reason, samples)
+    assert fits == expected
+    assert calls < reference_calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3000), st.integers(0, 3000),
+       st.floats(ALPHA_MIN, ALPHA_MAX), st.floats(ALPHA_MIN, ALPHA_MAX))
+@example(1, 0, 2.5, math.nextafter(2.5, math.inf))
+@example(1, 3000, math.nextafter(ALPHA_MAX, 0.0), ALPHA_MAX)
+@example(40, 1, ALPHA_MIN, ALPHA_MAX)
+def test_fitted_cdf_rises_with_the_exponent(x_min, above, a1, a2):
+    """F(v; alpha) = 1 - zeta(alpha, v + 1) / zeta(alpha, x_min), the
+    fitted tail CDF the skipped candidates are bounded by. Its
+    complement is compared at 50 digits, since F itself can round to 1
+    (x_min 1, v 3001, alpha 20: 1 - F is about 4e-68)."""
+    a1, a2 = sorted((a1, a2))
+    v = x_min + above
+    with mpmath.workdps(50):
+        def above_v(alpha):
+            alpha = mpmath.mpf(alpha)
+            return mpmath.zeta(alpha, v + 1) / mpmath.zeta(alpha, x_min)
+        assert above_v(a1) >= above_v(a2)
+        if a1 < a2:
+            assert above_v(a1) > above_v(a2)
 
 
 WIDE_TERMS = st.one_of(
