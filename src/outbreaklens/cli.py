@@ -305,8 +305,6 @@ def cmd_stream(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from dataclasses import replace
-
     from .sim import SimConfig
 
     if args.input:
@@ -319,7 +317,7 @@ def cmd_simulate(args) -> int:
         config = SimConfig.from_json({})
     if args.seed is not None:
         try:
-            config = replace(config, seed=args.seed)
+            config = config.replace(seed=args.seed)
         except ValueError as exc:
             raise _CliError(EXIT_USAGE, str(exc)) from None
 

@@ -41,23 +41,21 @@ late to the whole-stream report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import FAMILIES, RULES, canonical_families
 from .fitting import FitError, StructureClass, fit_family, select_structure
 from .graph import DegreeSample, TimeWindow, build_graph, degree_sample
-from .records import (CaseRecord, Diagnostic, ValidationError, bad_link,
-                      format_timestamp, normalize_timestamp)
+from .records import (CaseRecord, Diagnostic, ValidationError, _Frozen,
+                      bad_link, format_timestamp, normalize_timestamp)
 
 WINDOW_MODES = ("tumbling", "cumulative")
 
 _LAST_INSTANT = datetime(9999, 12, 31, 23, 59, 59, 999999, timezone.utc)
 
 
-@dataclass(frozen=True)
-class WindowSpec:
+class WindowSpec(_Frozen):
     """How to slice the stream: disjoint fixed slices from an origin
     (tumbling) or growing prefixes of it (cumulative)."""
 
@@ -98,8 +96,7 @@ def schedule_windows(spec: WindowSpec, extent: TimeWindow) -> tuple[TimeWindow, 
     return tuple(spec.window(i) for i in range(last + 1))
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(_Frozen):
     """Per-window measurement: counts, the degree sample every family was
     fitted to, and the classification with every family's fit (or its
     skip reason). ``window`` is None for the whole stream."""

@@ -18,13 +18,13 @@ import math
 import operator
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 from typing import Callable, Iterable, Mapping, Union
 
 from . import FAMILIES, RULES
 from .graph import DegreeSample
+from .records import _Frozen
 from .zeta import hurwitz_zeta, hurwitz_zeta_derivatives
 
 ALPHA_MIN = 1.0 + 1e-9
@@ -77,8 +77,7 @@ def _sum_over(hist: Mapping, term) -> float:
         repeat(t, count) for t, count in terms))
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(_Frozen):
     """One family fitted to one sample.
 
     ``params``/``se`` preserve estimation order; ``vcov`` rows follow the
@@ -113,8 +112,7 @@ class FitResult:
         }
 
 
-@dataclass(frozen=True)
-class StructureClass:
+class StructureClass(_Frozen):
     """Outcome of comparing all fitted families under one rule."""
 
     chosen: str
@@ -290,8 +288,8 @@ def _powerlaw_start(mean_log: float, x_min: int) -> tuple[float, float, float, f
     """The exponent solver's first step: the continuous approximation
     alpha0 (Clauset, Shalizi & Newman 2009, eq. 3.7) clamped to
     [ALPHA_MIN, ALPHA_MAX], and zeta, zeta' and zeta'' at alpha0."""
-    alpha = 1.0 + 1.0 / (mean_log - math.log(x_min - 0.5))
-    alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
+    gap = mean_log - math.log(x_min - 0.5)  # > 0 but for rounding at huge x_min
+    alpha = min(max(1.0 + 1.0 / gap, ALPHA_MIN), ALPHA_MAX) if gap > 0 else ALPHA_MAX
     return (alpha, *hurwitz_zeta_derivatives(alpha, float(x_min)))
 
 

@@ -12,15 +12,13 @@ all a structure report reads.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime
 from typing import AbstractSet, Iterable, Mapping, Union
 
-from .records import CaseRecord, ValidatedStream, validate_stream
+from .records import CaseRecord, ValidatedStream, _Frozen, validate_stream
 
 
-@dataclass(frozen=True)
-class TimeWindow:
+class TimeWindow(_Frozen):
     """Half-open interval [start, end)."""
 
     start: datetime
@@ -34,8 +32,7 @@ class TimeWindow:
         return self.start <= instant < self.end
 
 
-@dataclass(frozen=True)
-class ContactGraph:
+class ContactGraph(_Frozen):
     """Immutable snapshot of the contact network, every record kept: the
     tests' reference for the engine's counts.
 
@@ -94,8 +91,7 @@ class ContactGraph:
         return sum(1 for v in self.vertices if find(v) == v)
 
 
-@dataclass(frozen=True)
-class DegreeSample:
+class DegreeSample(_Frozen):
     """Degree histogram used as a fitting sample: ``counts`` maps each
     degree to the number of vertices that have it. Every fit is a
     function of this histogram alone."""

@@ -17,7 +17,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import lru_cache
 from pathlib import Path
@@ -44,8 +43,58 @@ class ValidationError(ValueError):
     strict mode, ingestion misuse)."""
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class _Frozen:
+    """Base of the value types: a frozen dataclass without the cost of
+    making one. A slotted class defines its own ``__init__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = names = tuple(cls.__annotations__)  # the fields
+        cls._defaults = {k: v for k, v in vars(cls).items() if k in names}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):  # not each field by position
+            given = dict(zip(names, args), **kwargs)  # a repeat counts once
+            values = {**self._defaults, **given}
+            if len(given) < len(args) + len(kwargs) or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+            args = [values[name] for name in names]
+        self.__dict__.update(zip(names, args))
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        return (self._astuple() == other._astuple() if type(other) is type(self)
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__match_args__, self._astuple())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle go through the constructor
+        return type(self), self._astuple()
+
+    def replace(self, **changes):  # through the constructor, as a copy does
+        return type(self)(**dict(zip(self.__match_args__, self._astuple()),
+                                 **changes))
+
+    __delattr__ = __setattr__
+    __replace__ = replace  # copy.replace, from Python 3.13
+
+
+class Diagnostic(_Frozen):
     """Non-fatal problem found while reading or validating a stream."""
 
     kind: str
@@ -114,19 +163,6 @@ def _format_utc(value: datetime) -> str:
             f"{value.hour:02}:{value.minute:02}:{value.second:02}Z")
 
 
-class _Frozen:
-    """Base of the record types, frozen dataclasses whose own ``__init__``
-    sets each field through its slot, at less cost than the generated one.
-    Copy and pickle go through it too: the frozen ``__setattr__`` blocks
-    the default restore of slot state."""
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
-
-@dataclass(frozen=True, init=False)
 class GeoPoint(_Frozen):
     """A coordinate pair in decimal degrees."""
 
@@ -161,7 +197,6 @@ def _degrees(value, name: str, bound: float) -> float:
     return value
 
 
-@dataclass(frozen=True, init=False)
 class CaseRecord(_Frozen):
     """One reported case.
 
@@ -371,8 +406,7 @@ def serialize_record(record: CaseRecord, format: str = "csv") -> str:
     )
 
 
-@dataclass(frozen=True)
-class ValidatedStream:
+class ValidatedStream(_Frozen):
     """Records sorted by (timestamp, arrival index), invariants checked.
 
     Validation is idempotent: a ValidatedStream passed back through

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from functools import partial
 from importlib import resources
@@ -24,8 +23,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .records import (CaseRecord, GeoPoint, _coordinate, load_json,
-                      normalize_timestamp, parse_timestamp)
+from .records import (CaseRecord, GeoPoint, _coordinate, _Frozen,
+                      load_json, normalize_timestamp, parse_timestamp)
 
 TOPOLOGIES = ("preferential-attachment", "uniform-attachment")
 
@@ -59,8 +58,7 @@ def load_regions() -> dict[str, GeoPoint]:
     return {name: GeoPoint(v["longitude"], v["latitude"]) for name, v in raw.items()}
 
 
-@dataclass(frozen=True)
-class IndexCase:
+class IndexCase(_Frozen):
     """Where and when one seeded infection enters the population."""
 
     location: GeoPoint
@@ -70,8 +68,7 @@ class IndexCase:
         object.__setattr__(self, "start", normalize_timestamp(self.start))
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Frozen):
     topology: str = "preferential-attachment"
     n_population: int = 1000
     p_transmit: float = 0.1
@@ -154,8 +151,7 @@ class SimConfig:
         return cls(index_cases=tuple(index_cases), **kwargs)
 
 
-@dataclass(frozen=True)
-class SyntheticNetwork:
+class SyntheticNetwork(_Frozen):
     """A simple connected graph over individuals 0..n-1 with generation
     metadata, so runs can be reproduced from the record alone."""
 

@@ -1053,22 +1053,26 @@ _ANALYSIS = _PACKAGE | {"outbreaklens.records", "outbreaklens.graph",
                         "outbreaklens.engine"}
 
 
-@pytest.mark.parametrize("command,loaded,dataclasses", [
+@pytest.mark.parametrize("command,loaded,inspect", [
     (["--version"], _PACKAGE, False),
     (["plot", "--log-log", "--input", "{report}"],
      _PACKAGE | {"outbreaklens.plot", "outbreaklens.zeta"}, False),
+    (["plot", "--input", "{records}"], _ANALYSIS | {"outbreaklens.plot"},
+     False),
+    # numpy imports inspect itself
     (["simulate"], _PACKAGE | {"outbreaklens.sim", "outbreaklens.records"},
      True),
-    (["analyze", "--input", "{records}"], _ANALYSIS, True),
+    (["analyze", "--input", "{records}"], _ANALYSIS, False),
     (["analyze", "--window", "cumulative:1d", "--input", "{records}"],
-     _ANALYSIS, True),
-    (["stream", "--input", "{records}"], _ANALYSIS, True),
-], ids=["version", "plot-report", "simulate", "analyze-all",
+     _ANALYSIS, False),
+    (["stream", "--input", "{records}"], _ANALYSIS, False),
+], ids=["version", "plot-report", "plot-records", "simulate", "analyze-all",
         "analyze-windowed", "stream"])
 def test_each_command_loads_only_the_modules_it_runs(
-        cli, outbreak_csv, tmp_path, command, loaded, dataclasses):
+        cli, outbreak_csv, tmp_path, command, loaded, inspect):
     # every module a command imports is compiled at each start-up when no
-    # bytecode is written, so each command imports only what it runs
+    # bytecode is written, so each command imports only what it runs; the
+    # value types build without dataclasses, which loads inspect and ast
     report = tmp_path / "report.json"
     cli("analyze", "--input", str(outbreak_csv), "--output", str(report))
     argv = [arg.format(report=report, records=outbreak_csv) for arg in command]
@@ -1081,14 +1085,16 @@ import json, sys
 from outbreaklens import cli
 assert cli.main({argv!r}) == 0
 print(json.dumps([sorted(m for m in sys.modules if m.startswith("outbreaklens")),
-                  "dataclasses" in sys.modules]))
+                  "dataclasses" in sys.modules, "inspect" in sys.modules]))
 """
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    modules, has_dataclasses = json.loads(proc.stdout.splitlines()[-1])
+    modules, has_dataclasses, has_inspect = json.loads(
+        proc.stdout.splitlines()[-1])
     assert set(modules) == loaded
-    assert has_dataclasses == dataclasses
+    assert not has_dataclasses
+    assert has_inspect == inspect
 
 
 def test_traced_commands_record_their_spans(outbreak_csv, tmp_path):

@@ -206,6 +206,22 @@ def test_powerlaw_error_cases():
         fit_powerlaw((7, 7, 7, 7))  # no candidate leaves a varied tail
 
 
+@pytest.mark.parametrize("x_min", [10 ** 15, 10 ** 16, 10 ** 17])
+@pytest.mark.parametrize("given_x_min", [False, True])
+def test_powerlaw_at_a_huge_tail_start_fits_or_raises_fit_error(
+        x_min, given_x_min):
+    # every tail value is within float resolution of x_min, so the start
+    # value's denominator mean(ln x) - ln(x_min - 1/2) rounds to 0, whose
+    # limit is the largest exponent; 10**17 + 2 is no float-exact integer
+    sample = (x_min, x_min, x_min + 2)
+    try:
+        fit = fit_powerlaw(sample, x_min=x_min if given_x_min else None)
+    except FitError:
+        return
+    assert fit.params == {"x_min": x_min, "alpha": ALPHA_MAX}
+    assert fit.n == 3 and math.isfinite(fit.log_likelihood)
+
+
 def test_other_family_error_cases():
     with pytest.raises(FitError):
         fit_exponential((3.0,))

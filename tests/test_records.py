@@ -19,6 +19,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from outbreaklens import records
+from outbreaklens.engine import StructureReport, WindowSpec
+from outbreaklens.fitting import FitResult, StructureClass
+from outbreaklens.graph import ContactGraph, DegreeSample, TimeWindow
 from outbreaklens.records import (
     CSV_HEADER,
     FORMATS,
@@ -37,6 +40,7 @@ from outbreaklens.records import (
     validate_stream,
     write_stream,
 )
+from outbreaklens.sim import IndexCase, SimConfig, SyntheticNetwork
 
 UTC = timezone.utc
 
@@ -193,18 +197,16 @@ def test_records_are_immutable_and_weakly_referenceable():
     assert copy.copy(r) == r and pickle.loads(pickle.dumps(r)) == r
 
 
-def test_records_are_dataclasses_whose_replace_runs_the_checks():
+def test_records_are_values_whose_replace_runs_the_checks():
     r = rec("A", "S", T0, 1.5, -2.0)
-    assert dataclasses.is_dataclass(r) and dataclasses.is_dataclass(r.location)
-    assert [f.name for f in dataclasses.fields(r)] == [
-        "case_id", "source_id", "timestamp", "location"]
-    assert [f.name for f in dataclasses.fields(r.location)] == [
-        "longitude", "latitude"]
+    assert CaseRecord.__match_args__ == (
+        "case_id", "source_id", "timestamp", "location")
+    assert GeoPoint.__match_args__ == ("longitude", "latitude")
     with pytest.raises(ValueError, match="lists itself as source"):
-        dataclasses.replace(r, source_id=r.case_id)
-    assert dataclasses.replace(r, source_id="").source_id is None
+        r.replace(source_id=r.case_id)
+    assert r.replace(source_id="").source_id is None
     with pytest.raises(ValueError, match="out of range"):
-        dataclasses.replace(r.location, latitude=91.0)
+        r.location.replace(latitude=91.0)
     match r:
         case CaseRecord(case_id, source_id, timestamp, GeoPoint(lon, lat)):
             assert (case_id, source_id, timestamp, lon, lat) == (
@@ -213,6 +215,143 @@ def test_records_are_dataclasses_whose_replace_runs_the_checks():
             pytest.fail("a record must match its class pattern")
     assert hash(r) == hash((r.case_id, r.source_id, r.timestamp, r.location))
     assert hash(r.location) == hash((1.5, -2.0))
+
+
+# --- the value types' contract --------------------------------------------
+#
+# Every value type of the package shares one frozen base. Each entry makes
+# a fresh instance on each call, names its fields in order, and gives a
+# change its constructor rejects (None where the constructor checks
+# nothing).
+
+_T1 = T0 + timedelta(days=1)
+
+
+def _fit():
+    return FitResult("exponential", {"rate": 0.5}, {"rate": 0.25},
+                     ((0.0625,),), -3.5, 4)
+
+
+def _report():
+    return StructureReport(TimeWindow(T0, _T1), 2, 1, DegreeSample({1: 2}),
+                           1.0, StructureClass("exponential", "min-se",
+                                               (_fit(),)),
+                           (("normal", "too few distinct values"),))
+
+
+_VALUE_TYPES = [
+    (lambda: Diagnostic("parse-error", "line 3: empty case_id", 3),
+     ("kind", "message", "line_no", "case_id"), None),
+    (lambda: GeoPoint(1.5, -2.0), ("longitude", "latitude"),
+     {"latitude": 91.0}),
+    (lambda: rec("A", "S", T0, 1.5, -2.0),
+     ("case_id", "source_id", "timestamp", "location"), {"source_id": "A"}),
+    (lambda: ValidatedStream((rec("A", None, T0),)),
+     ("records", "diagnostics"), None),
+    (lambda: TimeWindow(T0, _T1), ("start", "end"), {"end": T0}),
+    (lambda: ContactGraph({"A": rec("A", None, T0), "B": rec("B", "A", _T1)},
+                          {("A", "B")}),
+     ("vertices", "edges"), {"edges": {("A", "C")}}),
+    (lambda: DegreeSample({1: 2, 3: 1}), ("counts",), None),
+    (_fit, ("family", "params", "se", "vcov", "log_likelihood", "n"),
+     {"family": "cauchy"}),
+    (lambda: StructureClass("exponential", "min-se", (_fit(),)),
+     ("chosen", "rule", "all_fits"), {"chosen": "normal"}),
+    (lambda: WindowSpec("tumbling", timedelta(days=1), T0),
+     ("mode", "period", "origin"), {"period": timedelta(0)}),
+    (_report, ("window", "n_vertices", "n_edges", "sample", "mean_degree",
+               "classification", "skipped"), None),
+    (lambda: IndexCase(GeoPoint(1.5, -2.0), T0), ("location", "start"), None),
+    (lambda: SimConfig(n_population=50, index_cases=(
+        IndexCase(GeoPoint(1.5, -2.0), T0),), seed=7),
+     ("topology", "n_population", "p_transmit", "n_steps", "index_cases",
+      "jitter_km", "seed"), {"n_population": 0}),
+    (lambda: SyntheticNetwork(3, ((0, 1), (1, 2)), "uniform-attachment", 7),
+     ("n", "edges", "topology", "seed"), None),
+]
+
+
+def _hash(obj):
+    """hash(obj), or TypeError where a field cannot be hashed (a dict)."""
+    try:
+        return hash(obj)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("make,names,bad", _VALUE_TYPES,
+                         ids=[make().__class__.__name__
+                              for make, _, _ in _VALUE_TYPES])
+def test_value_types_keep_the_frozen_dataclass_contract(make, names, bad):
+    a, b = make(), make()
+    cls = type(a)
+    values = tuple(getattr(a, name) for name in names)
+    assert cls.__match_args__ == names
+    # equal objects compare and hash equal, as their field tuple hashes
+    assert a == b and not a != b and a is not b
+    assert _hash(a) == _hash(b) == _hash(values)
+    # the text and the equality of a frozen dataclass over the same fields
+    ref = dataclasses.make_dataclass(cls.__name__, names, frozen=True)(*values)
+    assert repr(a) == repr(ref)
+    assert a != ref and ref != a and a != values
+    # nor equal to a value of another class on the same base and fields
+    twin = type(cls.__name__, (records._Frozen,),
+                {"__annotations__": dict.fromkeys(names, "object")})(*values)
+    assert a != twin and twin != a and repr(twin) == repr(a)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+    for copied in (copy.copy(a), copy.deepcopy(a),
+                   pickle.loads(pickle.dumps(a))):
+        assert type(copied) is cls and copied == a
+    match a:
+        case cls(first):
+            assert first == values[0]
+        case _:
+            pytest.fail("a value must match its class pattern by position")
+    # the constructor takes the fields by position or by name, once each
+    kwargs = dict(zip(names, values))
+    assert cls(*values) == a == cls(**kwargs)
+    for args, extra in ((values + (values[0],), {}),
+                        (values, {names[0]: values[0]}),
+                        (values, {"no_such_field": 1})):
+        with pytest.raises(TypeError):
+            cls(*args, **extra)
+    # replace builds through the constructor, so its checks run again
+    assert a.replace() == a and a.replace() is not a
+    assert a.replace(**{names[-1]: values[-1]}) == a
+    with pytest.raises(TypeError):
+        a.replace(no_such_field=1)
+    if bad is not None:
+        with pytest.raises(ValueError):
+            a.replace(**bad)
+        with pytest.raises(ValueError):
+            cls(**{**kwargs, **bad})
+    if hasattr(copy, "replace"):  # Python 3.13 and later
+        assert copy.replace(a) == a
+        if bad is not None:
+            with pytest.raises(ValueError):
+                copy.replace(a, **bad)
+
+
+def test_value_constructor_uses_defaults_and_post_init():
+    assert Diagnostic("k", "m") == Diagnostic("k", "m", None, None)
+    assert Diagnostic("k", "m", case_id="A").line_no is None
+    assert SimConfig() == SimConfig("preferential-attachment", 1000, 0.1, 60,
+                                    (), 10.0, 0)
+    assert TimeWindow(end=_T1, start=T0) == TimeWindow(T0, _T1)
+    for args, kwargs in (((T0,), {}), ((), {"end": _T1}),
+                         ((T0,), {"start": T0, "end": _T1})):
+        with pytest.raises(TypeError):
+            TimeWindow(*args, **kwargs)
+    # __post_init__ runs on construction and on replace
+    naive = datetime(2014, 3, 1, 12, 30, 15, 999)
+    case = IndexCase(GeoPoint(0.0, 0.0), T0).replace(start=naive)
+    assert case.start == datetime(2014, 3, 1, 12, 30, 15, tzinfo=UTC)
+    assert SimConfig(index_cases=[case]).index_cases == (case,)
 
 
 def test_record_constructor_checks_and_normalizes():

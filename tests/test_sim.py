@@ -5,7 +5,6 @@ import io
 import json
 import math
 import time
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -434,8 +433,8 @@ def test_simulate_writes_the_bytes_of_csv_writer(cli, tmp_path, sim, seed):
     code, _, err = cli("simulate", "--input", str(path), "--seed", str(seed),
                        "--output", str(out))
     assert code == 0, err
-    cfg = replace(SimConfig.from_json(path.read_text(encoding="utf-8")),
-                  seed=seed)
+    cfg = SimConfig.from_json(path.read_text(encoding="utf-8")).replace(
+        seed=seed)
     recs = simulate_outbreak(generate_network(cfg), cfg)
     assert len(recs) > 100
     assert out.read_bytes() == _written_by_csv_writer(recs).encode("utf-8")
