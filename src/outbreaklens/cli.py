@@ -20,7 +20,6 @@ from contextlib import contextmanager, suppress
 from datetime import datetime, timedelta
 from itertools import chain
 from operator import attrgetter
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 
 from . import RULES, __version__, canonical_families
@@ -116,7 +115,8 @@ def _read_text(path: str | None) -> str:
     try:
         if path in (None, "-"):
             return sys.stdin.read()
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_INPUT,
                         f"cannot read {path or 'stdin'}: {exc}") from None
@@ -214,13 +214,11 @@ def _whole_stream_report(args, records: Iterable[CaseRecord],
                          families: Sequence[str]) -> dict:
     """The whole-stream report that analyze --window all writes and plot
     renders: the structure report plus the empirical ``degree_pmf``,
-    both read from one degree sample."""
-    from .graph import degree_distribution
-
+    both read from one degree sample, whose degrees ascend."""
     (report,) = _reports(args, records, None, None, families)
-    pmf = degree_distribution(report.sample) if report.sample.n else {}
+    counts, n = report.sample.counts, report.sample.n
     out = report.to_json_dict()
-    out["degree_pmf"] = [[d, p] for d, p in pmf.items()]
+    out["degree_pmf"] = [[d, count / n] for d, count in counts.items()]
     return out
 
 

@@ -335,16 +335,10 @@ class RecognitionEngine:
             self._graph = _GraphBuilder()
         self._next = max(first, stop)
         self._open_window()
-        return self._reports(counts, range(first, stop))
-
-    def _reports(self, counts: dict[int, int],
-                 indices: range) -> Iterator[StructureReport]:
-        for index in indices:
-            yield report_for_graph(counts, self.spec.window(index),
-                                   self.families, self.rule,
-                                   self.include_isolated)
-            if self.spec.mode == "tumbling":
-                counts = {}
+        return (report_for_graph(
+            {} if index > first and self.spec.mode == "tumbling" else counts,
+            self.spec.window(index), self.families, self.rule,
+            self.include_isolated) for index in range(first, stop))
 
     def _open_window(self) -> None:
         """Bound the slice of window ``_next``, so that ingest() places a

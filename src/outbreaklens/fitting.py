@@ -52,7 +52,7 @@ def _integer_counts(hist: Mapping, context: str) -> dict[int, int]:
     """The histogram keyed by int, checking each distinct value once."""
     out = {}
     for x, count in hist.items():
-        if isinstance(x, bool) or float(x) != int(x):
+        if isinstance(x, bool) or x != int(x):
             raise FitError(f"{context} requires integer values, got {x!r}")
         out[int(x)] = count
     return out
@@ -133,11 +133,7 @@ def log_likelihood(family: str, params: Mapping[str, float],
     The power law is evaluated on its tail only (values >= x_min);
     support violations for the other families raise FitError.
     """
-    return _log_likelihood(family, params, _histogram(sample))
-
-
-def _log_likelihood(family: str, params: Mapping[str, float],
-                    hist: Mapping) -> float:
+    hist = _histogram(sample)
     n = sum(hist.values())
     if n == 0:
         raise FitError("empty sample")
@@ -172,7 +168,7 @@ def _log_likelihood(family: str, params: Mapping[str, float],
         if not tail:
             raise FitError("no values at or above x_min")
         return _powerlaw_log_likelihood(tail, alpha,
-                                        hurwitz_zeta(alpha, float(x_min)))
+                                        _zeta_terms(alpha, x_min)[0])
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -279,6 +275,15 @@ _BOUND_VALUES = 16
 _SKIP_ROUNDING = 2.0 ** -40
 
 
+def _zeta_terms(alpha: float, x_min: int) -> tuple[float, float, float]:
+    """zeta, zeta' and zeta'' at (alpha, x_min); FitError where zeta
+    underflows to 0 (x_min near 1e17), as the law has no likelihood there."""
+    z, z1, z2 = hurwitz_zeta_derivatives(alpha, float(x_min))
+    if z == 0.0:
+        raise FitError(f"zeta({alpha!r}, {x_min}) underflows to 0")
+    return z, z1, z2
+
+
 # The two memos below share one key. A candidate tail unchanged since the
 # last window gets bit-identical arguments (suffix sums are built from
 # the top down); 1024 entries each hold a few windows' scans in a few
@@ -290,7 +295,7 @@ def _powerlaw_start(mean_log: float, x_min: int) -> tuple[float, float, float, f
     [ALPHA_MIN, ALPHA_MAX], and zeta, zeta' and zeta'' at alpha0."""
     gap = mean_log - math.log(x_min - 0.5)  # > 0 but for rounding at huge x_min
     alpha = min(max(1.0 + 1.0 / gap, ALPHA_MIN), ALPHA_MAX) if gap > 0 else ALPHA_MAX
-    return (alpha, *hurwitz_zeta_derivatives(alpha, float(x_min)))
+    return (alpha, *_zeta_terms(alpha, x_min))
 
 
 @lru_cache(maxsize=1024)
@@ -332,7 +337,7 @@ def _powerlaw_alpha(mean_log: float, x_min: int) -> float:
             if hi - lo <= ALPHA_TOL:
                 return new
         alpha = new
-        z, z1, z2 = hurwitz_zeta_derivatives(alpha, float(x_min))
+        z, z1, z2 = _zeta_terms(alpha, x_min)
     return alpha
 
 
@@ -439,7 +444,7 @@ def fit_powerlaw(sample: SampleLike, x_min: int | None = None) -> FitResult:
         sum_logs[i] = sum_logs[i + 1] + count * math.log(v)
 
     if x_min is not None:
-        if x_min < 1 or float(x_min) != int(x_min):
+        if x_min < 1 or x_min != int(x_min):
             raise FitError("x_min must be a positive integer")
         x_min = int(x_min)
         i = bisect_left(values, x_min)
@@ -457,10 +462,13 @@ def fit_powerlaw(sample: SampleLike, x_min: int | None = None) -> FitResult:
         for i in range(len(values) - 1):
             x_c, n_c, tail_c = values[i], n_tails[i], tail[i:]
             mean_log = sum_logs[i] / n_c
-            if best is not None and not _can_win(tail_c, n_c, mean_log,
-                                                 x_c, best[0]):
+            try:
+                if best is not None and not _can_win(tail_c, n_c, mean_log,
+                                                     x_c, best[0]):
+                    continue
+                alpha_c = _powerlaw_alpha(mean_log, x_c)
+            except FitError:  # zeta underflows at this tail start
                 continue
-            alpha_c = _powerlaw_alpha(mean_log, x_c)
             ks_c = _ks_distance(tail_c, n_c, alpha_c, x_c,
                                 math.inf if best is None else best[0])
             if best is None or ks_c < best[0]:
@@ -470,7 +478,7 @@ def fit_powerlaw(sample: SampleLike, x_min: int | None = None) -> FitResult:
         _, i, alpha = best
         x_min, n_tail = values[i], n_tails[i]
 
-    z, z1, z2 = hurwitz_zeta_derivatives(alpha, float(x_min))
+    z, z1, z2 = _zeta_terms(alpha, x_min)
     info = z2 / z - (z1 / z) ** 2  # variance of ln X under the fitted law
     se = 1.0 / math.sqrt(n_tail * info)
     return FitResult("power-law", {"x_min": x_min, "alpha": alpha},

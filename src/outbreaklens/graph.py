@@ -134,12 +134,3 @@ def degree_sample(counts: Mapping[int, int],
     vertices are dropped unless ``include_isolated`` is set."""
     return DegreeSample({d: counts[d] for d in sorted(counts)
                          if d > 0 or include_isolated})
-
-
-def degree_distribution(sample: DegreeSample) -> dict[int, float]:
-    """Empirical PMF over observed degrees, keyed in ascending order."""
-    n = sample.n
-    if n == 0:
-        raise ValueError("empty degree sample")
-    return {d: sample.counts[d] / n for d in sorted(sample.counts)}
-

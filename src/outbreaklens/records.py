@@ -15,11 +15,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 import sys
 from datetime import datetime, timezone
 from functools import lru_cache
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
 
 CSV_HEADER = ("case_id", "source_id", "date", "longitude", "latitude")
@@ -484,13 +484,13 @@ def validate_stream(records: Union[ValidatedStream, Iterable[CaseRecord]],
 
 def _is_csv_header(line: str) -> bool:
     try:
-        row = next(csv.reader([line]))
-    except (csv.Error, StopIteration):
+        row = _csv_row(line, None)
+    except ParseError:
         return False
     return tuple(cell.strip().lower() for cell in row) == CSV_HEADER
 
 
-def read_stream(source: Union[str, Path, TextIO], format: str = "csv", *,
+def read_stream(source: Union[str, os.PathLike, TextIO], format: str = "csv", *,
                 strict: bool = False,
                 on_error: Callable[[Diagnostic], None] | None = None,
                 ) -> Iterator[CaseRecord]:
@@ -506,7 +506,7 @@ def read_stream(source: Union[str, Path, TextIO], format: str = "csv", *,
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
-    own = isinstance(source, (str, Path))
+    own = isinstance(source, (str, os.PathLike))
     handle = open(source, "r", encoding="utf-8") if own else source
     first = True  # no non-blank line read yet
     try:

@@ -14,11 +14,9 @@ so the output is the same as with scalar draws.
 
 from __future__ import annotations
 
-import json
 import math
 from datetime import datetime, timedelta
 from functools import partial
-from importlib import resources
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -51,11 +49,21 @@ _FIELD_TYPES = {"n_population": int, "n_steps": int, "seed": int,
                 "p_transmit": (int, float), "jitter_km": (int, float)}
 
 
+# (longitude, latitude) of each region preset; the first is the default
+_REGIONS = {
+    "Gueckedou": (-10.1333, 8.5667),
+    "Macenta": (-9.4667, 8.55),
+    "Kissidougou": (-10.1, 9.1833),
+    "Conakry": (-13.5784, 9.6412),
+    "Monrovia": (-10.8047, 6.3106),
+    "Lagos": (3.3792, 6.5244),
+    "Port Harcourt": (7.0134, 4.8156),
+}
+
+
 def load_regions() -> dict[str, GeoPoint]:
-    """Named outbreak-origin presets bundled with the package."""
-    text = (resources.files("outbreaklens") / "data" / "regions.json").read_text("utf-8")
-    raw = json.loads(text)
-    return {name: GeoPoint(v["longitude"], v["latitude"]) for name, v in raw.items()}
+    """Named outbreak-origin presets (West African cities)."""
+    return {name: GeoPoint(*point) for name, point in _REGIONS.items()}
 
 
 class IndexCase(_Frozen):

@@ -1,5 +1,7 @@
 """Command-line behavior: flags, formats, exit codes, output shapes."""
 
+import ast
+import contextlib
 import hashlib
 import io
 import json
@@ -27,6 +29,7 @@ from outbreaklens.cli import (
     parse_window_flag,
 )
 from outbreaklens.engine import StructureReport
+from outbreaklens.records import parse_timestamp
 
 TINY = """case_id,source_id,date,longitude,latitude
 A,,2014-03-01,0,0
@@ -113,8 +116,12 @@ def test_analyze_whole_stream_json(cli, tmp_path):
     assert obj["config"]["command"] == "analyze"
     assert obj["config"]["families"] == ["exponential", "normal", "poisson",
                                          "power-law"]
-    pmf = dict((d, p) for d, p in obj["degree_pmf"])
-    assert sum(pmf.values()) == pytest.approx(1.0)
+    # degrees 1, 3, 1, 1: each degree's share, in ascending degree order
+    assert obj["degree_pmf"] == [[1, 0.75], [3, 0.25]]
+    src.write_text(TINY.splitlines()[0] + "\n", encoding="utf-8")
+    code, out, _ = cli("analyze", "--input", str(src), "--window", "all")
+    assert code == EXIT_OK
+    assert json.loads(out)["degree_pmf"] == []
 
 
 def test_analyze_windowed_jsonl(cli, tmp_path):
@@ -994,6 +1001,47 @@ def test_isolated_vertices_enter_the_sample_only_on_request(cli, tmp_path):
     assert [0, 0.2] in json.loads(out_keep)["degree_pmf"]
 
 
+# a malformed line, a dangling source, a source after its case, and a
+# record whose weekly window would end past 9999-12-31: one warning each
+MESSY = """case_id,source_id,date,longitude,latitude
+A,,2014-03-01,0,0
+not a record
+B,A,2014-03-02,0,0
+C,GHOST,2014-03-03,0,0
+D,E,2014-03-04,0,0
+E,A,2014-03-05,0,0
+F,A,9999-12-31,0,0
+"""
+
+
+@pytest.mark.parametrize("messy", [False, True], ids=["fixture", "messy"])
+def test_readme_library_example_reports_what_analyze_does(
+        cli, outbreak_csv, tmp_path, messy):
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("\n## Library\n", 1)[1]
+    example = example.split("```python\n", 1)[1].split("```", 1)[0]
+    path = outbreak_csv
+    if messy:
+        path = tmp_path / "messy.csv"
+        path.write_text(MESSY, encoding="utf-8")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(example.replace('"cases.csv"', repr(str(path))), {})
+    *windows, dropped = printed.getvalue().splitlines()
+    code, out, err = cli("analyze", "--input", str(path),
+                         "--window", "tumbling:7d")
+    assert code == EXIT_OK
+    reports = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert [window.rsplit(" ", 1) for window in windows] == [
+        [str(parse_timestamp(report["window"]["start"])),
+         str(report["classification"] and report["classification"]["chosen"])]
+        for report in reports]
+    assert len(windows) == (1 if messy else 9)
+    warnings = err.count("warning: ")
+    assert dropped == f"{warnings} lines or records dropped"
+    assert warnings == (4 if messy else 0)
+
+
 def test_jsonl_records_round_trip_through_analyze(cli, tmp_path):
     sim_out = tmp_path / "cases.jsonl"
     cli("simulate", "--format", "jsonl", "--output", str(sim_out))
@@ -1045,6 +1093,45 @@ assert "numpy" in sys.modules
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_command_imports_pathlib_or_importlib_resources(outbreak_csv,
+                                                           tmp_path):
+    # each is several ms of start-up; -S leaves out site, whose .pth hooks
+    # may load either before the package does
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = f"""
+import sys
+from outbreaklens import cli
+assert cli.main(["--version"]) == 0
+for command in (["analyze"], ["stream"], ["plot", "--log-log"]):
+    argv = command + ["--input", {str(outbreak_csv)!r},
+                      "--output", {str(tmp_path / "out")!r}]
+    assert cli.main(argv) == 0, argv
+loaded = {{"pathlib", "importlib.resources"}} & set(sys.modules)
+assert not loaded, loaded
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_of_the_package_imports_pathlib_or_importlib_resources():
+    # the runtime check above cannot run simulate, since -S leaves numpy
+    # off the path; this one covers every module
+    for path in sorted((SRC / "outbreaklens").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert not f"{name}.".startswith(
+                    ("pathlib.", "importlib.resources.")), (path.name,
+                                                            node.lineno)
 
 
 _PACKAGE = {"outbreaklens", "outbreaklens.cli"}

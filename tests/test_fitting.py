@@ -206,20 +206,37 @@ def test_powerlaw_error_cases():
         fit_powerlaw((7, 7, 7, 7))  # no candidate leaves a varied tail
 
 
+@pytest.mark.parametrize("spread", [2, 16])
 @pytest.mark.parametrize("x_min", [10 ** 15, 10 ** 16, 10 ** 17])
 @pytest.mark.parametrize("given_x_min", [False, True])
 def test_powerlaw_at_a_huge_tail_start_fits_or_raises_fit_error(
-        x_min, given_x_min):
+        x_min, spread, given_x_min):
     # every tail value is within float resolution of x_min, so the start
     # value's denominator mean(ln x) - ln(x_min - 1/2) rounds to 0, whose
-    # limit is the largest exponent; 10**17 + 2 is no float-exact integer
-    sample = (x_min, x_min, x_min + 2)
+    # limit is the largest exponent; at 10**17 zeta(20, x_min) underflows
+    # to 0. 10**17 + 16 is a float-exact integer, 10**17 + 2 is not.
+    sample = (x_min, x_min, x_min + spread)
     try:
         fit = fit_powerlaw(sample, x_min=x_min if given_x_min else None)
     except FitError:
         return
     assert fit.params == {"x_min": x_min, "alpha": ALPHA_MAX}
     assert fit.n == 3 and math.isfinite(fit.log_likelihood)
+
+
+def test_powerlaw_log_likelihood_where_zeta_underflows_is_a_fit_error():
+    with pytest.raises(FitError, match="underflows"):
+        log_likelihood("power-law", {"alpha": ALPHA_MAX, "x_min": 10 ** 17},
+                       (10 ** 17, 10 ** 17 + 16))
+
+
+def test_integer_families_take_integers_no_float_holds():
+    fit = fit_poisson((10 ** 17, 10 ** 17 + 1))
+    assert fit.params == {"lambda": 1e17}
+    for fitter in (fit_poisson, fit_powerlaw):
+        for bad in (2.5, True):
+            with pytest.raises(FitError, match="requires integer values"):
+                fitter((2, 3, bad))
 
 
 def test_other_family_error_cases():

@@ -1,6 +1,5 @@
 """Contact-graph construction, windowing, and degrees."""
 
-import math
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -11,7 +10,6 @@ from outbreaklens.graph import (
     ContactGraph,
     TimeWindow,
     build_graph,
-    degree_distribution,
     degree_sample,
 )
 from outbreaklens.records import CaseRecord, GeoPoint, validate_stream
@@ -100,15 +98,6 @@ def test_degree_sample_can_keep_isolated():
     g = build_graph(CHAIN)
     s = degree_sample(g.degree_counts(), include_isolated=True)
     assert s.counts == {0: 1, 1: 3, 3: 1}
-
-
-def test_degree_distribution_sums_to_one():
-    s = degree_sample(build_graph(CHAIN).degree_counts())
-    pmf = degree_distribution(s)
-    assert pmf == {1: 0.75, 3: 0.25}
-    assert math.fsum(pmf.values()) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        degree_distribution(degree_sample(build_graph([], None).degree_counts()))
 
 
 @settings(max_examples=80)
