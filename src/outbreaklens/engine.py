@@ -2,12 +2,12 @@
 
 Feeds the record stream through a window schedule, keeps the graph's
 degree histogram incrementally, and emits one structure report per
-closed window, read from that histogram alone. A window closes when the
-watermark (largest event timestamp seen) passes its end; flushing the
-stream closes every remaining scheduled window. With no schedule
+closed window, read from that histogram alone. A record in a later
+window than the open one opens its own and closes every window before
+it; flushing the stream closes the open window. With no schedule
 (``spec=None``) the whole stream is one graph, reported at flush().
 Between records the engine holds the id map, the records waiting for
-their source, and one graph.
+their source, one graph and the open window's bounds.
 
 Ingestion is single-threaded and ordered. Closed windows could be
 fitted in parallel (fitting is pure over immutable samples); emission
@@ -25,9 +25,9 @@ in the open window. With ``strict=True`` a bad link raises
 ValidationError instead.
 
 A record whose window would end after the last representable instant
-(9999-12-31T23:59:59Z) is dropped with a ``beyond-range`` diagnostic
-before it moves the watermark, so no window end ever overflows; under
-``strict=True`` it raises ValidationError too.
+(9999-12-31T23:59:59Z) is dropped with a ``beyond-range`` diagnostic:
+it opens no window, so it closes none, and no window end ever
+overflows; under ``strict=True`` it raises ValidationError too.
 
 For timestamp-ordered feeds every emitted report equals the offline
 pipeline's over the same window, and the link diagnostics equal
@@ -52,6 +52,7 @@ from .records import (CaseRecord, Diagnostic, ValidationError, _Frozen,
 
 WINDOW_MODES = ("tumbling", "cumulative")
 
+_FIRST_INSTANT = datetime(1, 1, 1, tzinfo=timezone.utc)
 _LAST_INSTANT = datetime(9999, 12, 31, 23, 59, 59, 999999, timezone.utc)
 
 
@@ -214,15 +215,18 @@ class _GraphBuilder:
 class RecognitionEngine:
     """Single-consumer streaming state.
 
-    ingest() returns the reports whose windows the new watermark closed;
-    flush() ends the stream and closes the rest of the schedule, empty
-    windows included; both return reports built as they are read, from
+    ingest() returns the reports of the windows a record closed, every
+    one before its own; flush() ends the stream and closes the open
+    window; both return reports built as they are read, from
     the histogram taken when the windows closed. With ``spec=None``
     every record goes into one graph, and flush() returns its one
     report, even for an empty stream.
     Between records it holds ``_seen_ids`` (the id map), ``_orphans``
-    (records waiting for their source) and ``_graph``: the open window's
-    graph, or in cumulative and whole-stream mode every record's so far.
+    (records waiting for their source), ``_graph`` (the open window's
+    graph, or in cumulative and whole-stream mode every record's so far)
+    and the open window's slice, ``_open_start`` to ``_open_end``: with
+    no schedule every instant a record can carry, otherwise empty until
+    a record opens its window.
     ingest() alone decides which links stand; with ``strict`` a bad link
     or a record beyond range raises ValidationError, not a diagnostic.
     Each diagnostic goes to ``on_error`` as soon as it is found, and
@@ -243,19 +247,11 @@ class RecognitionEngine:
         self._warn = (lambda d: None) if on_error is None else on_error
         self._seen_ids: dict[str, datetime] = {}  # case_id -> timestamp
         self._orphans: dict[str, list[CaseRecord]] = {}  # by missing source
-        self._watermark: datetime | None = None
         self._next = 0  # next window index to emit
-        # the last window index whose end is still a representable instant
-        self._last_index = (None if spec is None else
-                            spec.index(_LAST_INSTANT) - 1)
+        self._open_start = _FIRST_INSTANT if spec is None else _LAST_INSTANT
+        self._open_end = _LAST_INSTANT
         self._ended = False
         self._graph = _GraphBuilder()
-        if spec is not None:
-            self._open_window()
-
-    @property
-    def watermark(self) -> datetime | None:
-        return self._watermark
 
     def ingest(self, record: CaseRecord) -> Iterable[StructureReport]:
         """Absorb one record; return an iterable of the reports of the
@@ -281,36 +277,24 @@ class RecognitionEngine:
                 elif child.case_id not in links:  # a mutual pair is one edge
                     links.append(child.case_id)
         seen[case] = ts
-        if self.spec is not None and not self._open_start <= ts < self._open_end:
-            return self._place(case, ts, links)
-        # the whole stream or the open window: no window closes
-        if self._watermark is None or ts > self._watermark:
-            self._watermark = ts
-        self._graph.add(case, links)
-        return []
+        if self._open_start <= ts < self._open_end:  # no window closes
+            self._graph.add(case, links)
+            return []
+        return self._place(case, ts, links)
 
     def _place(self, case: str, ts: datetime,
                links: list[str]) -> Iterable[StructureReport]:
         """ingest() of a record outside the open window: it is dropped
-        beyond range or before the origin, late, or in a later window,
-        which closes every window before that one."""
+        before the origin, late, or opens its window, which closes every
+        window before that one; a window that would end beyond range
+        does not open, and the record is dropped."""
         index = self.spec.index(ts)
-        if index > self._last_index:
-            problem = (f"the window of case {case!r} would end after "
-                       f"{format_timestamp(_LAST_INSTANT)}")
-            if self.strict:
-                raise ValidationError(problem)
-            self._warn(Diagnostic(
-                kind="beyond-range", case_id=case,
-                message=problem + "; dropped"))
-            return []
-        if self._watermark is None or ts > self._watermark:
-            self._watermark = ts
         if index < 0:
             self._warn(Diagnostic(
                 kind="before-origin", case_id=case,
                 message=f"case {case!r} predates the window origin; dropped"))
-        elif index < self._next:  # its window is closed
+            return []
+        if index < self._next:  # its window is closed
             absorb = self.spec.mode == "cumulative"
             outcome = "absorbed into the next one" if absorb else "rejected"
             self._warn(Diagnostic(
@@ -319,41 +303,41 @@ class RecognitionEngine:
                         f"{outcome}"))
             if absorb:
                 self._graph.add(case, links)
-        else:
-            closed = self._close(index)
-            self._graph.add(case, links)
-            return closed
-        return []
+            return []
+        try:
+            self._open_start, self._open_end = self.spec.slice(index)
+        except OverflowError:
+            problem = (f"the window of case {case!r} would end after "
+                       f"{format_timestamp(_LAST_INSTANT)}")
+            if self.strict:
+                raise ValidationError(problem) from None
+            self._warn(Diagnostic(
+                kind="beyond-range", case_id=case,
+                message=problem + "; dropped"))
+            return []
+        closed = self._close(index) if index > self._next else []
+        self._graph.add(case, links)
+        return closed
 
     def _close(self, stop: int) -> Iterator[StructureReport]:
-        """Close every window from the open one up to index ``stop``
-        (exclusive) and open window ``stop``; return their reports in
-        order, built as they are read. No record lands in a window after
-        the open one, so in tumbling mode each of those is empty."""
+        """Close every window from index ``_next`` up to ``stop``
+        (exclusive); return their reports in order, built as they are
+        read. No record lands in a window after the open one, so in
+        tumbling mode each of those is empty."""
         first, counts = self._next, self._graph.graph()
         if self.spec.mode == "tumbling":
             self._graph = _GraphBuilder()
-        self._next = max(first, stop)
-        self._open_window()
+        self._next = stop
         return (report_for_graph(
             {} if index > first and self.spec.mode == "tumbling" else counts,
             self.spec.window(index), self.families, self.rule,
             self.include_isolated) for index in range(first, stop))
 
-    def _open_window(self) -> None:
-        """Bound the slice of window ``_next``, so that ingest() places a
-        record inside it without computing its index. The slice is empty
-        when that window would end beyond range."""
-        if self._next <= self._last_index:
-            self._open_start, self._open_end = self.spec.slice(self._next)
-        else:
-            self._open_start = self._open_end = _LAST_INSTANT
-
     def flush(self) -> Iterable[StructureReport]:
         """End of stream: report every case still waiting for its source
-        as ``dangling-source``; return an iterable of the reports of every
-        scheduled window up to the one containing the watermark, empty
-        windows included, or with no schedule the whole stream's report."""
+        as ``dangling-source``; return an iterable of the open window's
+        report, if a window is open, or with no schedule the whole
+        stream's report."""
         if self._ended:
             return []
         self._ended = True
@@ -363,9 +347,9 @@ class RecognitionEngine:
         if self.spec is None:
             return [report_for_graph(self._graph.graph(), None, self.families,
                                      self.rule, self.include_isolated)]
-        if self._watermark is None:
+        if self._open_start == self._open_end:  # no record opened a window
             return []
-        return self._close(self.spec.index(self._watermark) + 1)
+        return self._close(self._next + 1)
 
 
 def run(stream: Iterable[CaseRecord], spec: WindowSpec | None,

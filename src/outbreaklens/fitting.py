@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
@@ -276,11 +277,11 @@ _SKIP_ROUNDING = 2.0 ** -40
 
 
 def _zeta_terms(alpha: float, x_min: int) -> tuple[float, float, float]:
-    """zeta, zeta' and zeta'' at (alpha, x_min); FitError where zeta
-    underflows to 0 (x_min near 1e17), as the law has no likelihood there."""
+    """zeta, zeta' and zeta'' at (alpha, x_min); FitError where zeta is
+    subnormal or 0 (x_min past 1e16): too few bits for a likelihood."""
     z, z1, z2 = hurwitz_zeta_derivatives(alpha, float(x_min))
-    if z == 0.0:
-        raise FitError(f"zeta({alpha!r}, {x_min}) underflows to 0")
+    if z < sys.float_info.min:
+        raise FitError(f"zeta({alpha!r}, {x_min}) underflows to {z!r}")
     return z, z1, z2
 
 

@@ -20,7 +20,7 @@ import re
 import sys
 from datetime import datetime, timezone
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
+from typing import Callable, Iterable, Iterator, TextIO, Union
 
 CSV_HEADER = ("case_id", "source_id", "date", "longitude", "latitude")
 FORMATS = ("csv", "jsonl")

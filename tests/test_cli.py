@@ -562,8 +562,8 @@ LAST_DAY = "B,,9999-12-31T23:59:59Z,0,0\n"  # its day's window ends past year 99
 ], ids=["day-before", "from-2014"])
 def test_window_past_the_last_instant_drops_the_record(cli, command, window,
                                                        first, end):
-    # the record is dropped before it moves the watermark, so no window
-    # end overflows and no window between the two records is emitted
+    # the record opens no window, so it closes none: no window end
+    # overflows and no window between the two records is emitted
     code, out, err = cli(command, "--window", window, stdin=first + LAST_DAY)
     assert code == EXIT_OK, err
     assert err == ("warning: the window of case 'B' would end after "
@@ -575,6 +575,25 @@ def test_window_past_the_last_instant_drops_the_record(cli, command, window,
 
     code, out, err = cli(command, "--window", window, "--strict",
                          stdin=first + LAST_DAY)
+    assert code == EXIT_INPUT
+    assert err == ("error: the window of case 'B' would end after "
+                   "9999-12-31T23:59:59Z\n")
+
+
+@pytest.mark.parametrize("command,window", [("stream", "tumbling:1d"),
+                                            ("analyze", "cumulative:1d")])
+def test_a_feed_of_only_a_record_past_the_last_instant_has_no_window(
+        cli, command, window):
+    # the record opens no window, so the flush has none to report
+    code, out, err = cli(command, "--window", window, stdin=LAST_DAY)
+    assert code == EXIT_OK, err
+    assert err == ("warning: the window of case 'B' would end after "
+                   "9999-12-31T23:59:59Z; dropped\n")
+    (summary,) = [json.loads(line) for line in out.splitlines()]
+    assert summary["summary"]["windows"] == 0
+
+    code, out, err = cli(command, "--window", window, "--strict",
+                         stdin=LAST_DAY)
     assert code == EXIT_INPUT
     assert err == ("error: the window of case 'B' would end after "
                    "9999-12-31T23:59:59Z\n")
@@ -1042,6 +1061,31 @@ def test_readme_library_example_reports_what_analyze_does(
     assert warnings == (4 if messy else 0)
 
 
+def test_readme_quick_start_runs_as_written(cli, tmp_path, monkeypatch):
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Quick start\n", 1)[1]
+    block = block.split("```\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    written = {}
+    for line in block.splitlines():
+        if not line.startswith("outbreaklens "):
+            continue
+        argv, _, target = line.partition(" > ")
+        code, out, err = cli(*argv.split()[1:])
+        assert code == EXIT_OK, (line, err)
+        if target:
+            (tmp_path / target).write_text(out, encoding="utf-8")
+        written[argv] = out
+    assert (tmp_path / "degrees.svg").read_text(
+        encoding="utf-8").startswith("<svg ")
+    # all but the summary line, whose config names the command
+    analyzed = written["outbreaklens analyze --input cases.csv "
+                       "--window tumbling:7d"].splitlines()[:-1]
+    streamed = written["outbreaklens stream --input cases.csv "
+                       "--window tumbling:7d"].splitlines()[:-1]
+    assert len(analyzed) == 9 and analyzed == streamed
+
+
 def test_jsonl_records_round_trip_through_analyze(cli, tmp_path):
     sim_out = tmp_path / "cases.jsonl"
     cli("simulate", "--format", "jsonl", "--output", str(sim_out))
@@ -1132,6 +1176,26 @@ def test_no_module_of_the_package_imports_pathlib_or_importlib_resources():
                 assert not f"{name}.".startswith(
                     ("pathlib.", "importlib.resources.")), (path.name,
                                                             node.lineno)
+
+
+def test_no_module_of_the_package_imports_a_name_it_never_reads():
+    # each name an import binds is read somewhere in its module, alone or
+    # as the root of an attribute (``os.path`` reads ``os``)
+    for path in sorted((SRC / "outbreaklens").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0]
+                         for alias in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread = [name for name in bound if name not in read]
+            assert not unread, (path.name, node.lineno, unread)
 
 
 _PACKAGE = {"outbreaklens", "outbreaklens.cli"}

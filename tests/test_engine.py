@@ -95,7 +95,6 @@ def test_schedule_empty_before_origin():
 def test_reports_emitted_once_watermark_passes_window_end():
     engine = RecognitionEngine(WindowSpec("tumbling", DAY, T0))
     assert engine.ingest(rec("A", None, 10)) == []      # window 0 still open
-    assert engine.watermark == T0 + timedelta(minutes=10)
     out = list(engine.ingest(rec("B", "A", 24 * 60)))    # watermark hits day 1
     assert [r.window for r in out] == [TimeWindow(T0, T0 + DAY)]
     assert out[0].n_vertices == 1 and out[0].n_edges == 0
@@ -169,7 +168,7 @@ def test_the_last_window_kept_is_the_last_that_ends(mode, origin, period):
     spec = WindowSpec(mode, period, origin)
     diags = []
     engine = RecognitionEngine(spec, on_error=diags.append)
-    last = engine._last_index
+    last = spec.index(datetime.max.replace(tzinfo=UTC)) - 1
     spec.window(last)
     with pytest.raises(OverflowError):
         spec.window(last + 1)
@@ -178,7 +177,7 @@ def test_the_last_window_kept_is_the_last_that_ends(mode, origin, period):
     beyond = start + period
     engine.ingest(CaseRecord("B", None, beyond, GeoPoint(0.0, 0.0)))
     assert [d.kind for d in diags] == ["beyond-range"]
-    assert engine.watermark == start
+    assert [r.window for r in engine.flush()] == [spec.window(last)]
 
 
 def test_late_record_rejected_in_tumbling_mode():
@@ -402,7 +401,15 @@ def test_engine_histogram_equals_batch_graph_histogram(data):
     if data.draw(st.booleans()):
         records = data.draw(st.permutations(records))
     mode = data.draw(st.sampled_from(["tumbling", "cumulative"]))
-    _check_snapshots(records, WindowSpec(mode, timedelta(minutes=45), T0))
+    # an origin up to past the last record: a feed may start with records
+    # before it, or hold nothing else
+    origin = T0 + timedelta(minutes=data.draw(st.integers(0, minutes[-1] + 45)))
+    spec = WindowSpec(mode, timedelta(minutes=45), origin)
+    _, windows = _check_snapshots(records, spec)
+    # every window up to the last record's is reported; none is when no
+    # record reaches the origin
+    last = spec.index(T0 + timedelta(minutes=minutes[-1]))
+    assert windows == max(last + 1, 0)
 
 
 @pytest.mark.parametrize("mode", ["tumbling", "cumulative"])

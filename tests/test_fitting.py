@@ -207,14 +207,15 @@ def test_powerlaw_error_cases():
 
 
 @pytest.mark.parametrize("spread", [2, 16])
-@pytest.mark.parametrize("x_min", [10 ** 15, 10 ** 16, 10 ** 17])
+@pytest.mark.parametrize("x_min", [10 ** 15, 10 ** 16, 7 * 10 ** 16, 10 ** 17])
 @pytest.mark.parametrize("given_x_min", [False, True])
 def test_powerlaw_at_a_huge_tail_start_fits_or_raises_fit_error(
         x_min, spread, given_x_min):
     # every tail value is within float resolution of x_min, so the start
     # value's denominator mean(ln x) - ln(x_min - 1/2) rounds to 0, whose
-    # limit is the largest exponent; at 10**17 zeta(20, x_min) underflows
-    # to 0. 10**17 + 16 is a float-exact integer, 10**17 + 2 is not.
+    # limit is the largest exponent; at 7 * 10**16 zeta(20, x_min) is a
+    # subnormal float, and at 10**17 it underflows to 0. 10**17 + 16 is
+    # a float-exact integer, 10**17 + 2 is not.
     sample = (x_min, x_min, x_min + spread)
     try:
         fit = fit_powerlaw(sample, x_min=x_min if given_x_min else None)
@@ -228,6 +229,10 @@ def test_powerlaw_log_likelihood_where_zeta_underflows_is_a_fit_error():
     with pytest.raises(FitError, match="underflows"):
         log_likelihood("power-law", {"alpha": ALPHA_MAX, "x_min": 10 ** 17},
                        (10 ** 17, 10 ** 17 + 16))
+    # zeta(20, 7 * 10**16) is a subnormal float, too few bits to use
+    with pytest.raises(FitError, match="underflows"):
+        log_likelihood("power-law", {"alpha": 20.0, "x_min": 7 * 10 ** 16},
+                       (7 * 10 ** 16, 7 * 10 ** 16 + 16))
 
 
 def test_integer_families_take_integers_no_float_holds():
