@@ -10,6 +10,7 @@ SVG alike).
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import io
 import json
@@ -75,6 +76,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        """argparse writes help, usage and version text here, and from
+        Python 3.11 drops a write that fails. Text for stdout goes
+        through the checked write every output uses, so a reader that
+        has gone is exit 2."""
+        if file is sys.stdout and message:
+            with _output(None) as out:
+                out.write(message)
+        else:
+            super()._print_message(message, file)
 
 
 def parse_duration(text: str) -> timedelta:
@@ -461,12 +473,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
         return args.handler(args)
     except _CliError as exc:
         try:
@@ -476,5 +487,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code
 
 
+def run() -> None:
+    """The process entry point: ``main`` with the cyclic collector
+    paused, then what is left frozen, so neither the run nor the
+    interpreter's exit walks the heap. No command makes a cycle per
+    record, line or window, so the cycles a command leaves, its
+    argument parser among them, do not grow with its input."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

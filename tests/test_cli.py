@@ -507,6 +507,30 @@ def test_an_error_line_with_no_stderr_reader_is_exit_2(tmp_path):
     assert out == b""
 
 
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("--version",), ("--help",),
+                                  ("simulate", "--help")],
+                         ids=["version", "help", "simulate-help"])
+def test_help_and_version_with_no_stdout_reader_are_exit_2(argv, unbuffered):
+    # buffered, the text would fail at exit's flush (exit 120); unbuffered,
+    # argparse would swallow the failed write (exit 0)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "outbreaklens", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("command,argv", [
     ("stream", ("--window", "tumbling:1d")),
