@@ -78,15 +78,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
     def _print_message(self, message, file=None):
-        """argparse writes help, usage and version text here, and from
-        Python 3.11 drops a write that fails. Text for stdout goes
-        through the checked write every output uses, so a reader that
-        has gone is exit 2."""
+        """argparse writes help, usage and version text here. Text for
+        stdout goes through the checked write every output uses, so a
+        reader that has gone is exit 2. Text that stderr cannot take is
+        dropped, with what is buffered for it, so a usage error is exit
+        64 on every Python version; argparse alone would leave it to fail
+        again at exit (120) or, on 3.10, let the error out (1)."""
         if file is sys.stdout and message:
             with _output(None) as out:
                 out.write(message)
-        else:
-            super()._print_message(message, file)
+        elif message:
+            file = file or sys.stderr
+            try:
+                file.write(message)
+                file.flush()
+            except OSError:
+                _discard(file)
 
 
 def parse_duration(text: str) -> timedelta:
@@ -315,6 +322,9 @@ def cmd_stream(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # The simulator calls no BLAS routine, so numpy's OpenBLAS needs no
+    # worker thread, which would spin beside it; a caller's value is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .sim import SimConfig
 
     if args.input:

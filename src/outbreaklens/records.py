@@ -373,37 +373,35 @@ def _coordinate(value, key: str, line_no: int | None) -> float:
                          line_no=line_no, field=key) from None
 
 
+# each record's line in a known format, with no trailing newline
+def _lines(records: Iterable[CaseRecord], format: str) -> Iterator[str]:
+    for rec in records:
+        loc = rec.location
+        date = _format_utc(rec.timestamp)
+        if format == "jsonl":
+            yield json.dumps({"case_id": rec.case_id, "source_id": rec.source_id,
+                              "date": date, "longitude": loc.longitude,
+                              "latitude": loc.latitude},
+                             sort_keys=True, separators=(",", ":"))
+            continue
+        source = rec.source_id or ""
+        line = f"{rec.case_id},{source},{date},{loc.longitude!r},{loc.latitude!r}"
+        # Four commas and no quote or line break: no cell needs quoting.
+        if line.count(",") != 4 or '"' in line or "\r" in line or "\n" in line:
+            # csv.writer quotes a cell holding a comma, a quote, CR or LF
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\r\n").writerow(
+                [rec.case_id, source, *line.rsplit(",", 3)[1:]])
+            line = buf.getvalue()[:-2]
+        yield line
+
+
 def serialize_record(record: CaseRecord, format: str = "csv") -> str:
     """One output line (no trailing newline). Inverse of parse_record:
     parsing the result yields an equal record."""
-    if format == "csv":
-        location = record.location
-        cells = (record.case_id, record.source_id or "",
-                 _format_utc(record.timestamp), repr(location.longitude),
-                 repr(location.latitude))
-        line = ",".join(cells)
-        # Four commas and no quote or line break: no cell needs quoting.
-        if (line.count(",") == 4 and '"' not in line and "\r" not in line
-                and "\n" not in line):
-            return line
-        # csv.writer quotes a cell holding a comma, a quote or a character
-        # of its terminator, here CR LF: csv.reader ends a bare cell at either.
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\r\n").writerow(cells)
-        return buf.getvalue()[:-2]
-    if format != "jsonl":
+    if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
-    return json.dumps(
-        {
-            "case_id": record.case_id,
-            "source_id": record.source_id,
-            "date": _format_utc(record.timestamp),
-            "longitude": record.location.longitude,
-            "latitude": record.location.latitude,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return next(_lines((record,), format))
 
 
 class ValidatedStream(_Frozen):
@@ -542,7 +540,6 @@ def write_stream(records: Iterable[CaseRecord], target: TextIO,
     if format == "csv":
         target.write(",".join(CSV_HEADER) + "\n")
     count = 0
-    for record in records:
-        target.write(serialize_record(record, format) + "\n")
-        count += 1
+    for count, line in enumerate(_lines(records, format), 1):
+        target.write(line + "\n")
     return count

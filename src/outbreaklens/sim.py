@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from datetime import datetime, timedelta
-from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .records import (CaseRecord, GeoPoint, _coordinate, _Frozen,
+from .records import (CaseRecord, GeoPoint, _coordinate, _Frozen, _new,
+                      _set_case_id, _set_latitude, _set_location,
+                      _set_longitude, _set_source_id, _set_timestamp,
                       load_json, normalize_timestamp, parse_timestamp)
 
 TOPOLOGIES = ("preferential-attachment", "uniform-attachment")
@@ -100,8 +101,10 @@ class SimConfig(_Frozen):
             raise ValueError("p_transmit must lie in [0, 1]")
         if self.n_steps < 0:
             raise ValueError("n_steps must be non-negative")
-        if not 0 <= self.jitter_km < math.inf:
-            raise ValueError("jitter_km must be finite and non-negative")
+        # numpy's normal draws lie within 14 standard deviations, so no
+        # jitter up to this scale overflows to an infinite coordinate
+        if not 0 <= self.jitter_km <= 1e300:
+            raise ValueError("jitter_km must lie in [0, 1e300]")
         # numpy seed sequences take unsigned 64-bit entropy
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
@@ -214,7 +217,9 @@ def generate_network(config: SimConfig) -> SyntheticNetwork:
 
 def _jittered(loc: GeoPoint, dx_km: float, dy_km: float, *,
               cos=math.cos, radians=math.radians,
-              km_per_deg=_KM_PER_DEG_LAT) -> GeoPoint:
+              km_per_deg=_KM_PER_DEG_LAT, new=_new,
+              set_longitude=_set_longitude,
+              set_latitude=_set_latitude) -> GeoPoint:
     # The keyword defaults turn the global lookups of this once-per-case
     # call into locals; each conditional gives what max/min gave for
     # every finite input.
@@ -229,16 +234,16 @@ def _jittered(loc: GeoPoint, dx_km: float, dy_km: float, *,
         scale = 0.01
     lon = loc.longitude + dx_km / (km_per_deg * scale)
     lon = ((lon + 180.0) % 360.0) - 180.0
+    # Built in place where GeoPoint() would keep both values as they are:
+    # Python floats, lon in range. lat is clamped, or NaN, and a NaN lat
+    # makes lon NaN through the scale. The constructor converts any other
+    # type (a numpy float, say) and raises for a NaN.
+    if type(lon) is float and type(lat) is float and -180.0 <= lon <= 180.0:
+        point = new(GeoPoint)
+        set_longitude(point, lon)
+        set_latitude(point, lat)
+        return point
     return GeoPoint(lon, lat)
-
-
-def _blocks(draw: Callable[[int], np.ndarray]) -> Iterator[float]:
-    """The values of ``draw(_BLOCK)``, block after block, as Python floats.
-    For generator methods that fill an array one element at a time
-    (``random``, ``normal``), this is the stream, in the same order, that
-    one scalar draw per call gives."""
-    while True:
-        yield from draw(_BLOCK).tolist()
 
 
 def simulate_outbreak(network: SyntheticNetwork,
@@ -274,7 +279,13 @@ def simulate_outbreak(network: SyntheticNetwork,
         step_idx = -((-offset) // STEP)  # ceil; late starts snap forward
         activations.setdefault(step_idx, []).append((node, ic))
 
-    case_of: dict[int, CaseRecord] = {}  # in the order the cases arose
+    # The records in the order the cases arose, and by node. Each is
+    # built in place, as parse_record builds one that passed its checks,
+    # since these pass by construction: an id is "C" and six or more
+    # digits, a source is None or an earlier case's id, and an instant
+    # is the earliest start, which IndexCase normalized, plus whole days.
+    cases: list[CaseRecord] = []
+    case_of: list[CaseRecord | None] = [None] * network.n
     # Infected nodes that may still have a susceptible neighbour. A case
     # joins after the scan of the step it arose in, as it transmits from
     # the next one. A node leaves once its scan in a step leaves every
@@ -282,31 +293,40 @@ def simulate_outbreak(network: SyntheticNetwork,
     # again, so skipping it keeps every draw, and the output, as if each
     # infected node were visited.
     frontier: set[int] = set()
-
-    def emit(node: int, source: str | None, instant: datetime,
-             loc: GeoPoint) -> None:
-        case_of[node] = CaseRecord(f"C{len(case_of) + 1:06d}", source,
-                                   instant, loc)
-
-    # Neither generator is used after the loop, so drawing ahead is safe.
-    uniforms = _blocks(rng_spread.random)
-    jitter = _blocks(partial(rng_geo.normal, 0.0, config.jitter_km))
+    # Transmission uniforms and jitter normals come a block at a time
+    # into local buffers, each refilled once it is used up; jitter is
+    # read in pairs, and a block holds a whole number of them. Neither
+    # generator is used after the loop, so drawing ahead is safe.
+    uniforms: list[float] = []
+    normals: list[float] = []
+    next_uniform = next_normal = _BLOCK  # each buffer is used up
+    jitter_km = config.jitter_km
     p = config.p_transmit
     last_arrival = max(activations)
     for step_idx in range(config.n_steps + 1):
         instant = base + step_idx * STEP
         arrived = []
         for node, ic in activations.get(step_idx, ()):
-            if node not in case_of:  # may already be infected by spread
+            if case_of[node] is None:  # may already be infected by spread
                 arrived.append(node)
-                emit(node, None, instant, ic.location)
+                case_of[node] = record = _new(CaseRecord)
+                _set_case_id(record, "C" + str(len(cases) + 1).zfill(6))
+                _set_source_id(record, None)
+                _set_timestamp(record, instant)
+                _set_location(record, ic.location)
+                cases.append(record)
         claimed: dict[int, int] = {}  # target -> infector, smallest id first
         for node in sorted(frontier):
             susceptible_left = False
             for nbr in adjacency[node]:
-                if nbr in case_of or nbr in claimed:
+                if case_of[nbr] is not None or nbr in claimed:
                     continue
-                if next(uniforms) < p:
+                if next_uniform == _BLOCK:
+                    uniforms = rng_spread.random(_BLOCK).tolist()
+                    next_uniform = 0
+                u = uniforms[next_uniform]
+                next_uniform += 1
+                if u < p:
                     claimed[nbr] = node
                 else:
                     susceptible_left = True
@@ -314,16 +334,25 @@ def simulate_outbreak(network: SyntheticNetwork,
                 frontier.discard(node)
         frontier.update(arrived, claimed)
         for target, infector in claimed.items():
-            if config.jitter_km > 0:
-                dx, dy = next(jitter), next(jitter)
+            if jitter_km > 0:
+                if next_normal == _BLOCK:
+                    normals = rng_geo.normal(0.0, jitter_km, _BLOCK).tolist()
+                    next_normal = 0
+                dx = normals[next_normal]
+                dy = normals[next_normal + 1]
+                next_normal += 2
             else:
                 dx = dy = 0.0
             source = case_of[infector]
-            emit(target, source.case_id, instant,
-                 _jittered(source.location, dx, dy))
+            case_of[target] = record = _new(CaseRecord)
+            _set_case_id(record, "C" + str(len(cases) + 1).zfill(6))
+            _set_source_id(record, source.case_id)
+            _set_timestamp(record, instant)
+            _set_location(record, _jittered(source.location, dx, dy))
+            cases.append(record)
         if not frontier and step_idx >= last_arrival:
             break  # the outbreak is over: no later step draws or emits
-    return tuple(case_of.values())
+    return tuple(cases)
 
 
 def _geometric_delays(us: np.ndarray, p: float) -> np.ndarray:

@@ -509,6 +509,30 @@ def test_an_error_line_with_no_stderr_reader_is_exit_2(tmp_path):
 
 @pytest.mark.parametrize("unbuffered", [False, True],
                          ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("prophesy",), ("analyze", "--rule", "nope")],
+                         ids=["unknown-command", "bad-choice"])
+def test_a_usage_error_with_no_stderr_reader_is_exit_64(argv, unbuffered):
+    # buffered, the usage text would fail again at exit's flush (exit 120);
+    # unbuffered, Python 3.10's argparse would let the failed write out
+    # (exit 1)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "outbreaklens", *argv],
+                              stdout=subprocess.PIPE, stderr=write_end,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == b""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [("--version",), ("--help",),
                                   ("simulate", "--help")],
                          ids=["version", "help", "simulate-help"])
@@ -753,6 +777,26 @@ def test_simulate_rejects_a_config_field_of_the_wrong_type(cli, tmp_path,
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: invalid sim config: ")
     assert err.count("\n") == 1
+
+
+def test_simulate_rejects_a_jitter_km_at_which_a_draw_could_overflow(cli,
+                                                                      tmp_path):
+    # at 1.7e308 a normal draw overflows to inf, and a longitude to nan
+    path = tmp_path / "cfg.json"
+    config = {"n_population": 50, "p_transmit": 1.0, "n_steps": 5}
+    path.write_text(json.dumps({**config, "jitter_km": 1.7e308}),
+                    encoding="utf-8")
+    assert cli("simulate", "--input", str(path)) == (
+        EXIT_USAGE, "", "error: invalid sim config: jitter_km must lie in "
+                        "[0, 1e300]\n")
+    path.write_text(json.dumps({**config, "jitter_km": 1e300}),
+                    encoding="utf-8")
+    cases = tmp_path / "cases.csv"
+    assert cli("simulate", "--input", str(path), "--output", str(cases)) \
+        == (EXIT_OK, "", "")
+    code, out, err = cli("analyze", "--input", str(cases), "--strict")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["n_vertices"] > 1
 
 
 @pytest.mark.parametrize("config", [

@@ -161,6 +161,43 @@ runpy.run_module("outbreaklens", run_name="__main__", alter_sys=True)
     assert proc.stderr == "False True\n"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="no /proc/self/task")
+@pytest.mark.parametrize("command,set_to,seen,threads", [
+    ("simulate", None, "1", 1),
+    ("simulate", "2", "2", None),
+    ("import", None, "None", None),
+], ids=["simulate", "simulate-caller-set", "library-import"])
+def test_simulate_runs_one_thread(tmp_path, command, set_to, seen, threads):
+    # numpy's OpenBLAS starts a worker thread on import unless told not
+    # to. simulate tells it so unless its caller has; importing the
+    # simulator as a library leaves that to the importer. The hook runs
+    # after run()'s sys.exit.
+    script = f"""
+import atexit, os, runpy, sys
+atexit.register(lambda: print(os.environ.get("OPENBLAS_NUM_THREADS"),
+                              len(os.listdir("/proc/self/task")),
+                              file=sys.stderr))
+if {command!r} == "import":
+    import outbreaklens.sim
+else:
+    sys.argv = ["outbreaklens", "simulate", "--output",
+                {str(tmp_path / "out.csv")!r}]
+    runpy.run_module("outbreaklens", run_name="__main__", alter_sys=True)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if set_to is not None:
+        env["OPENBLAS_NUM_THREADS"] = set_to
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    value, count = proc.stderr.split()
+    assert value == seen
+    if threads is not None:
+        assert int(count) == threads
+
+
 @pytest.mark.parametrize("argv,expected", [
     (["analyze", "--window", "tumbling:7d"], EXIT_OK),
     (["analyze", "--window", "all", "--input", "missing.csv"], EXIT_INPUT),

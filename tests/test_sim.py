@@ -5,6 +5,7 @@ import io
 import json
 import math
 import time
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -72,6 +73,8 @@ def test_config_defaults():
     {"p_transmit": -0.1},
     {"n_steps": -1},
     {"jitter_km": -2.0},
+    {"jitter_km": 1.7e308},
+    {"jitter_km": 10 ** 400},
     {"seed": -1},
     {"seed": 2 ** 64},
 ])
@@ -350,6 +353,15 @@ def _visit_every_infected_node(network, cfg):
 STAGGERED = (IndexCase(GeoPoint(-10.0, 8.0), T0),
              IndexCase(GeoPoint(-11.0, 7.0), T0 + timedelta(days=4)),
              IndexCase(GeoPoint(-9.0, 9.0), T0 + timedelta(days=9, hours=6)))
+# One hub and 3,000 leaves: the step in which the hub transmits draws
+# about 3,000 uniforms and 1,500 jitter pairs, so it crosses blocks of both.
+STAR = SyntheticNetwork(3001, tuple((0, leaf) for leaf in range(1, 3001)),
+                        "preferential-attachment", 0)
+# Every two nodes share neighbours: two index cases of one day border the
+# same susceptible nodes, and the second to scan one that the first has
+# claimed skips it without a draw.
+COMPLETE = SyntheticNetwork(8, tuple((a, b) for b in range(8) for a in range(b)),
+                            "uniform-attachment", 0)
 
 
 @pytest.mark.parametrize("topology", ["preferential-attachment",
@@ -360,18 +372,29 @@ STAGGERED = (IndexCase(GeoPoint(-10.0, 8.0), T0),
     dict(p_transmit=0.15, index_cases=STAGGERED),
     dict(p_transmit=0.5, jitter_km=0.0),
     dict(p_transmit=1.0, index_cases=STAGGERED, jitter_km=0.0),
-], ids=["p0.3", "p1", "staggered", "no-jitter", "p1-staggered-no-jitter"])
+    dict(p_transmit=0.5, network=STAR),
+    dict(p_transmit=0.3, network=COMPLETE,
+         index_cases=(IndexCase(GeoPoint(-10.0, 8.0), T0),
+                      IndexCase(GeoPoint(-11.0, 7.0), T0))),
+], ids=["p0.3", "p1", "staggered", "no-jitter", "p1-staggered-no-jitter",
+        "blocks-in-one-step", "claimed-by-another-index-case"])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_frontier_visits_give_the_records_of_visiting_every_node(topology, kw,
                                                                  seed):
     # a node leaves the frontier only when it would draw no more random
-    # numbers, so every draw, and every record, is as before
-    cfg = config(topology=topology, n_population=600, n_steps=25, seed=seed,
-                 **kw)
-    network = generate_network(cfg)
+    # numbers, so every draw, and every record, is as before; a kw's
+    # network stands in for the generated one
+    kw = dict(kw)
+    network = kw.pop("network", None)
+    cfg = config(topology=topology, n_steps=25, seed=seed,
+                 n_population=600 if network is None else network.n, **kw)
+    network = network or generate_network(cfg)
     records = simulate_outbreak(network, cfg)
     assert len(records) > len(cfg.index_cases)
     assert records == _visit_every_infected_node(network, cfg)
+    if network is STAR:
+        per_day = Counter(record.timestamp for record in records)
+        assert max(per_day.values()) > 1024
 
 
 def test_an_index_case_due_after_the_outbreak_died_out_still_arrives():
