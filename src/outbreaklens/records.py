@@ -235,15 +235,25 @@ class CaseRecord(_Frozen):
         _set_location(self, location)
 
 
-# The slots' own setters, which go past the frozen __setattr__, and an
-# instance with no slot set, for parse_record to fill.
-_new = object.__new__
+# The slots' own setters, which go past the frozen __setattr__.
 _set_longitude = GeoPoint.longitude.__set__
 _set_latitude = GeoPoint.latitude.__set__
 _set_case_id = CaseRecord.case_id.__set__
 _set_source_id = CaseRecord.source_id.__set__
 _set_timestamp = CaseRecord.timestamp.__set__
 _set_location = CaseRecord.location.__set__
+
+
+def _record(case_id: str, source_id: str | None, timestamp: datetime,
+            location: GeoPoint) -> CaseRecord:
+    """The CaseRecord of values that already pass its checks, built
+    without repeating them."""
+    record = object.__new__(CaseRecord)
+    _set_case_id(record, case_id)
+    _set_source_id(record, source_id)
+    _set_timestamp(record, timestamp)
+    _set_location(record, location)
+    return record
 
 
 def _csv_row(line: str, line_no: int | None) -> list[str]:
@@ -264,7 +274,8 @@ def parse_record(line: str, format: str = "csv", *,
                  line_no: int | None = None) -> CaseRecord:
     """Parse one line in the declared format into a CaseRecord. Both
     formats check the same values once, in one order; ``_coordinate`` and
-    the constructors name what fails, and what passes is built in place."""
+    the constructors name what fails, and what passes is built by
+    ``_record``."""
     if format == "csv":
         row = _csv_row(line, line_no)
         if len(row) != len(CSV_HEADER):
@@ -304,15 +315,7 @@ def parse_record(line: str, format: str = "csv", *,
         lon = _coordinate(longitude, "longitude", line_no)
         lat = _coordinate(latitude, "latitude", line_no)
     if -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0 and source_id != case_id:
-        location = _new(GeoPoint)
-        _set_longitude(location, lon)
-        _set_latitude(location, lat)
-        record = _new(CaseRecord)
-        _set_case_id(record, case_id)
-        _set_source_id(record, source_id)
-        _set_timestamp(record, timestamp)
-        _set_location(record, location)
-        return record
+        return _record(case_id, source_id, timestamp, GeoPoint(lon, lat))
     try:
         return CaseRecord(case_id, source_id, timestamp, GeoPoint(lon, lat))
     except ValueError as exc:

@@ -20,9 +20,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .records import (CaseRecord, GeoPoint, _coordinate, _Frozen, _new,
-                      _set_case_id, _set_latitude, _set_location,
-                      _set_longitude, _set_source_id, _set_timestamp,
+from .records import (CaseRecord, GeoPoint, _coordinate, _Frozen, _record,
                       load_json, normalize_timestamp, parse_timestamp)
 
 TOPOLOGIES = ("preferential-attachment", "uniform-attachment")
@@ -217,9 +215,7 @@ def generate_network(config: SimConfig) -> SyntheticNetwork:
 
 def _jittered(loc: GeoPoint, dx_km: float, dy_km: float, *,
               cos=math.cos, radians=math.radians,
-              km_per_deg=_KM_PER_DEG_LAT, new=_new,
-              set_longitude=_set_longitude,
-              set_latitude=_set_latitude) -> GeoPoint:
+              km_per_deg=_KM_PER_DEG_LAT) -> GeoPoint:
     # The keyword defaults turn the global lookups of this once-per-case
     # call into locals; each conditional gives what max/min gave for
     # every finite input.
@@ -233,17 +229,7 @@ def _jittered(loc: GeoPoint, dx_km: float, dy_km: float, *,
     if scale < 0.01:
         scale = 0.01
     lon = loc.longitude + dx_km / (km_per_deg * scale)
-    lon = ((lon + 180.0) % 360.0) - 180.0
-    # Built in place where GeoPoint() would keep both values as they are:
-    # Python floats, lon in range. lat is clamped, or NaN, and a NaN lat
-    # makes lon NaN through the scale. The constructor converts any other
-    # type (a numpy float, say) and raises for a NaN.
-    if type(lon) is float and type(lat) is float and -180.0 <= lon <= 180.0:
-        point = new(GeoPoint)
-        set_longitude(point, lon)
-        set_latitude(point, lat)
-        return point
-    return GeoPoint(lon, lat)
+    return GeoPoint(((lon + 180.0) % 360.0) - 180.0, lat)
 
 
 def simulate_outbreak(network: SyntheticNetwork,
@@ -280,10 +266,11 @@ def simulate_outbreak(network: SyntheticNetwork,
         activations.setdefault(step_idx, []).append((node, ic))
 
     # The records in the order the cases arose, and by node. Each is
-    # built in place, as parse_record builds one that passed its checks,
-    # since these pass by construction: an id is "C" and six or more
-    # digits, a source is None or an earlier case's id, and an instant
-    # is the earliest start, which IndexCase normalized, plus whole days.
+    # built by records._record, as parse_record builds one that passed
+    # its checks, since these pass by construction: an id is "C" and six
+    # or more digits, a source is None or an earlier case's id, and an
+    # instant is the earliest start, which IndexCase normalized, plus
+    # whole days.
     cases: list[CaseRecord] = []
     case_of: list[CaseRecord | None] = [None] * network.n
     # Infected nodes that may still have a susceptible neighbour. A case
@@ -309,11 +296,9 @@ def simulate_outbreak(network: SyntheticNetwork,
         for node, ic in activations.get(step_idx, ()):
             if case_of[node] is None:  # may already be infected by spread
                 arrived.append(node)
-                case_of[node] = record = _new(CaseRecord)
-                _set_case_id(record, "C" + str(len(cases) + 1).zfill(6))
-                _set_source_id(record, None)
-                _set_timestamp(record, instant)
-                _set_location(record, ic.location)
+                case_of[node] = record = _record(
+                    "C" + str(len(cases) + 1).zfill(6), None, instant,
+                    ic.location)
                 cases.append(record)
         claimed: dict[int, int] = {}  # target -> infector, smallest id first
         for node in sorted(frontier):
@@ -344,11 +329,9 @@ def simulate_outbreak(network: SyntheticNetwork,
             else:
                 dx = dy = 0.0
             source = case_of[infector]
-            case_of[target] = record = _new(CaseRecord)
-            _set_case_id(record, "C" + str(len(cases) + 1).zfill(6))
-            _set_source_id(record, source.case_id)
-            _set_timestamp(record, instant)
-            _set_location(record, _jittered(source.location, dx, dy))
+            case_of[target] = record = _record(
+                "C" + str(len(cases) + 1).zfill(6), source.case_id, instant,
+                _jittered(source.location, dx, dy))
             cases.append(record)
         if not frontier and step_idx >= last_arrival:
             break  # the outbreak is over: no later step draws or emits

@@ -524,6 +524,13 @@ def test_every_record_the_constructors_accept_reads_back(case_id, source_id,
     assert type(r.location.longitude) is type(r.location.latitude) is float
     for format in FORMATS:
         assert parse_record(serialize_record(r, format), format) == r
+    # the builder of values that pass the checks gives the same record
+    built = records._record(r.case_id, r.source_id, r.timestamp,
+                            GeoPoint(r.location.longitude, r.location.latitude))
+    assert built == r
+    assert hash(built) == hash(r) and repr(built) == repr(r)
+    for format in FORMATS:
+        assert serialize_record(built, format) == serialize_record(r, format)
 
 
 @pytest.mark.parametrize("case_id,source_id,field", [
