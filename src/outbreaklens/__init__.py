@@ -11,17 +11,39 @@ give it all a command-line and SVG surface.
 
 Import from the submodules. The root imports none of them, so each
 command loads only what it runs; it holds what the argument parser
-shares with the fitting code.
+shares with the fitting code, and the parameter rules that fitting and
+plotting share.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 __version__ = "0.1.0"
 
 FAMILIES = ("exponential", "normal", "poisson", "power-law")
 RULES = ("min-se", "aic", "max-loglik")
+
+# each family's parameters and the values each takes; the power law's
+# tail start x_min is whole (Clauset, Shalizi & Newman 2009)
+PARAMS = {
+    "exponential": {"lambda": lambda v: v > 0},
+    "normal": {"mu": lambda v: True, "sigma": lambda v: v > 0},
+    "poisson": {"lambda": lambda v: v >= 0},
+    "power-law": {"alpha": lambda v: v > 1,
+                  "x_min": lambda v: v >= 1 and v == int(v)},
+}
+
+
+def in_domain(family: str, name: str, value) -> bool:
+    """Whether the family's parameter ``name`` takes ``value``: an int or
+    float, not a bool, finite as a float and passing PARAMS' test."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value) and PARAMS[family][name](value))
+    except OverflowError:  # an int past float range
+        return False
 
 
 def canonical_families(families: Iterable[str]) -> tuple[str, ...]:

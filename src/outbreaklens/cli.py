@@ -129,6 +129,10 @@ def parse_families(text: str) -> tuple[str, ...]:
     return canonical_families(FAMILY_ALIASES.get(name, name) for name in names)
 
 
+def _cannot_read(path: str | None, exc: Exception) -> _CliError:
+    return _CliError(EXIT_INPUT, f"cannot read {path or 'stdin'}: {exc}")
+
+
 def _read_text(path: str | None) -> str:
     """The whole input as text; unreadable or undecodable input is exit 2."""
     try:
@@ -137,8 +141,7 @@ def _read_text(path: str | None) -> str:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _CliError(EXIT_INPUT,
-                        f"cannot read {path or 'stdin'}: {exc}") from None
+        raise _cannot_read(path, exc) from None
 
 
 def _discard(out: TextIO) -> None:
@@ -225,7 +228,9 @@ def _reports(args, records: Iterable[CaseRecord],
                 hour=0, minute=0, second=0))
         yield from run(records, spec, families, args.rule,
                        args.include_isolated, args.strict, _stderr_diag)
-    except (OSError, ValueError) as exc:  # unreadable or invalid input
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _cannot_read(args.input, exc) from None
+    except ValueError as exc:  # invalid input
         raise _CliError(EXIT_INPUT, str(exc)) from None
 
 

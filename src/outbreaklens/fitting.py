@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from typing import Callable, Iterable, Mapping, Union
 
-from . import FAMILIES, RULES
+from . import FAMILIES, PARAMS, RULES, in_domain
 from .graph import DegreeSample
 from .records import _Frozen
 from .zeta import hurwitz_zeta, hurwitz_zeta_derivatives
@@ -49,14 +49,17 @@ def _histogram(sample: SampleLike) -> Mapping:
     return Counter(sample)
 
 
-def _integer_counts(hist: Mapping, context: str) -> dict[int, int]:
-    """The histogram keyed by int, checking each distinct value once."""
-    out = {}
-    for x, count in hist.items():
-        if isinstance(x, bool) or x != int(x):
-            raise FitError(f"{context} requires integer values, got {x!r}")
-        out[int(x)] = count
-    return out
+def _support(family: str, hist: Mapping) -> Mapping:
+    """The histogram, FitError unless each distinct value is in the
+    family's support: any value for the normal, >= 0 for the exponential,
+    an integer >= 0 (not a bool) for the others, then keyed by int."""
+    whole = family in ("poisson", "power-law")
+    for x in hist:
+        if family != "normal" and x < 0 or whole and (
+                isinstance(x, bool) or x != x // 1):  # inf // 1 is nan
+            raise FitError(f"{family} requires {'integer ' * whole}"
+                           f"values >= 0, got {x!r}")
+    return {int(x): count for x, count in hist.items()} if whole else hist
 
 
 def _sum_over(hist: Mapping, term) -> float:
@@ -131,41 +134,30 @@ def log_likelihood(family: str, params: Mapping[str, float],
                    sample: SampleLike) -> float:
     """Exact log-density sum of the sample under the given family.
 
-    The power law is evaluated on its tail only (values >= x_min);
-    support violations for the other families raise FitError.
+    The power law is evaluated on its tail only (values >= x_min). A
+    parameter outside its domain (PARAMS) or a value outside the
+    family's support raises FitError.
     """
     hist = _histogram(sample)
     n = sum(hist.values())
     if n == 0:
         raise FitError("empty sample")
+    for name in PARAMS.get(family, ()):  # an unknown family is refused below
+        if not in_domain(family, name, value := params.get(name)):
+            raise FitError(f"{family} {name} outside its domain: {value!r}")
+    hist = _support(family, hist)
     if family == "exponential":
-        lam = params["lambda"]
-        if lam <= 0:
-            raise FitError("exponential rate must be positive")
-        if any(x < 0 for x in hist):
-            raise FitError("exponential support is [0, inf)")
-        return _exponential_log_likelihood(n, lam, _sum_over(hist, lambda x: x))
+        return _exponential_log_likelihood(n, params["lambda"],
+                                           _sum_over(hist, lambda x: x))
     if family == "normal":
         mu = params["mu"]
-        sigma = params["sigma"]
-        if sigma <= 0:
-            raise FitError("normal sigma must be positive")
         return _normal_log_likelihood(
-            n, sigma, _sum_over(hist, lambda x: (x - mu) ** 2))
+            n, params["sigma"], _sum_over(hist, lambda x: (x - mu) ** 2))
     if family == "poisson":
-        lam = params["lambda"]
-        if lam < 0:
-            raise FitError("poisson rate must be non-negative")
-        return _poisson_log_likelihood(_poisson_counts(hist), lam)
+        return _poisson_log_likelihood(hist, params["lambda"])
     if family == "power-law":
-        alpha = params["alpha"]
-        x_min = int(params["x_min"])
-        if alpha <= 1:
-            raise FitError("power-law exponent must exceed 1")
-        if x_min < 1:
-            raise FitError("x_min must be a positive integer")
-        ints = _integer_counts(hist, "power-law")
-        tail = {x: count for x, count in ints.items() if x >= x_min}
+        alpha, x_min = params["alpha"], int(params["x_min"])
+        tail = {x: count for x, count in hist.items() if x >= x_min}
         if not tail:
             raise FitError("no values at or above x_min")
         return _powerlaw_log_likelihood(tail, alpha,
@@ -180,13 +172,6 @@ def _exponential_log_likelihood(n: int, lam: float, sum_x: float) -> float:
 def _normal_log_likelihood(n: int, sigma: float, ss: float) -> float:
     """ss is the sum of squared deviations from the mean parameter."""
     return -0.5 * n * _LN_2PI - n * math.log(sigma) - ss / (2.0 * sigma * sigma)
-
-
-def _poisson_counts(hist: Mapping) -> dict[int, int]:
-    ints = _integer_counts(hist, "poisson")
-    if any(x < 0 for x in ints):
-        raise FitError("poisson support is the non-negative integers")
-    return ints
 
 
 def _poisson_log_likelihood(ints: Mapping[int, int], lam: float) -> float:
@@ -213,8 +198,7 @@ def fit_exponential(sample: SampleLike) -> FitResult:
     n = sum(hist.values())
     if n < 2:
         raise FitError("sample smaller than 2")
-    if any(x < 0 for x in hist):
-        raise FitError("exponential support is [0, inf)")
+    hist = _support("exponential", hist)
     sum_x = _sum_over(hist, lambda x: x)
     mean = sum_x / n
     if mean <= 0:
@@ -250,7 +234,7 @@ def fit_poisson(sample: SampleLike) -> FitResult:
     n = sum(hist.values())
     if n < 1:
         raise FitError("empty sample")
-    ints = _poisson_counts(hist)
+    ints = _support("poisson", hist)
     lam = _sum_over(ints, lambda x: x) / n
     return FitResult("poisson", {"lambda": lam}, {"lambda": math.sqrt(lam / n)},
                      ((lam / n,),), _poisson_log_likelihood(ints, lam), n)
@@ -429,9 +413,7 @@ def fit_powerlaw(sample: SampleLike, x_min: int | None = None) -> FitResult:
     hist = _histogram(sample)
     if not hist:
         raise FitError("empty sample")
-    ints = _integer_counts(hist, "power-law")
-    if any(x < 0 for x in ints):
-        raise FitError("negative degree in sample")
+    ints = _support("power-law", hist)
 
     values = sorted(x for x in ints if x >= 1)
     tail = [(v, ints[v]) for v in values]
@@ -445,8 +427,8 @@ def fit_powerlaw(sample: SampleLike, x_min: int | None = None) -> FitResult:
         sum_logs[i] = sum_logs[i + 1] + count * math.log(v)
 
     if x_min is not None:
-        if x_min < 1 or x_min != int(x_min):
-            raise FitError("x_min must be a positive integer")
+        if not in_domain("power-law", "x_min", x_min):
+            raise FitError(f"power-law x_min outside its domain: {x_min!r}")
         x_min = int(x_min)
         i = bisect_left(values, x_min)
         n_tail = n_tails[i]

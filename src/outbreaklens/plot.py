@@ -13,6 +13,7 @@ import math
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+from . import PARAMS, in_domain
 from .zeta import hurwitz_zeta
 
 WIDTH = 800
@@ -35,31 +36,21 @@ POINT_COLOR = "#202020"
 # a power-law curve's normalizer is the same at every plotted degree
 _zeta = lru_cache(maxsize=16)(hurwitz_zeta)
 
-# each family's parameters and the values its curve is defined for
-_DOMAINS = {
-    "exponential": {"lambda": lambda v: v > 0},
-    "normal": {"mu": lambda v: True, "sigma": lambda v: v > 0},
-    "poisson": {"lambda": lambda v: v >= 0},
-    "power-law": {"alpha": lambda v: v > 1,
-                  "x_min": lambda v: v >= 1 and v == int(v)},
-}
-
 
 class EmptyDistribution(ValueError):
     """No point of the degree PMF can be drawn on the chosen axes."""
 
 
 def _drawable(fit: Mapping) -> tuple[str, dict[str, float]]:
-    """A fit's family and its parameters in name order. ValueError unless
-    it maps a known family to finite numbers in that family's domain."""
+    """A fit's family and that family's parameters in name order;
+    ValueError unless both are known and each is in its domain (PARAMS)."""
     try:
-        family, params = fit["family"], dict(sorted(fit["params"].items()))
-        if all(isinstance(v, (int, float)) and math.isfinite(v)
-               for v in params.values()) and all(
-                valid(params[name]) for name, valid in _DOMAINS[family].items()):
+        family, given = fit["family"], fit["params"]
+        params = {name: given.get(name) for name in sorted(PARAMS[family])}
+        if all(in_domain(family, *item) for item in params.items()):
             return family, params
-    except (AttributeError, KeyError, OverflowError, TypeError):
-        pass  # OverflowError: an int past float range
+    except (AttributeError, KeyError, TypeError):
+        pass
     raise ValueError(f"cannot draw fit {fit!r}")
 
 

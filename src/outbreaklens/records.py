@@ -497,13 +497,13 @@ def read_stream(source: Union[str, os.PathLike, TextIO], format: str = "csv", *,
                 ) -> Iterator[CaseRecord]:
     """Yield records one at a time without loading the whole input.
 
-    Blank lines are skipped. A byte-order mark (U+FEFF) at the start of
-    the first non-blank line is dropped, and a CSV header row as that
-    line is skipped. In lenient mode (default) each malformed line
-    produces a Diagnostic through ``on_error`` and reading continues;
-    strict mode raises on the first bad line. Cross-record checks
-    (duplicate ids, link resolution) are the caller's concern; see
-    validate_stream and the engine.
+    Blank lines are skipped. A byte-order mark (U+FEFF) that leads the
+    first non-blank line, blank space before it included, is dropped,
+    and a CSV header row as that line is skipped. In lenient mode
+    (default) each malformed line produces a Diagnostic through
+    ``on_error`` and reading continues; strict mode raises on the first
+    bad line. Cross-record checks (duplicate ids, link resolution) are
+    the caller's concern; see validate_stream and the engine.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
@@ -513,8 +513,8 @@ def read_stream(source: Union[str, os.PathLike, TextIO], format: str = "csv", *,
     try:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\r\n")
-            if first:
-                line = line.removeprefix("\ufeff")  # a byte-order mark
+            if first and line.lstrip().startswith("\ufeff"):
+                line = line.lstrip()[1:]  # a byte-order mark
             if not line or line.isspace():
                 continue
             if first:

@@ -40,8 +40,6 @@ _TAG_CURVE = 4
 # of scalar draws; 256, 2,048 and 4,096 at times added 6-7 MiB.
 _BLOCK = 1024
 
-_CONFIG_KEYS = {"topology", "n_population", "p_transmit", "n_steps",
-                "index_cases", "jitter_km", "seed"}
 _DEFAULT_START = "2014-03-01"
 # the types each number field takes; a bool, though an int, is none
 _FIELD_TYPES = {"n_population": int, "n_steps": int, "seed": int,
@@ -128,7 +126,7 @@ class SimConfig(_Frozen):
         obj = load_json(doc) if isinstance(doc, str) else dict(doc)
         if not isinstance(obj, dict):
             raise ValueError("sim config must be a JSON object")
-        unknown = set(obj) - _CONFIG_KEYS
+        unknown = set(obj) - set(cls.__match_args__)  # the fields
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         regions = load_regions()
@@ -156,7 +154,8 @@ class SimConfig(_Frozen):
                                      f"longitude/latitude: missing {exc}") from None
             start = parse_timestamp(str(entry.get("start", _DEFAULT_START)))
             index_cases.append(IndexCase(loc, start))
-        kwargs = {k: obj[k] for k in _CONFIG_KEYS - {"index_cases"} if k in obj}
+        kwargs = {k: obj[k] for k in cls.__match_args__
+                  if k in obj and k != "index_cases"}
         return cls(index_cases=tuple(index_cases), **kwargs)
 
 

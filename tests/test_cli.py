@@ -354,6 +354,21 @@ def test_undecodable_input_is_an_input_error(cli, tmp_path, command):
     assert err.startswith("error: ") and "utf-8" in err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+@pytest.mark.parametrize("command", ["analyze", "stream", "plot", "simulate"])
+def test_every_command_names_an_unreadable_input(cli, tmp_path, command,
+                                                 kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "undecodable":
+        path.write_bytes(b"C1,,2014-03-01,\xff,0\n")
+    code, out, err = cli(command, "--input", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["analyze", "stream", "plot", "simulate"])
 def test_unwritable_output_is_an_input_error(cli, tmp_path, command):
     src = tmp_path / "cases.csv"
@@ -1005,6 +1020,9 @@ def test_plot_of_a_report_with_a_byte_order_mark(cli, tmp_path):
     pytest.param({"classification": {"fits": [
         {"family": "poisson", "params": {"lambda": "2"}}]}},
         id="param-not-a-number"),
+    pytest.param({"classification": {"fits": [
+        {"family": "poisson", "params": {"lambda": True}}]}},
+        id="param-a-bool"),
 ])
 def test_plot_of_a_malformed_report_is_input_error(cli, tmp_path, change):
     report = {"n_vertices": 4, "n_edges": 3,

@@ -35,11 +35,12 @@ from outbreaklens.fitting import (
     log_likelihood,
     select_structure,
 )
-from outbreaklens import RULES
+from outbreaklens import PARAMS, RULES
 from outbreaklens import fitting as fitting_module
 from outbreaklens import zeta as zeta_module
 from outbreaklens.engine import WindowSpec, run
 from outbreaklens.graph import DegreeSample
+from outbreaklens.plot import render_degree_plot
 from outbreaklens.sim import SimConfig, generate_network, simulate_outbreak
 
 SAMPLE = (1, 2, 3, 10)  # mean 4, n 4
@@ -133,6 +134,10 @@ def test_loglik_support_violations():
         log_likelihood("power-law", {"alpha": 2.0, "x_min": 5}, (1, 2))
     with pytest.raises(FitError):
         log_likelihood("exponential", {"lambda": 1.0}, ())
+    # a negative value is outside the power law's sample support, below
+    # x_min too, as it is for fit_powerlaw
+    with pytest.raises(FitError, match="requires integer values"):
+        log_likelihood("power-law", {"alpha": 2.0, "x_min": 2}, (-1, 2, 3))
 
 
 # --- power law -------------------------------------------------------------
@@ -239,7 +244,7 @@ def test_integer_families_take_integers_no_float_holds():
     fit = fit_poisson((10 ** 17, 10 ** 17 + 1))
     assert fit.params == {"lambda": 1e17}
     for fitter in (fit_poisson, fit_powerlaw):
-        for bad in (2.5, True):
+        for bad in (2.5, True, math.inf, math.nan):
             with pytest.raises(FitError, match="requires integer values"):
                 fitter((2, 3, bad))
 
@@ -257,6 +262,67 @@ def test_other_family_error_cases():
         fit_poisson(())
     with pytest.raises(FitError):
         fit_poisson((1.5, 2.0))
+
+
+# --- parameter domains -----------------------------------------------------
+
+# each family's parameters held in their domains, and a sample at which
+# every parameter value in its domain has a log-likelihood (poisson(0)
+# puts no mass on positive values; x_min up to 1,000 leaves a tail of
+# two distinct values)
+_HELD = {"exponential": {"lambda": 0.5}, "normal": {"mu": 1.0, "sigma": 2.0},
+         "poisson": {"lambda": 1.5}, "power-law": {"alpha": 2.5, "x_min": 1}}
+_SAMPLES = {"exponential": (0, 1, 2, 3), "normal": (0, 1, 2, 3),
+            "poisson": (0, 0), "power-law": tuple(range(1, 1002))}
+_PARAM_NAMES = [(family, name) for family in PARAMS for name in PARAMS[family]]
+_MISSING = object()
+
+
+@pytest.mark.parametrize("x_min", [2.5, math.nan, math.inf, True])
+def test_an_x_min_outside_its_domain_is_a_fit_error(x_min):
+    with pytest.raises(FitError, match="outside its domain"):
+        log_likelihood("power-law", {"alpha": 2.0, "x_min": x_min}, (1, 2, 3))
+    with pytest.raises(FitError, match="outside its domain"):
+        fit_powerlaw((1, 2, 3), x_min=x_min)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, False])
+@pytest.mark.parametrize("family,name", _PARAM_NAMES)
+def test_a_parameter_outside_its_domain_is_a_fit_error(family, name, value):
+    params = {**_HELD[family], name: value}
+    with pytest.raises(FitError, match=f"{family} {name} outside its domain"):
+        log_likelihood(family, params, _SAMPLES[family])
+
+
+def _accepts(call, *args, **kwargs) -> bool:
+    try:
+        call(*args, **kwargs)
+    except ValueError:  # FitError is one
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_PARAM_NAMES), st.one_of(
+    st.integers(-1000, 1000),
+    st.floats(-1000, 1000).filter(lambda v: v == 0 or abs(v) >= 1e-3),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, _MISSING]),
+    st.booleans()))
+@example(("power-law", "x_min"), 2.5)
+@example(("poisson", "lambda"), True)
+@example(("normal", "mu"), math.inf)
+def test_fitting_and_plot_accept_the_same_parameter_values(key, value):
+    family, name = key
+    params = {**_HELD[family], name: value}
+    if value is _MISSING:
+        del params[name]
+    verdicts = {
+        _accepts(log_likelihood, family, params, _SAMPLES[family]),
+        _accepts(render_degree_plot, {0: 0.25, 1: 0.25, 2: 0.5},
+                 [{"family": family, "params": params}])}
+    if name == "x_min" and value is not _MISSING:
+        verdicts.add(_accepts(fit_powerlaw, _SAMPLES[family], x_min=value))
+    assert len(verdicts) == 1
 
 
 # --- result objects --------------------------------------------------------

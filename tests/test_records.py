@@ -1118,7 +1118,9 @@ def test_read_stream_skips_header_and_blank_lines():
     ("\ufeff" + ",".join(CSV_HEADER) + "\nC1,,2014-03-01,0,0\n", "csv"),
     ("\ufeff\nC1,,2014-03-01,0,0\n", "csv"),
     ("\ufeff" + serialize_record(rec("C1", None, T0), "jsonl") + "\n", "jsonl"),
-], ids=["blank-then-header", "csv-bom", "bom-alone", "jsonl-bom"])
+    ("  \ufeffC1,,2014-03-01,1,2\n", "csv"),
+], ids=["blank-then-header", "csv-bom", "bom-alone", "jsonl-bom",
+        "bom-after-blanks"])
 def test_read_stream_skips_a_byte_order_mark_and_a_header_after_blanks(
         text, format):
     seen: list[Diagnostic] = []
