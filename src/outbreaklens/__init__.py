@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 FAMILIES = ("exponential", "normal", "poisson", "power-law")
 RULES = ("min-se", "aic", "max-loglik")

@@ -327,9 +327,6 @@ def cmd_stream(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # The simulator calls no BLAS routine, so numpy's OpenBLAS needs no
-    # worker thread, which would spin beside it; a caller's value is kept.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .sim import SimConfig
 
     if args.input:

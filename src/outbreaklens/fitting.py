@@ -171,7 +171,12 @@ def _exponential_log_likelihood(n: int, lam: float, sum_x: float) -> float:
 
 def _normal_log_likelihood(n: int, sigma: float, ss: float) -> float:
     """ss is the sum of squared deviations from the mean parameter."""
-    return -0.5 * n * _LN_2PI - n * math.log(sigma) - ss / (2.0 * sigma * sigma)
+    two_var = 2.0 * sigma * sigma
+    if two_var >= sys.float_info.min:
+        quad = ss / two_var
+    else:  # 2 sigma^2 lost bits or is 0: divide by each factor in turn
+        quad = ss / (2.0 * sigma) / sigma
+    return -0.5 * n * _LN_2PI - n * math.log(sigma) - quad
 
 
 def _poisson_log_likelihood(ints: Mapping[int, int], lam: float) -> float:

@@ -147,6 +147,8 @@ def render_degree_plot(pmf: Mapping[int, float], fits: Sequence[Mapping], *,
     for _, _, pts in curves:
         y_values.extend(y for _, y in pts)
     y_max = max(y_values) * 1.08
+    if not math.isfinite(y_max):  # a density past float range
+        raise ValueError("a fitted density exceeds the float range")
     if log_scale:
         x0, x1 = math.log10(x_lo), math.log10(x_hi)
         y0, y1 = math.log10(y_floor), math.log10(y_max)

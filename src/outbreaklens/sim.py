@@ -6,19 +6,19 @@ case records with known ground truth: who infected whom, when, where.
 One simulation step is one day. Everything is a deterministic function
 of the config seed; replications derive independent substreams from
 (seed, purpose tag, replication index), so serial and parallel runs of
-the replication loop agree. Random numbers (attachment picks,
-transmission uniforms, jitter normals) are drawn in blocks that hold
-the values, in the order of use, that one scalar draw per use gives,
-so the output is the same as with scalar draws.
+the replication loop agree. Each substream is a ``random.Random``
+seeded with the text "seed:tag" (or "seed:tag:rep"), and every value
+comes from its ``random()``, whose sequence Python keeps for a given
+seed across versions: a pick below ``b`` is ``int(random() * b)``, and
+a jitter pair is one Box-Muller transform of two uniforms.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from datetime import datetime, timedelta
-from typing import Callable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import Mapping, Sequence
 
 from .records import (CaseRecord, GeoPoint, _coordinate, _Frozen, _record,
                       load_json, normalize_timestamp, parse_timestamp)
@@ -34,11 +34,6 @@ _TAG_NETWORK = 1
 _TAG_SPREAD = 2
 _TAG_GEO = 3
 _TAG_CURVE = 4
-
-# Values per block draw: enough to make the per-call cost of a draw
-# negligible. At 200k cases, 512 and 1,024 left peak RSS within 0.5 MiB
-# of scalar draws; 256, 2,048 and 4,096 at times added 6-7 MiB.
-_BLOCK = 1024
 
 _DEFAULT_START = "2014-03-01"
 # the types each number field takes; a bool, though an int, is none
@@ -97,11 +92,10 @@ class SimConfig(_Frozen):
             raise ValueError("p_transmit must lie in [0, 1]")
         if self.n_steps < 0:
             raise ValueError("n_steps must be non-negative")
-        # numpy's normal draws lie within 14 standard deviations, so no
+        # a Box-Muller radius is at most 8.6 standard deviations, so no
         # jitter up to this scale overflows to an infinite coordinate
         if not 0 <= self.jitter_km <= 1e300:
             raise ValueError("jitter_km must lie in [0, 1e300]")
-        # numpy seed sequences take unsigned 64-bit entropy
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "index_cases", tuple(self.index_cases))
@@ -177,36 +171,44 @@ class SyntheticNetwork(_Frozen):
         return tuple(tuple(sorted(ns)) for ns in nbrs)
 
 
+def _stream(*key: int) -> random.Random:
+    """The substream named by ``key``: (seed, tag) or (seed, tag, rep)."""
+    return random.Random(":".join(map(str, key)))
+
+
 def _attachment_edges(topology: str, n: int,
-                      rng: np.random.Generator) -> tuple[tuple[int, int], ...]:
-    """Grow an attachment tree. Preferential attachment picks the target
-    from the repeated-endpoints list, so the pick probability is
-    proportional to current degree; uniform attachment picks any
-    existing node with equal probability."""
+                      rng: random.Random) -> tuple[tuple[int, int], ...]:
+    """Grow an attachment tree, one draw per new node. Preferential
+    attachment picks the target from the repeated-endpoints list, so the
+    pick probability is proportional to current degree; uniform
+    attachment picks any existing node with equal probability."""
+    rand = rng.random
     if topology != "preferential-attachment":
-        return tuple(zip(_picks(rng, n, lambda new: new), range(1, n)))
+        return tuple((int(rand() * new), new) for new in range(1, n))
     edges: list[tuple[int, int]] = []
     endpoints = [0]
-    for new, pick in enumerate(_picks(rng, n, lambda new: 2 * new - 1), 1):
-        target = endpoints[pick]
+    for new in range(1, n):
+        target = endpoints[int(rand() * len(endpoints))]
         edges.append((target, new))
         endpoints += (target, new)
     return tuple(edges)
 
 
-def _picks(rng: np.random.Generator, n: int,
-           bound: Callable[[np.ndarray], np.ndarray]) -> Iterator[int]:
-    """For nodes 1..n-1, a draw below ``bound(node)`` each. The bounds are
-    known up front, so an array draw over a block of nodes gives the
-    values, and leaves the generator state, of one scalar draw per node."""
-    for first in range(1, n, _BLOCK):
-        nodes = np.arange(first, min(first + _BLOCK, n))
-        yield from rng.integers(0, bound(nodes)).tolist()
+def _distinct_nodes(rng: random.Random, n: int, k: int) -> list[int]:
+    """k distinct nodes of 0..n-1 by a partial Fisher-Yates shuffle, one
+    draw each; the dict holds the positions the swaps have moved."""
+    moved: dict[int, int] = {}
+    nodes = []
+    for i in range(k):
+        j = i + int(rng.random() * (n - i))
+        nodes.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return nodes
 
 
 def generate_network(config: SimConfig) -> SyntheticNetwork:
     """Deterministic synthetic contact structure for the config seed."""
-    rng = np.random.default_rng([config.seed, _TAG_NETWORK])
+    rng = _stream(config.seed, _TAG_NETWORK)
     edges = _attachment_edges(config.topology, config.n_population, rng)
     return SyntheticNetwork(config.n_population, edges, config.topology,
                             config.seed)
@@ -251,15 +253,13 @@ def simulate_outbreak(network: SyntheticNetwork,
     if len(config.index_cases) > network.n:
         raise ValueError("more index cases than individuals")
 
-    rng_spread = np.random.default_rng([config.seed, _TAG_SPREAD])
-    rng_geo = np.random.default_rng([config.seed, _TAG_GEO])
+    rng_spread = _stream(config.seed, _TAG_SPREAD)
     adjacency = network.adjacency()
 
-    nodes = rng_spread.choice(network.n, size=len(config.index_cases),
-                              replace=False)
+    nodes = _distinct_nodes(rng_spread, network.n, len(config.index_cases))
     base = min(ic.start for ic in config.index_cases)
     activations: dict[int, list[tuple[int, IndexCase]]] = {}
-    for node, ic in zip((int(v) for v in nodes), config.index_cases):
+    for node, ic in zip(nodes, config.index_cases):
         offset = ic.start - base
         step_idx = -((-offset) // STEP)  # ceil; late starts snap forward
         activations.setdefault(step_idx, []).append((node, ic))
@@ -279,13 +279,8 @@ def simulate_outbreak(network: SyntheticNetwork,
     # again, so skipping it keeps every draw, and the output, as if each
     # infected node were visited.
     frontier: set[int] = set()
-    # Transmission uniforms and jitter normals come a block at a time
-    # into local buffers, each refilled once it is used up; jitter is
-    # read in pairs, and a block holds a whole number of them. Neither
-    # generator is used after the loop, so drawing ahead is safe.
-    uniforms: list[float] = []
-    normals: list[float] = []
-    next_uniform = next_normal = _BLOCK  # each buffer is used up
+    spread = rng_spread.random
+    geo = _stream(config.seed, _TAG_GEO).random
     jitter_km = config.jitter_km
     p = config.p_transmit
     last_arrival = max(activations)
@@ -305,12 +300,7 @@ def simulate_outbreak(network: SyntheticNetwork,
             for nbr in adjacency[node]:
                 if case_of[nbr] is not None or nbr in claimed:
                     continue
-                if next_uniform == _BLOCK:
-                    uniforms = rng_spread.random(_BLOCK).tolist()
-                    next_uniform = 0
-                u = uniforms[next_uniform]
-                next_uniform += 1
-                if u < p:
+                if spread() < p:
                     claimed[nbr] = node
                 else:
                     susceptible_left = True
@@ -318,13 +308,11 @@ def simulate_outbreak(network: SyntheticNetwork,
                 frontier.discard(node)
         frontier.update(arrived, claimed)
         for target, infector in claimed.items():
-            if jitter_km > 0:
-                if next_normal == _BLOCK:
-                    normals = rng_geo.normal(0.0, jitter_km, _BLOCK).tolist()
-                    next_normal = 0
-                dx = normals[next_normal]
-                dy = normals[next_normal + 1]
-                next_normal += 2
+            if jitter_km > 0:  # Box-Muller; 1 - u keeps the log finite
+                radius = jitter_km * math.sqrt(-2.0 * math.log(1.0 - geo()))
+                angle = math.tau * geo()
+                dx = radius * math.cos(angle)
+                dy = radius * math.sin(angle)
             else:
                 dx = dy = 0.0
             source = case_of[infector]
@@ -337,17 +325,20 @@ def simulate_outbreak(network: SyntheticNetwork,
     return tuple(cases)
 
 
-def _geometric_delays(us: np.ndarray, p: float) -> np.ndarray:
+def _geometric_delays(us: Sequence[float], p: float,
+                      never: int) -> list[int]:
     """Per-edge transmission delays via inverse-CDF coupling: the same
     uniforms produce delays that are non-increasing in p, so final sizes
-    are monotone in p within a replication. At p = 0 (no transmission)
-    every delay is the largest int64, longer than any run."""
+    are monotone in p within a replication. A delay is at most
+    ``never``, which stands for every delay longer than the run, and at
+    p = 0 (no transmission) every delay is ``never``."""
     if p == 0.0:
-        return np.full(len(us), np.iinfo(np.int64).max)
+        return [never] * len(us)
     if p == 1.0:
-        return np.ones(len(us), dtype=np.int64)
-    delays = np.ceil(np.log1p(-us) / math.log1p(-p)).astype(np.int64)
-    return np.maximum(delays, 1)
+        return [1] * len(us)
+    log_q = math.log1p(-p)
+    return [max(1, math.ceil(min(math.log1p(-u) / log_q, never)))
+            for u in us]
 
 
 def final_size_curve(topology: str, p_grid: Sequence[float],
@@ -379,17 +370,16 @@ def final_size_curve(topology: str, p_grid: Sequence[float],
 
     per_rep: list[tuple[float, ...]] = []
     for rep in range(replications):
-        rng = np.random.default_rng([seed, _TAG_CURVE, rep])
+        rng = _stream(seed, _TAG_CURVE, rep)
         edges = _attachment_edges(topology, n_population, rng)
-        sources = [int(v) for v in
-                   rng.choice(n_population, size=n_index, replace=False)]
-        us = rng.random(len(edges))
+        sources = _distinct_nodes(rng, n_population, n_index)
+        us = [rng.random() for _ in edges]
         adjacency = SyntheticNetwork(n_population, edges, topology,
                                      seed).adjacency()
 
         fractions = []
         for p in ps:
-            delays = _geometric_delays(us, p)
+            delays = _geometric_delays(us, p, n_steps + 1)
             best = {}
             for src in sources:
                 # tree walk from each source; keep the earliest infection
@@ -405,7 +395,7 @@ def final_size_curve(topology: str, p_grid: Sequence[float],
                         seen.add(nbr)
                         # _attachment_edges makes edge i join node i + 1
                         # to an earlier node
-                        nd = dist + int(delays[max(node, nbr) - 1])
+                        nd = dist + delays[max(node, nbr) - 1]
                         if nd <= n_steps:
                             stack.append((nbr, nd))
             fractions.append(len(best) / n_population)

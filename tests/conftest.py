@@ -11,6 +11,10 @@ from outbreaklens.records import read_stream, validate_stream
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
+# The CSV that simulate writes for fixtures/sim_seed42.json. The fixture's
+# own record file came from 0.1.0's generator and is kept as it is.
+SEED42_CSV_SHA256 = \
+    "82a7d3cbbdbe33850e7289941c5b4619853573c1fa3ce1bff09ca6f46ccecc7b"
 
 
 @pytest.fixture(scope="session")

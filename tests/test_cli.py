@@ -18,7 +18,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import SRC, run_cli_subprocess
+from conftest import SEED42_CSV_SHA256, SRC, run_cli_subprocess
 from outbreaklens.cli import (
     EXIT_EMPTY,
     EXIT_INPUT,
@@ -716,12 +716,12 @@ def test_simulate_seed_override_changes_stream(cli, sim_config_path):
     assert a == c  # the fixture config already says seed 42
 
 
-# Digests of the simulator's stdout, taken before its draws were made in
-# blocks; they pin every coordinate's repr and every timestamp's text.
+# Digests of the simulator's stdout; they pin every coordinate's repr and
+# every timestamp's text.
 SEED42_JSONL_SHA256 = \
-    "3b8c5347414d4159283276f43680a64bc2d76b7cd6b0fcf8dbbad67e57c2810a"
+    "43c7c1680fa86e5fc38c4827d8aa052548b224d42a775468fa6be9f505c7e750"
 SEED42_UNIFORM_CSV_SHA256 = \
-    "3811f191cd7f557a3ac26a9f69e1152370324b051f98974806e6b6e88f10d2df"
+    "e1f522590f4cb0c03be06db5b48a64b14308fedda5388d79eb1323ffb661d5d4"
 
 
 def _simulate_stdout(config_path, *flags) -> bytes:
@@ -734,8 +734,9 @@ def _simulate_stdout(config_path, *flags) -> bytes:
     return proc.stdout
 
 
-def test_simulate_prints_the_fixture_bytes(sim_config_path, outbreak_csv):
-    assert _simulate_stdout(sim_config_path) == outbreak_csv.read_bytes()
+def test_simulate_prints_the_fixture_bytes(sim_config_path):
+    csv_bytes = _simulate_stdout(sim_config_path)
+    assert hashlib.sha256(csv_bytes).hexdigest() == SEED42_CSV_SHA256
 
 
 def test_simulate_output_digests(sim_config_path, tmp_path):
@@ -1018,6 +1019,9 @@ def test_plot_of_a_report_with_a_byte_order_mark(cli, tmp_path):
         {"family": "power-law", "params": {"alpha": 1e12, "x_min": 2}}]}},
         id="power-law-normalizer-underflows"),
     pytest.param({"classification": {"fits": [
+        {"family": "normal", "params": {"mu": 2.0, "sigma": 1e-310}}]}},
+        id="density-past-float-range"),
+    pytest.param({"classification": {"fits": [
         {"family": "poisson", "params": {"lambda": "2"}}]}},
         id="param-not-a-number"),
     pytest.param({"classification": {"fits": [
@@ -1202,23 +1206,23 @@ def test_benchmark_trace_hooks_all_resolve():
     assert proc.stdout.strip() == "[]"
 
 
-def test_only_simulate_imports_numpy(outbreak_csv, tmp_path):
-    # numpy's import is most of the start-up of a command; the analysis
-    # commands never need it
+def test_no_command_imports_numpy(outbreak_csv, tmp_path):
+    # numpy's import would be most of the start-up of a command, and the
+    # simulator draws from the standard library's generator
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     script = f"""
 import sys
 from outbreaklens import cli
 assert cli.main(["--version"]) == 0
-for command in (["analyze"], ["analyze", "--window", "cumulative:1d"],
-                ["stream"], ["plot", "--log-log"]):
-    argv = command + ["--input", {str(outbreak_csv)!r},
-                      "--output", {str(tmp_path / "out")!r}]
+records = ["--input", {str(outbreak_csv)!r}]
+for command in (["analyze", *records],
+                ["analyze", "--window", "cumulative:1d", *records],
+                ["stream", *records], ["plot", "--log-log", *records],
+                ["simulate"]):
+    argv = command + ["--output", {str(tmp_path / "out")!r}]
     assert cli.main(argv) == 0, argv
 assert "numpy" not in sys.modules
-assert cli.main(["simulate", "--output", {str(tmp_path / "sim.csv")!r}]) == 0
-assert "numpy" in sys.modules
 """
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
@@ -1234,6 +1238,7 @@ def test_no_command_imports_pathlib_or_importlib_resources(outbreak_csv,
 import sys
 from outbreaklens import cli
 assert cli.main(["--version"]) == 0
+assert cli.main(["simulate", "--output", {str(tmp_path / "sim.csv")!r}]) == 0
 for command in (["analyze"], ["stream"], ["plot", "--log-log"]):
     argv = command + ["--input", {str(outbreak_csv)!r},
                       "--output", {str(tmp_path / "out")!r}]
@@ -1247,8 +1252,8 @@ assert not loaded, loaded
 
 
 def test_no_module_of_the_package_imports_pathlib_or_importlib_resources():
-    # the runtime check above cannot run simulate, since -S leaves numpy
-    # off the path; this one covers every module
+    # the runtime check above runs each command on one input; this one
+    # covers every module
     for path in sorted((SRC / "outbreaklens").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -1290,26 +1295,24 @@ _ANALYSIS = _PACKAGE | {"outbreaklens.records", "outbreaklens.graph",
                         "outbreaklens.engine"}
 
 
-@pytest.mark.parametrize("command,loaded,inspect", [
-    (["--version"], _PACKAGE, False),
+@pytest.mark.parametrize("command,loaded", [
+    (["--version"], _PACKAGE),
     (["plot", "--log-log", "--input", "{report}"],
-     _PACKAGE | {"outbreaklens.plot", "outbreaklens.zeta"}, False),
-    (["plot", "--input", "{records}"], _ANALYSIS | {"outbreaklens.plot"},
-     False),
-    # numpy imports inspect itself
-    (["simulate"], _PACKAGE | {"outbreaklens.sim", "outbreaklens.records"},
-     True),
-    (["analyze", "--input", "{records}"], _ANALYSIS, False),
+     _PACKAGE | {"outbreaklens.plot", "outbreaklens.zeta"}),
+    (["plot", "--input", "{records}"], _ANALYSIS | {"outbreaklens.plot"}),
+    (["simulate"], _PACKAGE | {"outbreaklens.sim", "outbreaklens.records"}),
+    (["analyze", "--input", "{records}"], _ANALYSIS),
     (["analyze", "--window", "cumulative:1d", "--input", "{records}"],
-     _ANALYSIS, False),
-    (["stream", "--input", "{records}"], _ANALYSIS, False),
+     _ANALYSIS),
+    (["stream", "--input", "{records}"], _ANALYSIS),
 ], ids=["version", "plot-report", "plot-records", "simulate", "analyze-all",
         "analyze-windowed", "stream"])
 def test_each_command_loads_only_the_modules_it_runs(
-        cli, outbreak_csv, tmp_path, command, loaded, inspect):
+        cli, outbreak_csv, tmp_path, command, loaded):
     # every module a command imports is compiled at each start-up when no
     # bytecode is written, so each command imports only what it runs; the
-    # value types build without dataclasses, which loads inspect and ast
+    # value types build without dataclasses, which loads inspect and ast,
+    # and no command loads inspect
     report = tmp_path / "report.json"
     cli("analyze", "--input", str(outbreak_csv), "--output", str(report))
     argv = [arg.format(report=report, records=outbreak_csv) for arg in command]
@@ -1331,7 +1334,7 @@ print(json.dumps([sorted(m for m in sys.modules if m.startswith("outbreaklens"))
         proc.stdout.splitlines()[-1])
     assert set(modules) == loaded
     assert not has_dataclasses
-    assert has_inspect == inspect
+    assert not has_inspect
 
 
 def test_traced_commands_record_their_spans(outbreak_csv, tmp_path):

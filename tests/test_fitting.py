@@ -240,6 +240,25 @@ def test_powerlaw_log_likelihood_where_zeta_underflows_is_a_fit_error():
                        (7 * 10 ** 16, 7 * 10 ** 16 + 16))
 
 
+@pytest.mark.parametrize("sigma", [1e-200, 1e-155, 5e-324])
+def test_a_normal_log_likelihood_where_two_sigma_squared_underflows(sigma):
+    # 2 sigma^2 is below the least normal float: a sample off the mean
+    # lies past float range, and one on it has no quadratic term
+    params = {"mu": 0.0, "sigma": sigma}
+    assert log_likelihood("normal", params, (0, 1)) == -math.inf
+    assert log_likelihood("normal", params, (0, 0)) == \
+        -math.log(2.0 * math.pi) - 2.0 * math.log(sigma)
+
+
+@pytest.mark.parametrize("sigma", [1e-150, 0.3, 7.0])
+def test_a_normal_log_likelihood_divides_by_two_sigma_squared(sigma):
+    # every sigma whose 2 sigma^2 is a normal float keeps the bits it had
+    params = {"mu": 0.0, "sigma": sigma}
+    assert log_likelihood("normal", params, (0, 1)) == (
+        -math.log(2.0 * math.pi) - 2.0 * math.log(sigma)
+        - 1.0 / (2.0 * sigma * sigma))
+
+
 def test_integer_families_take_integers_no_float_holds():
     fit = fit_poisson((10 ** 17, 10 ** 17 + 1))
     assert fit.params == {"lambda": 1e17}

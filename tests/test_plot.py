@@ -172,6 +172,18 @@ def test_curves_stay_inside_the_frame():
             assert top - 1 <= y <= bottom + 1
 
 
+@pytest.mark.parametrize("log_scale", [False, True])
+def test_a_density_past_float_range_is_not_drawn(log_scale):
+    # 1 / (sigma sqrt(2 pi)) overflows at the mean, so no y scale is finite
+    fits = [{"family": "normal", "params": {"mu": 1.0, "sigma": 1e-310}}]
+    with pytest.raises(ValueError, match="float range"):
+        render_degree_plot({0: 0.5, 1: 0.5}, fits, log_scale=log_scale)
+    # just above where it overflows, every coordinate is finite
+    fits[0]["params"]["sigma"] = 3e-308
+    svg = render_degree_plot({0: 0.5, 1: 0.5}, fits, log_scale=log_scale)
+    assert "nan" not in svg and "inf" not in svg
+
+
 def test_report_style_fit_mappings_accepted():
     fits = [{"family": "exponential", "params": {"lambda": 0.5}}]
     svg = render_degree_plot(PMF, fits)

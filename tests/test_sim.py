@@ -1,23 +1,26 @@
 """Synthetic networks, the outbreak process, and final-size studies."""
 
 import csv
+import hashlib
 import io
 import json
 import math
+import random
 import time
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import SEED42_CSV_SHA256
 from outbreaklens.graph import build_graph
 from outbreaklens.records import (CSV_HEADER, CaseRecord, GeoPoint,
-                                  format_timestamp)
+                                  format_timestamp, write_stream)
 from outbreaklens.sim import (
     STEP,
+    _KM_PER_DEG_LAT,
     _TAG_CURVE,
     _TAG_GEO,
     _TAG_SPREAD,
@@ -149,19 +152,19 @@ def test_network_generation_is_deterministic():
 
 
 def _scalar_attachment_edges(topology, n, rng):
-    """_attachment_edges as it was before its draws were made in one
-    array: one scalar draw per new node."""
+    """_attachment_edges written out plainly: a pick below b is
+    int(random() * b), one per new node."""
     edges = []
     if topology == "preferential-attachment":
         endpoints = [0]
         for new in range(1, n):
-            target = endpoints[int(rng.integers(0, len(endpoints)))]
+            target = endpoints[int(rng.random() * len(endpoints))]
             edges.append((target, new))
             endpoints.append(target)
             endpoints.append(new)
     else:
         for new in range(1, n):
-            target = int(rng.integers(0, new))
+            target = int(rng.random() * new)
             edges.append((target, new))
     return tuple(edges)
 
@@ -172,12 +175,64 @@ def _scalar_attachment_edges(topology, n, rng):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_attachment_edges_draw_as_one_scalar_per_node(topology, n, seed):
     # final_size_curve draws on from the same generator, so its state
-    # after the tree must be as after one scalar draw per node
-    batched = np.random.default_rng([seed, _TAG_CURVE])
-    scalar = np.random.default_rng([seed, _TAG_CURVE])
-    assert (_attachment_edges(topology, n, batched)
-            == _scalar_attachment_edges(topology, n, scalar))
-    assert batched.bit_generator.state == scalar.bit_generator.state
+    # after the tree must be as after one random() per node
+    rng = random.Random(f"{seed}:{_TAG_CURVE}")
+    assert (_attachment_edges(topology, n, rng) == _scalar_attachment_edges(
+        topology, n, random.Random(f"{seed}:{_TAG_CURVE}")))
+    counted = random.Random(f"{seed}:{_TAG_CURVE}")
+    for _ in range(n - 1):
+        counted.random()
+    assert rng.getstate() == counted.getstate()
+
+
+# the largest value random() returns
+_TOP = 1.0 - 2.0 ** -53
+
+
+@pytest.mark.parametrize("u", [0.0, _TOP])
+def test_every_pick_stays_below_its_bound(monkeypatch, u):
+    # int(random() * b) < b for every b up to 2**53, so neither an
+    # attachment pick nor an index-case pick can reach its bound
+    monkeypatch.setattr(random.Random, "random", lambda self: u)
+    for topology in ("preferential-attachment", "uniform-attachment"):
+        net = generate_network(config(topology=topology, n_population=300))
+        assert all(target < new for target, new in net.edges)
+        assert len(set(net.edges)) == 299
+    index_cases = tuple(IndexCase(GeoPoint(0.0, 0.0), T0) for _ in range(40))
+    cfg = config(n_population=40, p_transmit=0.0, index_cases=index_cases)
+    records = simulate_outbreak(STAR, cfg)
+    assert len(records) == 40  # 40 distinct nodes, each below 3001
+    _, (row,) = final_size_curve("preferential-attachment", [0.5], 1, 0,
+                                 n_population=40, n_index=40, detail=True)
+    assert row == (1.0,)
+
+
+@pytest.mark.parametrize("draws", [[0.0], [_TOP], [0.0, _TOP], [_TOP, 0.0]])
+def test_the_largest_jitter_gives_finite_coordinates(monkeypatch, draws):
+    # the Box-Muller radius is at most sqrt(-2 ln 2**-53) < 8.6 standard
+    # deviations, so 8.6e300 km at most: the latitude stops at a pole and
+    # the longitude wraps
+    cycle = iter(draws * 10_000)
+    monkeypatch.setattr(random.Random, "random", lambda self: next(cycle))
+    cfg = config(n_population=30, p_transmit=1.0, n_steps=30,
+                 jitter_km=1e300)
+    records = simulate_outbreak(generate_network(cfg), cfg)
+    assert len(records) == 30
+    for record in records:
+        assert math.isfinite(record.location.longitude)
+        assert math.isfinite(record.location.latitude)
+
+
+def test_the_box_muller_radius_is_at_most_8_6_deviations(monkeypatch):
+    # with every uniform at its largest, a child of a case on the equator
+    # lies 8.57 jitter scales east of it (the angle is a hair below 2 pi)
+    assert math.sqrt(-2.0 * math.log(1.0 - _TOP)) < 8.6
+    monkeypatch.setattr(random.Random, "random", lambda self: _TOP)
+    cfg = config(n_population=2, p_transmit=1.0, n_steps=1, jitter_km=1.0)
+    origin, child = simulate_outbreak(generate_network(cfg), cfg)
+    east_km = (child.location.longitude - origin.location.longitude) \
+        * _KM_PER_DEG_LAT
+    assert 8.5 < east_km < 8.6
 
 
 def test_preferential_attachment_grows_hubs():
@@ -255,16 +310,32 @@ def test_zero_jitter_children_sit_on_their_infector():
     assert {r.location for r in recs} == {GeoPoint(-10.0, 8.0)}
 
 
-def test_simultaneous_infectors_resolve_to_one_source():
+def _index_nodes(cfg, n, rng=None):
+    """The nodes the config's index cases land on in an n-node network,
+    by a partial Fisher-Yates shuffle of a list, one draw each from rng
+    (a new spread substream by default)."""
+    rng = rng or random.Random(f"{cfg.seed}:{_TAG_SPREAD}")
+    order = list(range(n))
+    for i in range(len(cfg.index_cases)):
+        j = i + int(rng.random() * (n - i))
+        order[i], order[j] = order[j], order[i]
+    return order[:len(cfg.index_cases)]
+
+
+@pytest.mark.parametrize("seed,nodes", [(0, [1, 0]), (1, [0, 1])])
+def test_simultaneous_infectors_resolve_to_one_source(seed, nodes):
     # nodes 0 and 1 are both one hop from node 2; the claim scan runs in
-    # ascending node order, so node 0's record is the recorded source
+    # ascending node order, so the index case on node 0 is the recorded
+    # source, whichever of the two it is
     cfg = SimConfig(n_population=3, p_transmit=1.0, n_steps=2, jitter_km=0.0,
-                    seed=5, index_cases=(IndexCase(GeoPoint(0.0, 0.0), T0),
-                                         IndexCase(GeoPoint(10.0, 10.0), T0)))
+                    seed=seed, index_cases=(IndexCase(GeoPoint(0.0, 0.0), T0),
+                                            IndexCase(GeoPoint(10.0, 10.0), T0)))
+    assert _index_nodes(cfg, 3) == nodes
     recs = simulate_outbreak(TWO_PARENTS, cfg)
+    on_zero = nodes.index(0)
     assert len(recs) == 3
-    assert [r.source_id for r in recs] == [None, None, "C000002"]
-    assert recs[2].location == GeoPoint(10.0, 10.0)
+    assert [r.source_id for r in recs] == [None, None, f"C00000{on_zero + 1}"]
+    assert recs[2].location == cfg.index_cases[on_zero].location
 
 
 def test_staggered_index_cases_activate_on_their_day():
@@ -301,17 +372,16 @@ def test_simulate_stops_once_the_outbreak_is_over(cli, tmp_path):
 
 def _visit_every_infected_node(network, cfg):
     """simulate_outbreak as it was before the frontier: every step visits
-    every infected node, in ascending id order. It draws one scalar per
-    transmission and one pair per jitter, so it also guards the
-    simulator's block draws."""
-    rng_spread = np.random.default_rng([cfg.seed, _TAG_SPREAD])
-    rng_geo = np.random.default_rng([cfg.seed, _TAG_GEO])
+    every infected node, in ascending id order. It draws the index cases'
+    nodes by _index_nodes, one uniform per transmission and one
+    Box-Muller pair per jitter."""
+    rng_spread = random.Random(f"{cfg.seed}:{_TAG_SPREAD}")
+    rng_geo = random.Random(f"{cfg.seed}:{_TAG_GEO}")
     adjacency = network.adjacency()
-    nodes = rng_spread.choice(network.n, size=len(cfg.index_cases),
-                              replace=False)
+    nodes = _index_nodes(cfg, network.n, rng_spread)
     base = min(ic.start for ic in cfg.index_cases)
     activations = {}
-    for node, ic in zip((int(v) for v in nodes), cfg.index_cases):
+    for node, ic in zip(nodes, cfg.index_cases):
         activations.setdefault(-((base - ic.start) // STEP), []).append((node, ic))
     records, infected_at, locations, ids = [], {}, {}, {}
 
@@ -342,11 +412,14 @@ def _visit_every_infected_node(network, cfg):
         for target, infector in claimed.items():
             infected_at[target] = step_idx
             if cfg.jitter_km > 0:
-                dx, dy = rng_geo.normal(0.0, cfg.jitter_km, size=2)
+                u1, u2 = rng_geo.random(), rng_geo.random()
+                radius = cfg.jitter_km * math.sqrt(-2.0 * math.log(1.0 - u1))
+                dx = radius * math.cos(2.0 * math.pi * u2)
+                dy = radius * math.sin(2.0 * math.pi * u2)
             else:
                 dx = dy = 0.0
             emit(target, infector, instant,
-                 _jittered(locations[infector], float(dx), float(dy)))
+                 _jittered(locations[infector], dx, dy))
     return tuple(records)
 
 
@@ -354,7 +427,7 @@ STAGGERED = (IndexCase(GeoPoint(-10.0, 8.0), T0),
              IndexCase(GeoPoint(-11.0, 7.0), T0 + timedelta(days=4)),
              IndexCase(GeoPoint(-9.0, 9.0), T0 + timedelta(days=9, hours=6)))
 # One hub and 3,000 leaves: the step in which the hub transmits draws
-# about 3,000 uniforms and 1,500 jitter pairs, so it crosses blocks of both.
+# about 3,000 uniforms and 1,500 jitter pairs.
 STAR = SyntheticNetwork(3001, tuple((0, leaf) for leaf in range(1, 3001)),
                         "preferential-attachment", 0)
 # Every two nodes share neighbours: two index cases of one day border the
@@ -377,7 +450,7 @@ COMPLETE = SyntheticNetwork(8, tuple((a, b) for b in range(8) for a in range(b))
          index_cases=(IndexCase(GeoPoint(-10.0, 8.0), T0),
                       IndexCase(GeoPoint(-11.0, 7.0), T0))),
 ], ids=["p0.3", "p1", "staggered", "no-jitter", "p1-staggered-no-jitter",
-        "blocks-in-one-step", "claimed-by-another-index-case"])
+        "many-in-one-step", "claimed-by-another-index-case"])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_frontier_visits_give_the_records_of_visiting_every_node(topology, kw,
                                                                  seed):
@@ -399,27 +472,38 @@ def test_frontier_visits_give_the_records_of_visiting_every_node(topology, kw,
 
 def test_an_index_case_due_after_the_outbreak_died_out_still_arrives():
     # two components: the first outbreak is over by day 2, and an index
-    # case placed in the other component still arrives on day 5
+    # case placed in the other component still arrives on day 5; one
+    # placed in the first component finds its node infected
     network = SyntheticNetwork(4, ((0, 1), (2, 3)), "uniform-attachment", 0)
     index_cases = (IndexCase(GeoPoint(0.0, 0.0), T0),
                    IndexCase(GeoPoint(5.0, 5.0), T0 + timedelta(days=5)))
-    sizes = set()
+    apart = set()
     for seed in range(8):
         cfg = SimConfig(n_population=4, p_transmit=1.0, n_steps=10,
                         jitter_km=0.0, seed=seed, index_cases=index_cases)
+        first, second = _index_nodes(cfg, 4)
+        apart.add(first // 2 != second // 2)
         records = simulate_outbreak(network, cfg)
         assert records == _visit_every_infected_node(network, cfg)
-        sizes.add(len(records))
-    assert sizes == {2, 4}
+        if first // 2 != second // 2:
+            assert [(r.source_id, r.timestamp) for r in records[2:]] == [
+                (None, T0 + timedelta(days=5)),
+                ("C000003", T0 + timedelta(days=6))]
+        else:
+            assert len(records) == 2
+    assert apart == {True, False}
 
 
-def test_fixture_regenerates_exactly(outbreak_csv, sim_config_path):
+def test_fixture_regenerates_exactly(sim_config_path):
+    # the pinned CSV of the fixture config; the fixture's record file,
+    # which the acceptance criteria read, came from 0.1.0's generator
     cfg = SimConfig.from_json(sim_config_path.read_text(encoding="utf-8"))
     recs = simulate_outbreak(generate_network(cfg), cfg)
     assert len(recs) == 1000
-    from outbreaklens.records import read_stream
-    on_disk = list(read_stream(outbreak_csv))
-    assert list(recs) == on_disk
+    buf = io.StringIO()
+    write_stream(recs, buf, "csv")
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == SEED42_CSV_SHA256
 
 
 def _written_by_csv_writer(records):
@@ -511,6 +595,15 @@ def test_final_size_boundaries():
     assert means[1.0] == 1.0
 
 
+@pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-20])
+def test_final_size_at_a_vanishing_p_is_the_index_case_alone(p):
+    # each delay is about 1/p days, past any run; one far past the
+    # largest int64 once wrapped around to a one-day delay
+    means = final_size_curve("uniform-attachment", [p], replications=3,
+                             seed=0, n_population=50, n_steps=10)
+    assert means == ((p, 1.0 / 50.0),)
+
+
 def test_final_size_monotone_within_each_replication():
     grid = [0.0, 0.1, 0.3, 0.7, 1.0]
     _, per_rep = final_size_curve("uniform-attachment", grid, replications=12,
@@ -521,9 +614,9 @@ def test_final_size_monotone_within_each_replication():
 
 @pytest.mark.parametrize("topology,counts", [
     ("preferential-attachment",
-     [(3, 12, 106), (3, 50, 162), (3, 46, 152), (3, 51, 155)]),
+     [(3, 18, 139), (3, 37, 122), (3, 9, 124), (3, 22, 103)]),
     ("uniform-attachment",
-     [(3, 15, 55), (3, 14, 32), (3, 29, 81), (3, 16, 94)]),
+     [(3, 7, 46), (3, 18, 84), (3, 10, 69), (3, 13, 47)]),
 ])
 def test_final_size_with_several_index_cases(topology, counts):
     # infected counts of 200 per replication; at p = 0 only the three
