@@ -184,8 +184,20 @@ def _poisson_log_likelihood(ints: Mapping[int, int], lam: float) -> float:
         if any(ints):
             raise FitError("poisson(0) puts no mass on positive values")
         return 0.0
-    return _sum_over(
-        ints, lambda x: x * math.log(lam) - lam - math.lgamma(x + 1))
+    return _sum_over(ints, lambda x: x * math.log(lam) - lam - math.lgamma(x + 1)
+                     if x < 2 ** 16 else _stirling_log_pmf(x, lam))
+
+
+def _stirling_log_pmf(x: int, lam: float) -> float:
+    """The Poisson log-pmf from x = 2^16 on, past a 12k-case outbreak's
+    degrees (under 130), where x ln(lam) - lam - ln x! cancels (to 0 at
+    x = lam = 1e17): Stirling's ln x! and Loader's (2000) deviance D."""
+    num, den = lam.as_integer_ratio()
+    d = (x * den - num) / den  # x - lam, rounded once
+    v = d / (x + lam)  # D = x ln(x/lam) - d = d v + 2x (v^3/3 + v^5/5 + ...)
+    dev = (x * math.log(x / lam) - d if abs(v) >= 0.1 else
+           d * v + 2.0 * x * math.fsum(v ** j / j for j in range(3, 33, 2)))
+    return -dev - 0.5 * math.log(2.0 * math.pi * x) - 1.0 / (12.0 * x)
 
 
 def _powerlaw_log_likelihood(tail: Mapping[int, int], alpha: float,
@@ -289,9 +301,10 @@ def _powerlaw_start(mean_log: float, x_min: int) -> tuple[float, float, float, f
 
 
 @lru_cache(maxsize=1024)
-def _powerlaw_alpha(mean_log: float, x_min: int) -> float:
+def _powerlaw_alpha(mean_log: float, x_min: int) -> tuple[float, float, float, float]:
     """Maximize l(alpha) = -n*alpha*mean_log - n*ln zeta(alpha, x_min)
-    on [ALPHA_MIN, ALPHA_MAX] by safeguarded Newton on the score.
+    on [ALPHA_MIN, ALPHA_MAX] by safeguarded Newton on the score; return
+    alpha with zeta, zeta' and zeta'' at it.
 
     The score per point is g = -mean_log - z'/z, where -z'/z is the mean
     of ln X under the fitted law; its derivative is minus the variance
@@ -311,40 +324,37 @@ def _powerlaw_alpha(mean_log: float, x_min: int) -> float:
         g = -mean_log - m1
         if g > 0.0:
             if alpha >= ALPHA_MAX:
-                return ALPHA_MAX
+                return alpha, z, z1, z2
             lo = alpha
         else:
             hi = alpha
         step = g / (z2 / z - m1 * m1)
         new = alpha + step
         if abs(step) <= ALPHA_TOL and lo <= new <= hi:
-            return new
+            return (new, *_zeta_terms(new, x_min))
         if not lo < new < hi:
             if new >= hi == ALPHA_MAX and not capped:
                 new, capped = ALPHA_MAX, True
             else:
                 new = 0.5 * (lo + hi)
             if hi - lo <= ALPHA_TOL:
-                return new
+                return (new, *_zeta_terms(new, x_min))
         alpha = new
         z, z1, z2 = _zeta_terms(alpha, x_min)
-    return alpha
+    return alpha, z, z1, z2
 
 
 def _ks_distance(tail: list[tuple[int, int]], n_tail: int, alpha: float,
-                 x_min: int, stop: float = math.inf,
-                 gap: Callable[[float], float] = abs,
-                 z: float | None = None) -> float:
+                 x_min: int, z: float, stop: float = math.inf,
+                 gap: Callable[[float], float] = abs) -> float:
     """Max |empirical - fitted| tail CDF over the observed tail values
     ``tail`` ((value, count), ascending). The fitted CDF at v is the
-    running sum of k^-alpha over x_min <= k <= v, over z = zeta(alpha,
-    x_min); a long gap between observed values is crossed with
-    z - zeta(alpha, v + 1) instead. Once the distance reaches ``stop``
-    the scan ends and returns a value >= ``stop``. ``gap`` maps
+    running sum of k^-alpha over x_min <= k <= v, over the solver's
+    z = zeta(alpha, x_min); only a long gap between observed values takes
+    a zeta, crossed with z - zeta(alpha, v + 1). Once the distance reaches
+    ``stop`` the scan ends and returns a value >= ``stop``. ``gap`` maps
     empirical minus fitted to the distance: abs, or operator.pos or
     operator.neg for one side of it."""
-    if z is None:
-        z = hurwitz_zeta(alpha, float(x_min))
     power = -alpha
     head = 0.0  # sum of k^-alpha over x_min <= k < nxt
     nxt = x_min
@@ -395,7 +405,7 @@ def _can_win(tail: list[tuple[int, int]], n_tail: int, mean_log: float,
     stop = (best + (len(tail) + 1) * _SKIP_ROUNDING
             + ALPHA_TOL * math.sqrt(abs(z2 / z - m1 * m1)))
     side = operator.neg if -mean_log - m1 > 0.0 else operator.pos
-    return _ks_distance(tail, n_tail, alpha0, x_min, stop, side, z) < stop
+    return _ks_distance(tail, n_tail, alpha0, x_min, z, stop, side) < stop
 
 
 def fit_powerlaw(sample: SampleLike, x_min: int | None = None) -> FitResult:
@@ -412,8 +422,8 @@ def fit_powerlaw(sample: SampleLike, x_min: int | None = None) -> FitResult:
     solved candidate's KS scan stops once it can no longer win.
 
     SE(alpha) comes from the observed Fisher information
-    n * (z''/z - (z'/z)^2) evaluated at the estimate; the scanned tail
-    start carries no standard error.
+    n * (z''/z - (z'/z)^2), with the zeta terms the solver returned at
+    the estimate; the scanned tail start carries no standard error.
     """
     hist = _histogram(sample)
     if not hist:
@@ -442,11 +452,11 @@ def fit_powerlaw(sample: SampleLike, x_min: int | None = None) -> FitResult:
         if values[i:] == [x_min]:
             raise FitError("degenerate tail: all values equal x_min, "
                            "likelihood increases without bound")
-        alpha = _powerlaw_alpha(sum_logs[i] / n_tail, x_min)
+        alpha, z, z1, z2 = _powerlaw_alpha(sum_logs[i] / n_tail, x_min)
     else:
         # a candidate needs two distinct tail values, else the tail is
         # degenerate; larger candidates only shrink the tail further
-        best: tuple[float, int, float] | None = None  # (ks, index, alpha)
+        best = None  # (ks, index, the solver's alpha, z, z1 and z2)
         for i in range(len(values) - 1):
             x_c, n_c, tail_c = values[i], n_tails[i], tail[i:]
             mean_log = sum_logs[i] / n_c
@@ -454,19 +464,18 @@ def fit_powerlaw(sample: SampleLike, x_min: int | None = None) -> FitResult:
                 if best is not None and not _can_win(tail_c, n_c, mean_log,
                                                      x_c, best[0]):
                     continue
-                alpha_c = _powerlaw_alpha(mean_log, x_c)
+                solved = _powerlaw_alpha(mean_log, x_c)
             except FitError:  # zeta underflows at this tail start
                 continue
-            ks_c = _ks_distance(tail_c, n_c, alpha_c, x_c,
+            ks_c = _ks_distance(tail_c, n_c, solved[0], x_c, solved[1],
                                 math.inf if best is None else best[0])
             if best is None or ks_c < best[0]:
-                best = (ks_c, i, alpha_c)
+                best = (ks_c, i, solved)
         if best is None:
             raise FitError("no x_min candidate leaves a fittable tail")
-        _, i, alpha = best
+        _, i, (alpha, z, z1, z2) = best
         x_min, n_tail = values[i], n_tails[i]
 
-    z, z1, z2 = _zeta_terms(alpha, x_min)
     info = z2 / z - (z1 / z) ** 2  # variance of ln X under the fitted law
     se = 1.0 / math.sqrt(n_tail * info)
     return FitResult("power-law", {"x_min": x_min, "alpha": alpha},

@@ -38,7 +38,7 @@ _TAIL_NEGLIGIBLE = 2.0 ** -60
 _MIN_NORMAL = sys.float_info.min
 
 
-def _zeta_core(s: float, a: float, order: int) -> tuple[float, float, float]:
+def _zeta_core(s: float, a: float) -> tuple[float, float, float]:
     """zeta(s, a) and its first/second s-derivatives by head summation
     plus an Euler-Maclaurin tail starting at x = a + N.
 
@@ -47,9 +47,9 @@ def _zeta_core(s: float, a: float, order: int) -> tuple[float, float, float]:
     Bernoulli corrections c_m * P_m(s) * x^-(s+2m-1) with
     P_m(s) = prod(s+i, i=0..2m-2). Each correction is the last one times
     (s+2m-1)(s+2m)/x^2, so the tail takes one power, and its derivative
-    factors are running sums of 1/(s+i) and 1/(s+i)^2. The value alone
-    (order 0) adds the same corrections to the same running sum, so it
-    equals the value of order 2 bit for bit.
+    factors are running sums of 1/(s+i) and 1/(s+i)^2. The one path
+    serves the value alone too (hurwitz_zeta), so a value and the first
+    of a derivative triple are the same float.
 
     Near the bottom of the float range x^-s can be subnormal, or 0
     (s = 17, a = 9e18), while zeta is not. The integral term x * x^-s
@@ -69,23 +69,19 @@ def _zeta_core(s: float, a: float, order: int) -> tuple[float, float, float]:
     head_terms = max(0, math.ceil(target - a))
 
     h0 = h1 = h2 = 0.0
-    if order == 0 and head_terms <= _LONG_HEAD:
-        for k in range(head_terms):
-            h0 += (a + k) ** (-s)
-    else:
-        long_head = head_terms > _LONG_HEAD
-        for k in range(head_terms):
-            base = a + k
-            term = base ** (-s)
-            lnb = math.log(base)
-            if long_head:  # the term and the integral past it bound the rest
-                rest = term * (1.0 + base / (s - 1.0))
-                if (rest <= _NEGLIGIBLE * h0 and abs(lnb) * rest <= _NEGLIGIBLE * abs(h1)
-                        and lnb * lnb * rest <= _NEGLIGIBLE * h2):
-                    return h0, -h1, h2  # and so is the Euler-Maclaurin tail
-            h0 += term
-            h1 += lnb * term
-            h2 += lnb * lnb * term
+    long_head = head_terms > _LONG_HEAD
+    for k in range(head_terms):
+        base = a + k
+        term = base ** (-s)
+        lnb = math.log(base)
+        if long_head:  # the term and the integral past it bound the rest
+            rest = term * (1.0 + base / (s - 1.0))
+            if (rest <= _NEGLIGIBLE * h0 and abs(lnb) * rest <= _NEGLIGIBLE * abs(h1)
+                    and lnb * lnb * rest <= _NEGLIGIBLE * h2):
+                return h0, -h1, h2  # and so is the Euler-Maclaurin tail
+        h0 += term
+        h1 += lnb * term
+        h2 += lnb * lnb * term
 
     x = a + head_terms
     xs = x ** (-s)
@@ -98,15 +94,6 @@ def _zeta_core(s: float, a: float, order: int) -> tuple[float, float, float]:
     z0 = h0 + x1s * g + 0.5 * xs
     r = 1.0 / (x * x)
     w = s * xs / x   # P_1(s) * x^-(s+1)
-    if order == 0:
-        for c, i in _EM_STEPS:
-            t = c * w
-            z0 += t
-            if abs(t) <= _TAIL_NEGLIGIBLE * z0:
-                break
-            w *= (s + i) * (s + (i + 1)) * r
-        return z0, 0.0, 0.0
-
     u = math.log(x)
     z1 = -h1 - x1s * (u * g + g * g) - 0.5 * u * xs
     z2 = h2 + x1s * (u * u * g + 2.0 * u * g * g + 2.0 * g ** 3) \
@@ -132,9 +119,9 @@ def _zeta_core(s: float, a: float, order: int) -> tuple[float, float, float]:
 
 def hurwitz_zeta(s: float, a: float = 1.0) -> float:
     """zeta(s, a) = sum_{k>=0} (a+k)^(-s), for s > 1."""
-    return _zeta_core(s, a, order=0)[0]
+    return _zeta_core(s, a)[0]
 
 
 def hurwitz_zeta_derivatives(s: float, a: float = 1.0) -> tuple[float, float, float]:
     """(zeta, d zeta/ds, d^2 zeta/ds^2) at (s, a), for s > 1."""
-    return _zeta_core(s, a, order=2)
+    return _zeta_core(s, a)

@@ -268,6 +268,22 @@ def test_integer_families_take_integers_no_float_holds():
                 fitter((2, 3, bad))
 
 
+@pytest.mark.parametrize("sample", [
+    (10 ** 17, 10 ** 17 + 1),               # x ln(lam) - lam - ln x! gave 0.0
+    (2 ** 16, 2 ** 16 + 7, 2 ** 16 + 500),  # from the switch on
+    (0, 3, 2 ** 40),                        # far from the rate
+    (10 ** 250, 3 * 10 ** 250),
+    (2 ** 60 + 1, 2 ** 60 + 10 ** 9, 2 ** 60 - 10 ** 9),
+])
+def test_poisson_log_likelihood_of_large_values_matches_mpmath(sample):
+    fit = fit_poisson(sample)
+    with mpmath.workdps(60):
+        lam = mpmath.mpf(fit.params["lambda"])
+        expected = mpmath.fsum(x * mpmath.log(lam) - lam - mpmath.loggamma(x + 1)
+                               for x in sample)
+    assert math.isclose(fit.log_likelihood, float(expected), rel_tol=1e-13)
+
+
 def test_other_family_error_cases():
     with pytest.raises(FitError):
         fit_exponential((3.0,))
@@ -544,7 +560,9 @@ def test_ks_distance_equals_per_value_zeta_cdf(counts, alpha):
     # long gaps between observed values take the zeta-difference path
     tail = sorted((x, count) for x, count in counts.items() if x >= 1)
     values = [x for x, count in tail for _ in range(count)]
-    got = _ks_distance(tail, len(values), alpha, tail[0][0])
+    x_min = tail[0][0]
+    got = _ks_distance(tail, len(values), alpha, x_min,
+                       hurwitz_zeta(alpha, float(x_min)))
     assert got == pytest.approx(_brute_force_ks(values, alpha), abs=1e-12)
 
 
@@ -595,9 +613,11 @@ def test_warm_exponent_cache_fits_equal_cold_fits(steps):
 def test_ks_distance_stops_only_at_the_bound(counts, alpha, stop):
     tail = sorted((x, count) for x, count in counts.items() if x >= 1)
     n_tail = sum(count for _, count in tail)
-    exact = _ks_distance(tail, n_tail, alpha, tail[0][0])
+    x_min = tail[0][0]
+    z = hurwitz_zeta(alpha, float(x_min))
+    exact = _ks_distance(tail, n_tail, alpha, x_min, z)
     for bound in (stop, exact, math.nextafter(exact, math.inf)):
-        got = _ks_distance(tail, n_tail, alpha, tail[0][0], bound)
+        got = _ks_distance(tail, n_tail, alpha, x_min, z, bound)
         if exact < bound:
             assert got == exact
         else:
@@ -620,8 +640,8 @@ def _exhaustive_fit_or_reason(sample):
         sum_logs[i] = sum_logs[i + 1] + count * math.log(v)
     best = None
     for i in range(len(values) - 1):
-        alpha = _powerlaw_alpha(sum_logs[i] / n_tails[i], values[i])
-        ks = _ks_distance(tail[i:], n_tails[i], alpha, values[i],
+        alpha, z, _, _ = _powerlaw_alpha(sum_logs[i] / n_tails[i], values[i])
+        ks = _ks_distance(tail[i:], n_tails[i], alpha, values[i], z,
                           math.inf if best is None else best[0])
         if best is None or ks < best[0]:
             best = (ks, values[i])
@@ -663,6 +683,25 @@ def _fits_and_zeta_derivative_calls(fit, samples):
         fits = [fit(sample) for sample in samples]
     _clear_exponent_caches()
     return fits, counted.call_count
+
+
+def test_a_refit_evaluates_no_zeta():
+    # the solver memoizes zeta and its derivatives at the exponent with
+    # the exponent, so an unchanged histogram is refitted from the memos;
+    # and a tail with no gap of 64 or more never evaluates zeta alone
+    sample = DegreeSample({0: 7, 1: 50, 2: 21, 3: 9, 4: 6, 5: 3, 7: 2,
+                           9: 1, 12: 1, 20: 1, 61: 1})
+    _clear_exponent_caches()
+    with mock.patch.object(fitting_module, "hurwitz_zeta",
+                           wraps=hurwitz_zeta) as values:
+        first = fit_powerlaw(sample)
+    assert values.call_count == 0
+    with mock.patch.object(zeta_module, "_zeta_core",
+                           wraps=zeta_module._zeta_core) as kernel:
+        again = fit_powerlaw(sample)
+    _clear_exponent_caches()
+    assert kernel.call_count == 0
+    assert again == first
 
 
 def test_pruned_scan_equals_exhaustive_scan_on_every_outbreak_window():
@@ -760,7 +799,7 @@ _REFERENCE_EM_COEFFICIENTS = tuple(
     for m, b2m in enumerate(zeta_module._BERNOULLI_2M, start=1))
 
 
-def _reference_zeta_core(s, a, order):
+def _reference_zeta_core(s, a):
     if not s > 1.0:
         raise ValueError(f"hurwitz_zeta requires s > 1, got {s!r}")
     if not a > 0.0:
@@ -770,23 +809,19 @@ def _reference_zeta_core(s, a, order):
     head_terms = max(0, math.ceil(target - a))
 
     h0 = h1 = h2 = 0.0
-    if order == 0 and head_terms <= 64:
-        for k in range(head_terms):
-            h0 += (a + k) ** (-s)
-    else:
-        long_head = head_terms > 64
-        for k in range(head_terms):
-            base = a + k
-            term = base ** (-s)
-            lnb = math.log(base)
-            if long_head:
-                rest = term * (1.0 + base / (s - 1.0))
-                if (rest <= 1e-17 * h0 and abs(lnb) * rest <= 1e-17 * abs(h1)
-                        and lnb * lnb * rest <= 1e-17 * h2):
-                    return h0, -h1, h2
-            h0 += term
-            h1 += lnb * term
-            h2 += lnb * lnb * term
+    long_head = head_terms > 64
+    for k in range(head_terms):
+        base = a + k
+        term = base ** (-s)
+        lnb = math.log(base)
+        if long_head:
+            rest = term * (1.0 + base / (s - 1.0))
+            if (rest <= 1e-17 * h0 and abs(lnb) * rest <= 1e-17 * abs(h1)
+                    and lnb * lnb * rest <= 1e-17 * h2):
+                return h0, -h1, h2
+        h0 += term
+        h1 += lnb * term
+        h2 += lnb * lnb * term
 
     x = a + head_terms
     u = math.log(x)
@@ -794,12 +829,9 @@ def _reference_zeta_core(s, a, order):
     g = 1.0 / (s - 1.0)
 
     z0 = h0 + x * xs * g + 0.5 * xs
-    z1 = z2 = 0.0
-    if order >= 1:
-        z1 = -h1 - x * xs * (u * g + g * g) - 0.5 * u * xs
-    if order >= 2:
-        z2 = h2 + x * xs * (u * u * g + 2.0 * u * g * g + 2.0 * g ** 3) \
-            + 0.5 * u * u * xs
+    z1 = -h1 - x * xs * (u * g + g * g) - 0.5 * u * xs
+    z2 = h2 + x * xs * (u * u * g + 2.0 * u * g * g + 2.0 * g ** 3) \
+        + 0.5 * u * u * xs
 
     p = 1.0
     q1 = q2 = 0.0
@@ -812,10 +844,8 @@ def _reference_zeta_core(s, a, order):
             next_i += 1
         e = x ** (-(s + 2 * m - 1))
         z0 += c * p * e
-        if order >= 1:
-            z1 += c * p * e * (q1 - u)
-        if order >= 2:
-            z2 += c * p * e * ((q1 - u) ** 2 - q2)
+        z1 += c * p * e * (q1 - u)
+        z2 += c * p * e * ((q1 - u) ** 2 - q2)
     return z0, z1, z2
 
 
