@@ -11,8 +11,9 @@ give it all a command-line and SVG surface.
 
 Import from the submodules. The root imports none of them, so each
 command loads only what it runs; it holds what the argument parser
-shares with the fitting code, and the parameter rules that fitting and
-plotting share.
+shares with the fitting code, and the family rules that fitting and
+plotting share: each parameter's domain, the families on whole
+numbers, and the Poisson log-pmf.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ PARAMS = {
     "power-law": {"alpha": lambda v: v > 1,
                   "x_min": lambda v: v >= 1 and v == int(v)},
 }
+# the families whose support is the whole numbers >= 0
+DISCRETE = ("poisson", "power-law")
 
 
 def in_domain(family: str, name: str, value) -> bool:
@@ -44,6 +47,21 @@ def in_domain(family: str, name: str, value) -> bool:
                 and math.isfinite(value) and PARAMS[family][name](value))
     except OverflowError:  # an int past float range
         return False
+
+
+def poisson_log_pmf(x: int, lam: float) -> float:
+    """ln(lam^x e^-lam / x!) for a whole x >= 0 and lam > 0. From
+    x = 2^16 on, past a 12k-case outbreak's degrees (under 130), where
+    x ln(lam) - lam - ln x! cancels (to 0 at x = lam = 1e17), it takes
+    Stirling's ln x! and Loader's (2000) deviance D."""
+    if x < 2 ** 16:
+        return x * math.log(lam) - lam - math.lgamma(x + 1)
+    num, den = lam.as_integer_ratio()
+    d = (x * den - num) / den  # x - lam, rounded once
+    v = d / (x + lam)  # D = x ln(x/lam) - d = d v + 2x (v^3/3 + v^5/5 + ...)
+    dev = (x * math.log(x / lam) - d if abs(v) >= 0.1 else
+           d * v + 2.0 * x * math.fsum(v ** j / j for j in range(3, 33, 2)))
+    return -dev - 0.5 * math.log(2.0 * math.pi * x) - 1.0 / (12.0 * x)
 
 
 def canonical_families(families: Iterable[str]) -> tuple[str, ...]:

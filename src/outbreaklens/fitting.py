@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from typing import Callable, Iterable, Mapping, Union
 
-from . import FAMILIES, PARAMS, RULES, in_domain
+from . import DISCRETE, FAMILIES, PARAMS, RULES, in_domain, poisson_log_pmf
 from .graph import DegreeSample
 from .records import _Frozen
 from .zeta import hurwitz_zeta, hurwitz_zeta_derivatives
@@ -42,24 +42,25 @@ class FitError(ValueError):
 SampleLike = Union[DegreeSample, Iterable[float]]
 
 
-def _histogram(sample: SampleLike) -> Mapping:
-    """The sample as {value: count}; a DegreeSample already is one."""
-    if isinstance(sample, DegreeSample):
-        return sample.counts
-    return Counter(sample)
-
-
-def _support(family: str, hist: Mapping) -> Mapping:
-    """The histogram, FitError unless each distinct value is in the
-    family's support: any value for the normal, >= 0 for the exponential,
-    an integer >= 0 (not a bool) for the others, then keyed by int."""
-    whole = family in ("poisson", "power-law")
+def _sample(family: str, sample: SampleLike, least: int = 1) -> tuple[Mapping, int]:
+    """The sample as {value: count} (a DegreeSample already is one) and
+    its size n. FitError when n < least, or unless each distinct value
+    is in the family's support: any value for the normal, >= 0 for the
+    exponential, an integer >= 0 (not a bool) for the DISCRETE families,
+    whose values are then keyed by int."""
+    hist = sample.counts if isinstance(sample, DegreeSample) else Counter(sample)
+    n = sum(hist.values())
+    if n < least:
+        raise FitError("empty sample" if least == 1 else
+                       f"sample smaller than {least}")
+    whole = family in DISCRETE
     for x in hist:
         if family != "normal" and x < 0 or whole and (
                 isinstance(x, bool) or x != x // 1):  # inf // 1 is nan
             raise FitError(f"{family} requires {'integer ' * whole}"
                            f"values >= 0, got {x!r}")
-    return {int(x): count for x, count in hist.items()} if whole else hist
+    return ({int(x): count for x, count in hist.items()} if whole
+            else hist), n
 
 
 def _sum_over(hist: Mapping, term) -> float:
@@ -138,14 +139,10 @@ def log_likelihood(family: str, params: Mapping[str, float],
     parameter outside its domain (PARAMS) or a value outside the
     family's support raises FitError.
     """
-    hist = _histogram(sample)
-    n = sum(hist.values())
-    if n == 0:
-        raise FitError("empty sample")
+    hist, n = _sample(family, sample)
     for name in PARAMS.get(family, ()):  # an unknown family is refused below
         if not in_domain(family, name, value := params.get(name)):
             raise FitError(f"{family} {name} outside its domain: {value!r}")
-    hist = _support(family, hist)
     if family == "exponential":
         return _exponential_log_likelihood(n, params["lambda"],
                                            _sum_over(hist, lambda x: x))
@@ -184,20 +181,7 @@ def _poisson_log_likelihood(ints: Mapping[int, int], lam: float) -> float:
         if any(ints):
             raise FitError("poisson(0) puts no mass on positive values")
         return 0.0
-    return _sum_over(ints, lambda x: x * math.log(lam) - lam - math.lgamma(x + 1)
-                     if x < 2 ** 16 else _stirling_log_pmf(x, lam))
-
-
-def _stirling_log_pmf(x: int, lam: float) -> float:
-    """The Poisson log-pmf from x = 2^16 on, past a 12k-case outbreak's
-    degrees (under 130), where x ln(lam) - lam - ln x! cancels (to 0 at
-    x = lam = 1e17): Stirling's ln x! and Loader's (2000) deviance D."""
-    num, den = lam.as_integer_ratio()
-    d = (x * den - num) / den  # x - lam, rounded once
-    v = d / (x + lam)  # D = x ln(x/lam) - d = d v + 2x (v^3/3 + v^5/5 + ...)
-    dev = (x * math.log(x / lam) - d if abs(v) >= 0.1 else
-           d * v + 2.0 * x * math.fsum(v ** j / j for j in range(3, 33, 2)))
-    return -dev - 0.5 * math.log(2.0 * math.pi * x) - 1.0 / (12.0 * x)
+    return _sum_over(ints, lambda x: poisson_log_pmf(x, lam))
 
 
 def _powerlaw_log_likelihood(tail: Mapping[int, int], alpha: float,
@@ -211,11 +195,7 @@ def _powerlaw_log_likelihood(tail: Mapping[int, int], alpha: float,
 
 def fit_exponential(sample: SampleLike) -> FitResult:
     """MLE rate 1/mean; SE = rate/sqrt(n); vcov = rate^2/n."""
-    hist = _histogram(sample)
-    n = sum(hist.values())
-    if n < 2:
-        raise FitError("sample smaller than 2")
-    hist = _support("exponential", hist)
+    hist, n = _sample("exponential", sample, 2)
     sum_x = _sum_over(hist, lambda x: x)
     mean = sum_x / n
     if mean <= 0:
@@ -229,10 +209,7 @@ def fit_exponential(sample: SampleLike) -> FitResult:
 
 def fit_normal(sample: SampleLike) -> FitResult:
     """MLE mean and sigma (denominator n); vcov = diag(s^2/n, s^2/2n)."""
-    hist = _histogram(sample)
-    n = sum(hist.values())
-    if n < 2:
-        raise FitError("sample smaller than 2")
+    hist, n = _sample("normal", sample, 2)
     mu = _sum_over(hist, lambda x: x) / n
     ss = _sum_over(hist, lambda x: (x - mu) ** 2)
     var = ss / n
@@ -247,11 +224,7 @@ def fit_normal(sample: SampleLike) -> FitResult:
 
 def fit_poisson(sample: SampleLike) -> FitResult:
     """MLE rate = mean; SE = sqrt(rate/n); vcov = rate/n."""
-    hist = _histogram(sample)
-    n = sum(hist.values())
-    if n < 1:
-        raise FitError("empty sample")
-    ints = _support("poisson", hist)
+    ints, n = _sample("poisson", sample)
     lam = _sum_over(ints, lambda x: x) / n
     return FitResult("poisson", {"lambda": lam}, {"lambda": math.sqrt(lam / n)},
                      ((lam / n,),), _poisson_log_likelihood(ints, lam), n)
@@ -425,10 +398,7 @@ def fit_powerlaw(sample: SampleLike, x_min: int | None = None) -> FitResult:
     n * (z''/z - (z'/z)^2), with the zeta terms the solver returned at
     the estimate; the scanned tail start carries no standard error.
     """
-    hist = _histogram(sample)
-    if not hist:
-        raise FitError("empty sample")
-    ints = _support("power-law", hist)
+    ints, _ = _sample("power-law", sample)
 
     values = sorted(x for x in ints if x >= 1)
     tail = [(v, ints[v]) for v in values]

@@ -13,7 +13,7 @@ import math
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from . import PARAMS, in_domain
+from . import DISCRETE, PARAMS, in_domain, poisson_log_pmf
 from .zeta import hurwitz_zeta
 
 WIDTH = 800
@@ -69,7 +69,7 @@ def family_density(family: str, params: Mapping[str, float], x: float) -> float:
             return 0.0
         if lam == 0.0:
             return 1.0 if x == 0 else 0.0
-        return math.exp(x * math.log(lam) - lam - math.lgamma(x + 1))
+        return math.exp(poisson_log_pmf(int(x), lam))
     if family == "power-law":
         alpha, x_min = params["alpha"], int(params["x_min"])
         if x < x_min or x != int(x):
@@ -88,7 +88,7 @@ def _curve_xs(family: str, params: Mapping[str, float], x_lo: float,
     every quarter step (integer, for the discrete families), or past
     CURVE_POINTS steps that many points spread evenly on the axis."""
     step = CURVE_STEP
-    if family in ("poisson", "power-law"):
+    if family in DISCRETE:
         step = 1.0
         if family == "power-law":
             x_lo = max(x_lo, float(params["x_min"]))

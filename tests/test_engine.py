@@ -539,6 +539,8 @@ def test_engine_rejects_bad_setup():
         RecognitionEngine(WindowSpec("tumbling", DAY, T0), families=[])
     with pytest.raises(ValueError):
         RecognitionEngine(WindowSpec("tumbling", DAY, T0), rule="bic")
+    with pytest.raises(ValueError, match="unknown rule 'bogus'"):
+        batch_report([rec("A", None, 0)], rule="bogus")
 
 
 def test_family_subset_and_order_do_not_matter():

@@ -230,6 +230,25 @@ def test_powerlaw_at_a_huge_tail_start_fits_or_raises_fit_error(
     assert fit.n == 3 and math.isfinite(fit.log_likelihood)
 
 
+def test_exponent_at_both_ends_of_its_range():
+    # ten million ones and one two: the likelihood still rises at
+    # ALPHA_MAX, so the solver steps past it, caps there and stops
+    _clear_exponent_caches()
+    fit = fit_powerlaw(DegreeSample({1: 10 ** 7, 2: 1}), x_min=1)
+    assert fit.params["alpha"] == ALPHA_MAX
+    z, z1, _ = hurwitz_zeta_derivatives(ALPHA_MAX, 1.0)
+    assert -math.log(2) / (10 ** 7 + 1) - z1 / z > 0.0  # the score there
+    # a mean ln x of 1e12 puts the root below ALPHA_MIN: the first
+    # Newton step leaves the bracket and one bisection closes it
+    _clear_exponent_caches()
+    with mock.patch.object(fitting_module, "_zeta_terms",
+                           wraps=fitting_module._zeta_terms) as terms:
+        alpha, *at_alpha = _powerlaw_alpha(1e12, 1)
+    _clear_exponent_caches()
+    assert alpha == ALPHA_MIN and terms.call_count == 2  # start, then root
+    assert tuple(at_alpha) == hurwitz_zeta_derivatives(ALPHA_MIN, 1.0)
+
+
 def test_powerlaw_log_likelihood_where_zeta_underflows_is_a_fit_error():
     with pytest.raises(FitError, match="underflows"):
         log_likelihood("power-law", {"alpha": ALPHA_MAX, "x_min": 10 ** 17},
@@ -854,7 +873,7 @@ def _fits_under(kernel, sample):
     chooses, with ``kernel`` as zeta's and an empty exponent cache."""
     fits, outcome = [], {}
     with mock.patch.object(zeta_module, "_zeta_core", kernel):
-        _powerlaw_alpha.cache_clear()
+        _clear_exponent_caches()
         try:
             for family in FAMILIES:
                 try:
@@ -862,7 +881,7 @@ def _fits_under(kernel, sample):
                 except FitError as exc:
                     outcome[family] = str(exc)
         finally:
-            _powerlaw_alpha.cache_clear()
+            _clear_exponent_caches()
     if fits:
         outcome.update((rule, select_structure(fits, rule).chosen)
                        for rule in RULES)

@@ -4,8 +4,10 @@ import math
 import time
 import xml.etree.ElementTree as ET
 
+import mpmath
 import pytest
 
+from outbreaklens import poisson_log_pmf
 from outbreaklens.fitting import fit_exponential, fit_family, fit_powerlaw
 from outbreaklens.plot import (
     CURVE_POINTS,
@@ -219,3 +221,17 @@ def test_density_helpers_match_definitions():
     assert family_density("power-law", {"alpha": 2.0, "x_min": 2}, 1.0) == 0.0
     with pytest.raises(ValueError):
         family_density("gamma", {}, 1.0)
+    # past 2^16 x ln(lam) - lam - ln x! cancels to 0, a pmf of 1.0
+    with mpmath.workdps(60):
+        lam = mpmath.mpf(10) ** 17
+        pmf = mpmath.exp(lam * mpmath.log(lam) - lam - mpmath.loggamma(lam + 1))
+    assert math.isclose(family_density("poisson", {"lambda": 1e17}, 1e17),
+                        float(pmf), rel_tol=1e-12)
+    # below it the curve is exp of the term the fit sums per degree
+    fit = fit_family("poisson", (0, 1, 1, 2, 3, 5, 8, 13))
+    lam = fit.params["lambda"]
+    for x in (0, 1, 7, 130, 2 ** 16 - 1):
+        assert family_density("poisson", fit.params, float(x)) == \
+            math.exp(poisson_log_pmf(x, lam))
+    assert fit.log_likelihood == math.fsum(
+        poisson_log_pmf(x, lam) for x in (0, 1, 1, 2, 3, 5, 8, 13))

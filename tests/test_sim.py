@@ -351,6 +351,11 @@ def test_simulate_needs_index_cases():
     net = generate_network(config(n_population=10))
     with pytest.raises(ValueError):
         simulate_outbreak(net, SimConfig(n_population=10))
+    # the config admits four index cases, the 3-node network has no room
+    four = SimConfig(n_population=10, index_cases=tuple(
+        IndexCase(GeoPoint(float(i), 0.0), T0) for i in range(4)))
+    with pytest.raises(ValueError, match="more index cases than individuals"):
+        simulate_outbreak(TWO_PARENTS, four)
 
 
 def test_simulate_stops_once_the_outbreak_is_over(cli, tmp_path):
