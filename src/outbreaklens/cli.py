@@ -19,7 +19,6 @@ import re
 import sys
 from contextlib import contextmanager, suppress
 from datetime import datetime, timedelta
-from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 
@@ -78,22 +77,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
     def _print_message(self, message, file=None):
-        """argparse writes help, usage and version text here. Text for
-        stdout goes through the checked write every output uses, so a
-        reader that has gone is exit 2. Text that stderr cannot take is
-        dropped, with what is buffered for it, so a usage error is exit
-        64 on every Python version; argparse alone would leave it to fail
+        """argparse writes help, usage and version text here, through
+        the checked write: text for stdout with no reader is exit 2.
+        Text stderr cannot take is dropped, so a usage error is exit 64
+        on every Python version; argparse alone would leave it to fail
         again at exit (120) or, on 3.10, let the error out (1)."""
         if file is sys.stdout and message:
-            with _output(None) as out:
-                out.write(message)
+            _write(sys.stdout, message)
         elif message:
-            file = file or sys.stderr
-            try:
-                file.write(message)
-                file.flush()
-            except OSError:
-                _discard(file)
+            with suppress(_CliError):
+                _write(file or sys.stderr, message)
 
 
 def parse_duration(text: str) -> timedelta:
@@ -180,18 +173,24 @@ def _output(path: str | None) -> Iterator[TextIO]:
             out.close()
 
 
+def _write(out: TextIO, text: str) -> None:
+    """Write and flush ``text``. An output that cannot take it (a reader
+    that has gone) is exit 2, and what is still buffered for it dropped."""
+    try:
+        out.write(text)
+        out.flush()
+    except OSError as exc:
+        _discard(out)
+        raise _CliError(EXIT_INPUT, str(exc)) from None
+
+
 def _dump_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _stderr_diag(diag: Diagnostic) -> None:
-    """Warn on stderr. A stderr that cannot be written (a reader that has
-    gone) is exit 2, and what is still buffered for it is discarded."""
-    try:
-        print(f"warning: {diag.message}", file=sys.stderr)
-    except OSError as exc:
-        _discard(sys.stderr)
-        raise _CliError(EXIT_INPUT, str(exc)) from None
+    """Warn on stderr, through the checked write."""
+    _write(sys.stderr, f"warning: {diag.message}\n")
 
 
 def _records_of(args, source: TextIO | None = None) -> Iterator[CaseRecord]:
@@ -211,21 +210,12 @@ def _reports(args, records: Iterable[CaseRecord],
              families: Sequence[str]) -> Iterator[StructureReport]:
     """The reports of every command that reads records, from
     ``engine.run``: as windows close (with no window, one at end of
-    input), diagnostics on stderr as they are found. The origin defaults
-    to midnight UTC of the first record's day. Unreadable or invalid
-    input is exit 2."""
+    input), diagnostics on stderr as they are found. With no origin the
+    engine anchors the windows. Unreadable or invalid input is exit 2."""
     from .engine import WindowSpec, run
 
     try:
-        spec = None
-        if window is not None:
-            records = iter(records)
-            first = next(records, None)
-            if first is None:  # no record, no window
-                return
-            records = chain([first], records)
-            spec = WindowSpec(*window, origin or first.timestamp.replace(
-                hour=0, minute=0, second=0))
+        spec = None if window is None else WindowSpec(*window, origin)
         yield from run(records, spec, families, args.rule,
                        args.include_isolated, args.strict, _stderr_diag)
     except (OSError, UnicodeDecodeError) as exc:
@@ -276,8 +266,7 @@ def _write_windowed(args, command: str, records: Iterable[CaseRecord],
 
     def written(reports: Iterable[StructureReport]) -> Iterator[StructureReport]:
         for report in reports:
-            out.write(_dump_line(report.to_json_dict()))
-            out.flush()
+            _write(out, _dump_line(report.to_json_dict()))
             yield report
 
     with _output(args.output) as out:
@@ -492,10 +481,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return int(exc.code or 0)
         return args.handler(args)
     except _CliError as exc:
-        try:
-            print(f"error: {exc}", file=sys.stderr)
-        except OSError:  # stderr's reader has gone too
-            _discard(sys.stderr)
+        with suppress(_CliError):  # stderr's reader has gone too
+            _write(sys.stderr, f"error: {exc}\n")
         return exc.code
 
 

@@ -58,18 +58,21 @@ _LAST_INSTANT = datetime(9999, 12, 31, 23, 59, 59, 999999, timezone.utc)
 
 class WindowSpec(_Frozen):
     """How to slice the stream: disjoint fixed slices from an origin
-    (tumbling) or growing prefixes of it (cumulative)."""
+    (tumbling) or growing prefixes of it (cumulative). With no origin,
+    ``index``, ``slice``, ``window`` and ``schedule_windows`` fail; the
+    engine anchors such a spec at midnight UTC of its first record's day."""
 
     mode: str
     period: timedelta
-    origin: datetime
+    origin: datetime | None = None
 
     def __post_init__(self):
         if self.mode not in WINDOW_MODES:
             raise ValueError(f"unknown window mode {self.mode!r}")
         if self.period <= timedelta(0):
             raise ValueError("window period must be positive")
-        object.__setattr__(self, "origin", normalize_timestamp(self.origin))
+        if self.origin is not None:
+            object.__setattr__(self, "origin", normalize_timestamp(self.origin))
 
     def index(self, instant: datetime) -> int:
         """The index of the window whose slice holds ``instant``; negative
@@ -226,7 +229,8 @@ class RecognitionEngine:
     graph, or in cumulative and whole-stream mode every record's so far)
     and the open window's slice, ``_open_start`` to ``_open_end``: with
     no schedule every instant a record can carry, otherwise empty until
-    a record opens its window.
+    a record opens its window; the first one anchors, in a copy, a spec
+    with no origin at midnight UTC of its day.
     ingest() alone decides which links stand; with ``strict`` a bad link
     or a record beyond range raises ValidationError, not a diagnostic.
     Each diagnostic goes to ``on_error`` as soon as it is found, and
@@ -288,6 +292,9 @@ class RecognitionEngine:
         before the origin, late, or opens its window, which closes every
         window before that one; a window that would end beyond range
         does not open, and the record is dropped."""
+        if self.spec.origin is None:
+            self.spec = self.spec.replace(origin=ts.replace(hour=0, minute=0,
+                                                            second=0))
         index = self.spec.index(ts)
         if index < 0:
             self._warn(Diagnostic(

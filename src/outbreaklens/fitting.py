@@ -139,8 +139,10 @@ def log_likelihood(family: str, params: Mapping[str, float],
     parameter outside its domain (PARAMS) or a value outside the
     family's support raises FitError.
     """
+    if family not in PARAMS:
+        raise ValueError(f"unknown family {family!r}")
     hist, n = _sample(family, sample)
-    for name in PARAMS.get(family, ()):  # an unknown family is refused below
+    for name in PARAMS[family]:
         if not in_domain(family, name, value := params.get(name)):
             raise FitError(f"{family} {name} outside its domain: {value!r}")
     if family == "exponential":
@@ -152,14 +154,11 @@ def log_likelihood(family: str, params: Mapping[str, float],
             n, params["sigma"], _sum_over(hist, lambda x: (x - mu) ** 2))
     if family == "poisson":
         return _poisson_log_likelihood(hist, params["lambda"])
-    if family == "power-law":
-        alpha, x_min = params["alpha"], int(params["x_min"])
-        tail = {x: count for x, count in hist.items() if x >= x_min}
-        if not tail:
-            raise FitError("no values at or above x_min")
-        return _powerlaw_log_likelihood(tail, alpha,
-                                        _zeta_terms(alpha, x_min)[0])
-    raise ValueError(f"unknown family {family!r}")
+    alpha, x_min = params["alpha"], int(params["x_min"])  # the power law
+    tail = {x: count for x, count in hist.items() if x >= x_min}
+    if not tail:
+        raise FitError("no values at or above x_min")
+    return _powerlaw_log_likelihood(tail, alpha, _zeta_terms(alpha, x_min)[0])
 
 
 def _exponential_log_likelihood(n: int, lam: float, sum_x: float) -> float:

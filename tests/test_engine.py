@@ -157,6 +157,30 @@ def test_before_origin_record_dropped_with_diagnostic():
 
 
 @pytest.mark.parametrize("mode", ["tumbling", "cumulative"])
+@pytest.mark.parametrize("period", [timedelta(hours=6), 7 * DAY])
+@pytest.mark.parametrize("start", [0, 9 * 60 + 30])  # midnight, and after
+def test_a_spec_with_no_origin_starts_at_the_first_records_midnight(
+        mode, period, start):
+    stream = [rec("A", None, start), rec("B", "A", start + 30),
+              rec("C", "A", 9 * 24 * 60 + 5), rec("D", None, 24 * 60)]
+    spec = WindowSpec(mode, period)
+    reports = list(run(stream, spec))
+    assert reports == list(run(stream, spec.replace(origin=T0)))
+    assert reports[0].window.start == T0
+    assert spec.origin is None  # the caller's spec is left as it was
+
+
+def test_a_spec_with_no_origin_opens_no_window_before_its_first_record():
+    spec = WindowSpec("tumbling", DAY)
+    assert list(run([], spec)) == []
+    diags = []
+    reports = list(run([rec("A", None, 24 * 60 + 5), rec("OLD", None, 5)],
+                       spec, on_error=diags.append))
+    assert [d.kind for d in diags] == ["before-origin"]
+    assert [r.window for r in reports] == [TimeWindow(T0 + DAY, T0 + 2 * DAY)]
+
+
+@pytest.mark.parametrize("mode", ["tumbling", "cumulative"])
 @pytest.mark.parametrize("origin,period", [
     (datetime(9999, 12, 31, 23, 59, 58, tzinfo=UTC), timedelta(seconds=1)),
     (datetime(9999, 12, 30, tzinfo=UTC), DAY),

@@ -138,6 +138,10 @@ def test_loglik_support_violations():
     # x_min too, as it is for fit_powerlaw
     with pytest.raises(FitError, match="requires integer values"):
         log_likelihood("power-law", {"alpha": 2.0, "x_min": 2}, (-1, 2, 3))
+    # an unknown family is refused before any value is checked
+    for values in ((1,), (-1,)):
+        with pytest.raises(ValueError, match="unknown family 'gamma'"):
+            log_likelihood("gamma", {}, values)
 
 
 # --- power law -------------------------------------------------------------

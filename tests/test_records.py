@@ -152,9 +152,10 @@ def test_cached_format_timestamp_equals_strftime(values):
 @pytest.mark.parametrize("lon,lat", [
     (180.0001, 0.0), (-180.0001, 0.0), (0.0, 90.5), (0.0, -90.5),
     (math.nan, 0.0), (0.0, math.nan),
+    pytest.param(10 ** 400, 0.0, id="int-past-float-range"),
 ])
 def test_geopoint_rejects_out_of_range(lon, lat):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         GeoPoint(lon, lat)
 
 
@@ -448,6 +449,14 @@ def test_parse_jsonl_bad_json_and_missing_keys():
 def test_parse_unknown_format():
     with pytest.raises(ValueError):
         parse_record("x", "xml")
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        serialize_record(rec("C1", None, T0), "xml")
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        list(read_stream(io.StringIO("C1,,2014-03-01,0,0\n"), "xml"))
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        write_stream([rec("C1", None, T0)], buf, "xml")
+    assert buf.getvalue() == ""  # nothing is written before the refusal
 
 
 @pytest.mark.parametrize("format", ["csv", "jsonl"])
@@ -657,6 +666,12 @@ def test_over_long_cell_is_malformed_on_either_path():
         line = "C" * 21 + ",,2014-03-01,0,0"
         assert _parsed(line) == "line 3: malformed CSV line"
         assert isinstance(_parsed("C" * 10 + ",,2014-03-01,0,0"), CaseRecord)
+        # as the first line, it is no header either, and reading goes on
+        seen: list[Diagnostic] = []
+        text = line + "\nC1,,2014-03-01,0,0\n"
+        records = list(read_stream(io.StringIO(text), on_error=seen.append))
+        assert [d.message for d in seen] == ["line 1: malformed CSV line"]
+        assert [r.case_id for r in records] == ["C1"]
     finally:
         csv.field_size_limit(limit)
 
